@@ -9,11 +9,10 @@ Subcommands:
     report        full verification document (all suites plus constants)
 
 Exit codes: 0 success / all checks passed, 1 verification failures,
-2 usage or input errors, 3 numerical (quadrature) failure.  Reals are
-serialized with 17 significant digits so CSV output round-trips
-exactly; infinite exponents print as "inf".  The environment variable
-LP_HEAT_THREADS caps the worker pool used for suite sweeps (default 1);
-results and their order are identical for any thread count.
+2 usage or input errors, 3 numerical (quadrature) failure, 4 internal
+error (an unexpected exception; its traceback goes to stderr).  Reals
+are serialized with 17 significant digits so CSV output round-trips
+exactly; infinite exponents print as "inf".
 
 Examples:
 
@@ -33,9 +32,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 
 import numpy as np
 
@@ -62,27 +60,6 @@ def fmt(x) -> str:
     return format(x, ".17g")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("LP_HEAT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"LP_HEAT_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise DomainError("LP_HEAT_THREADS must be at least 1")
-    return n
-
-
-def _run_ordered(tasks):
-    """Run callables, optionally on a capped pool; results keep task order."""
-    n = _thread_count()
-    if n == 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [fut.result() for fut in futures]
-
-
 def _write_text(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
@@ -103,7 +80,10 @@ def _rows_to_csv(header: list[str], rows: list[list]) -> str:
 def _parse_float_token(tok: str) -> float:
     if tok.strip().lower() == "inf":
         return math.inf
-    return float(tok)
+    try:
+        return float(tok)
+    except ValueError:
+        raise DomainError(f"not a number: {tok!r}") from None
 
 
 def _parse_list(raw: str) -> list[float]:
@@ -114,7 +94,10 @@ def _parse_grid(raw: str) -> tuple[float, float, int]:
     parts = raw.split(":")
     if len(parts) != 3:
         raise DomainError("grid must be a:b:n")
-    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise DomainError("grid must be a:b:n with numeric a, b and integer n") from None
     if n < 2 or not a < b:
         raise DomainError("grid needs a < b and n >= 2")
     return a, b, n
@@ -183,7 +166,7 @@ def cmd_evolve(args) -> int:
     a, b, n = _parse_grid(args.grid)
     xs = np.linspace(a, b, n)
     cfg = _config_from_args(args)
-    columns = _run_ordered([lambda _t=t: solve_values(f, _t, xs, cfg) for t in ts])
+    columns = [solve_values(f, t, xs, cfg) for t in ts]
     header = ["x"] + [f"v_t={fmt(t)}" for t in ts]
     rows = [[xs[i]] + [col[i] for col in columns] for i in range(n)]
     if args.format == "json":
@@ -215,14 +198,7 @@ def _report_rows(reports) -> list[list]:
 
 
 def cmd_verify(args) -> int:
-    tol = args.tol
-    if tol is not None and tol <= 0:
-        raise DomainError("tolerance must be positive")
-    names = ["kernel", "young", "decay", "variation"] if args.suite == "all" else [args.suite]
-    if any(name not in SUITES for name in names):
-        raise DomainError(f"unknown suite {args.suite!r}")
-    chunks = _run_ordered([lambda _n=name: run_suite(_n, DEFAULT_CONFIG, tol) for name in names])
-    reports = [rep for chunk in chunks for rep in chunk]
+    reports = run_suite(args.suite, DEFAULT_CONFIG, args.tol)
     if args.format == "json":
         doc = [rep.as_dict() for rep in reports]
         _write_text(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n", args.out)
@@ -265,16 +241,7 @@ def cmd_example_dirac(args) -> int:
 
 
 def cmd_report(args) -> int:
-    tol = args.tol
-    if tol is not None and tol <= 0:
-        raise DomainError("tolerance must be positive")
-    chunks = _run_ordered(
-        [
-            lambda _n=name: run_suite(_n, DEFAULT_CONFIG, tol)
-            for name in ("kernel", "young", "decay", "variation")
-        ]
-    )
-    reports = [rep for chunk in chunks for rep in chunk]
+    reports = run_suite("all", DEFAULT_CONFIG, args.tol)
     header, rows = _constants_rows([1.0, 1.5, 2.0, 3.0], [1.0, 4.0 / 3.0, 1.5, 2.0], skip_invalid=True)
     doc = {
         "constants": [dict(zip(header, row)) for row in rows],
@@ -309,14 +276,20 @@ def _config_from_args(args) -> QuadratureConfig:
     tol = getattr(args, "tol", None)
     if tol is None:
         return DEFAULT_CONFIG
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
     return QuadratureConfig(
         abs_tol=tol,
         rel_tol=max(tol, 1e-14),
         max_subdivisions=DEFAULT_CONFIG.max_subdivisions,
         tail_width_sigmas=DEFAULT_CONFIG.tail_width_sigmas,
     )
+
+
+def tolerance(raw: str) -> float:
+    """argparse type shared by every --tol flag."""
+    tol = float(raw)
+    if not tol > 0:
+        raise argparse.ArgumentTypeError("tolerance must be positive")
+    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,14 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--data", required=True, help="JSON element descriptor file")
     pe.add_argument("--t", required=True, help="comma-separated positive times")
     pe.add_argument("--grid", required=True, help="a:b:n uniform grid")
-    pe.add_argument("--tol", type=float, default=None, help="quadrature absolute tolerance")
+    pe.add_argument("--tol", type=tolerance, default=None, help="quadrature absolute tolerance")
     pe.add_argument("--out", default=None)
     pe.add_argument("--format", choices=("csv", "json"), default="csv")
     pe.set_defaults(func=cmd_evolve)
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("--suite", default="all", help="all, kernel, young, decay, variation")
-    pv.add_argument("--tol", type=float, default=None, help="override every check's acceptance threshold")
+    pv.add_argument("--suite", default="all", help=f"all, {', '.join(SUITES)}")
+    pv.add_argument("--tol", type=tolerance, default=None, help="override every check's acceptance threshold")
     pv.add_argument("--out", default=None)
     pv.add_argument("--format", choices=("csv", "json"), default="csv")
     pv.set_defaults(func=cmd_verify)
@@ -353,13 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--a", type=float, default=1.0)
     pd.add_argument("--t", default="1.0,0.1,0.01")
     pd.add_argument("--grid", default="-5:5:101")
-    pd.add_argument("--tol", type=float, default=None)
+    pd.add_argument("--tol", type=tolerance, default=None)
     pd.add_argument("--out", default=None)
     pd.add_argument("--format", choices=("csv", "json"), default="csv")
     pd.set_defaults(func=cmd_example_dirac)
 
     pr = sub.add_parser("report", help="full verification document (JSON)")
-    pr.add_argument("--tol", type=float, default=None, help="override every check's acceptance threshold")
+    pr.add_argument("--tol", type=tolerance, default=None, help="override every check's acceptance threshold")
     pr.add_argument("--out", default=None)
     pr.set_defaults(func=cmd_report)
 
@@ -378,9 +351,13 @@ def main(argv: list[str] | None = None) -> int:
     except QuadratureAccuracyError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
-    except (DomainError, LpHeatError) as exc:
+    except LpHeatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 4
 
 
 def entry() -> None:

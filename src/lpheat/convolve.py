@@ -47,7 +47,7 @@ def convolve_point(
     if not math.isfinite(x):
         raise DomainError("evaluation point must be finite")
     n = int(psi_order)
-    width = cfg.tail_width_sigmas * math.sqrt(2.0 * t)
+    width = cfg.kernel_width(t)
     slo, shi = F.effective_support(cfg)
     lo = max(x - width, slo)
     hi = min(x + width, shi)
@@ -92,7 +92,7 @@ def convolve_grid(
         raise ResolutionError(
             f"grid spacing {F.dx} too coarse for kernel time {t}; need dx <= sqrt(t)"
         )
-    m = int(math.ceil(cfg.tail_width_sigmas * math.sqrt(2.0 * t) / F.dx))
+    m = int(math.ceil(cfg.kernel_width(t) / F.dx))
     knodes = F.dx * np.arange(-m, m + 1)
     kvals = theta_deriv_values(knodes, t, int(psi_order))
     if psi_order == 0:
@@ -152,7 +152,7 @@ def convolution_lp_norm(
         raise DomainError(f"norm exponent must lie in [1, inf], got {r}")
     if not terms:
         return 0.0
-    width = cfg.tail_width_sigmas * math.sqrt(2.0 * t)
+    width = cfg.kernel_width(t)
     los, his, seeds = [], [], []
     for _, F in terms:
         slo, shi = F.effective_support(cfg)

@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import ExponentTriple, K_const, L_const, M_const, beta_extremizer, r_from, young_constant
-from .convolve import convolve_point, convolution_lp_norm
+from .constants import ExponentTriple, K_const, L_const, M_const, _inv, beta_extremizer, r_from, young_constant
+from .convolve import convolve_values, convolution_lp_norm
 from .exceptions import DomainError, SearchFailureError
 from .kernel import (
     semigroup_residual,
@@ -29,15 +29,11 @@ from .kernel import (
     theta_norm_closed,
     theta_values,
 )
-from .lp_space import GaussianPower, Indicator, TailLog, _golden_max, lp_norm
+from .lp_space import GaussianPower, Indicator, TailLog, _golden_max, _scan_refine_max, lp_norm
 from .lprime import LprimeElement, dirac_difference, from_primitive, lprime_norm
 from .heat_solver import solve_at, solve_values
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, geometric_edges, integrate
 from .report import EstimateReport, make_report
-
-
-def _inv(p: float) -> float:
-    return 0.0 if math.isinf(p) else 1.0 / p
 
 
 def verify_lprime_bound(
@@ -163,12 +159,12 @@ def zero_integral(
     if not (t > 0 and math.isfinite(t)):
         raise DomainError("time must be positive and finite")
     F = f.primitive
-    width = cfg.tail_width_sigmas * math.sqrt(2.0 * t)
+    width = cfg.kernel_width(t)
     slo, shi = F.effective_support(cfg)
     lo, hi = slo - width, min(shi, 1e7) + width
 
     def integrand(xs):
-        return solve_values(f, t, np.atleast_1d(np.asarray(xs, dtype=float)), cfg)
+        return solve_values(f, t, xs, cfg)
 
     val, _ = integrate(integrand, lo, hi, cfg, points=F.breakpoints())
     return val
@@ -192,37 +188,19 @@ def sign_change(
     for n in (257, 1025, 4097):
         xs = np.linspace(lo, hi, n)
         vals = solve_values(f, t, xs, cfg)
-        imin = int(np.argmin(vals))
-        imax = int(np.argmax(vals))
-        x_neg = _golden_extremum(lambda x: solve_at(f, t, x, cfg), xs, imin, minimize=True)
-        x_pos = _golden_extremum(lambda x: solve_at(f, t, x, cfg), xs, imax, minimize=False)
-        if solve_at(f, t, x_neg, cfg) < -threshold and solve_at(f, t, x_pos, cfg) > threshold:
+
+        def refine(i, sign):
+            # maximize sign * v_t on the scan cell pair around node i
+            lo_i, hi_i = xs[max(i - 1, 0)], xs[min(i + 1, n - 1)]
+            return _golden_max(lambda x: sign * solve_at(f, t, x, cfg), lo_i, hi_i, iters=60)
+
+        x_neg, neg_peak = refine(int(np.argmin(vals)), -1.0)
+        x_pos, pos_peak = refine(int(np.argmax(vals)), 1.0)
+        if neg_peak > threshold and pos_peak > threshold:
             return x_neg, x_pos
     raise SearchFailureError(
         f"no sign witnesses above threshold {threshold} in {search_interval}; widen the interval"
     )
-
-
-def _golden_extremum(fn, xs: np.ndarray, i: int, minimize: bool) -> float:
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, len(xs) - 1)]
-    if a == b:
-        return float(xs[i])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    sign = 1.0 if minimize else -1.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = sign * fn(c), sign * fn(d)
-    for _ in range(60):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = sign * fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = sign * fn(d)
-    return float(c if fc <= fd else d)
 
 
 def limit_at_infinity(
@@ -342,7 +320,7 @@ def nonmembership_probe(
     if not (1.0 <= s < p):
         raise DomainError("divergence probe needs 1 <= s < p")
     F = TailLog(p)
-    width = cfg.tail_width_sigmas * math.sqrt(2.0 * t)
+    width = cfg.kernel_width(t)
 
     ratios = []
     for x in x_sequence:
@@ -361,9 +339,7 @@ def nonmembership_probe(
     prev = math.e
 
     def conv_power(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        conv = np.array([convolve_point(F, 0, t, x, cfg) for x in xs])
-        return np.abs(conv) ** s
+        return np.abs(convolve_values(F, 0, t, xs, cfg)) ** s
 
     for X in edges:
         seg, _ = integrate(conv_power, prev, X, cfg, points=geometric_edges(prev, X))
@@ -423,16 +399,10 @@ def _kernel_norm_reports(cfg: QuadratureConfig, tol: float | None = None) -> lis
 
 
 def _kernel_deriv_norm_quadrature(q: float, t: float, cfg: QuadratureConfig) -> float:
-    width = cfg.tail_width_sigmas * math.sqrt(2.0 * t)
+    width = cfg.kernel_width(t)
     if math.isinf(q):
-        xs = np.linspace(0.0, width, 4001)  # |theta'| is odd; scan one side
-        vals = np.abs(theta_deriv_values(xs, t, 1))
-        i = int(np.argmax(vals))
-        return _golden_max(
-            lambda x: abs(float(theta_deriv_values(np.asarray([x]), t, 1))),
-            xs[max(i - 1, 0)],
-            xs[min(i + 1, len(xs) - 1)],
-        )
+        # theta' is odd, so |theta'| is scanned on one side
+        return _scan_refine_max(lambda xs: theta_deriv_values(xs, t, 1), 0.0, width, 4001)
 
     scale = abs(float(theta_deriv_values(math.sqrt(2.0 * t), t, 1)))  # peak magnitude
 
@@ -582,10 +552,7 @@ def run_suite(
 ) -> list[EstimateReport]:
     """Run a named suite ('all' chains every one) and return its reports."""
     if name == "all":
-        out = []
-        for key in ("kernel", "young", "decay", "variation"):
-            out.extend(SUITES[key](cfg, tolerance))
-        return out
+        return [rep for suite in SUITES.values() for rep in suite(cfg, tolerance)]
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from all, {', '.join(SUITES)}")
     return SUITES[name](cfg, tolerance)

@@ -15,18 +15,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import ExponentTriple, K_const
-from .convolve import convolve_point, convolution_lp_norm
+from .constants import ExponentTriple, K_const, _inv
+from .convolve import convolve_values, convolution_lp_norm
 from .exceptions import DomainError
 from .kernel import theta_values
 from .lp_space import GridFunction, combo_lp_norm
 from .lprime import LprimeElement
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 from .report import EstimateReport, make_report
-
-
-def _inv(p: float) -> float:
-    return 0.0 if math.isinf(p) else 1.0 / p
 
 
 def default_time_sweep(terms: int = 15) -> list[float]:
@@ -49,11 +45,7 @@ def solve_at(
     """v_t(x) for initial data f."""
     if not (t > 0 and math.isfinite(t)):
         raise DomainError("time must be positive and finite")
-    if f.atoms is not None:
-        xs = np.asarray([x - loc for _, loc in f.atoms], dtype=float)
-        weights = np.asarray([w for w, _ in f.atoms], dtype=float)
-        return float(weights @ theta_values(xs, t))
-    return convolve_point(f.primitive, 1, t, x, cfg)
+    return float(solve_values(f, t, x, cfg)[0])
 
 
 def solve_values(
@@ -62,13 +54,15 @@ def solve_values(
     xs,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
+    """v_t at each of ``xs``: the sum of shifted kernels when f carries
+    atoms, else the convolution F * theta_t'."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if f.atoms is not None:
         out = np.zeros_like(xs)
         for w, loc in f.atoms:
             out += w * theta_values(xs - loc, t)
         return out
-    return np.array([convolve_point(f.primitive, 1, t, x, cfg) for x in xs])
+    return convolve_values(f.primitive, 1, t, xs, cfg)
 
 
 @dataclass(frozen=True)
@@ -129,7 +123,7 @@ def _difference_norm(
 ) -> float:
     """||F * theta_t - F||_p on a certified window."""
     F = f.primitive
-    width = cfg.tail_width_sigmas * math.sqrt(2.0 * t)
+    width = cfg.kernel_width(t)
     slo, shi = F.effective_support(cfg)
     if shi - slo > 1e6:
         raise DomainError(
@@ -138,9 +132,7 @@ def _difference_norm(
     lo, hi = slo - width, shi + width
 
     def integrand(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        conv = np.array([convolve_point(F, 0, t, x, cfg) for x in xs])
-        return np.abs(conv - F.values(xs)) ** p
+        return np.abs(convolve_values(F, 0, t, xs, cfg) - F.values(xs)) ** p
 
     val, _ = integrate(integrand, lo, hi, cfg, points=F.breakpoints())
     return val ** (1.0 / p)
@@ -237,9 +229,7 @@ def weak_ic_check(
             raise DomainError("all times must be positive")
 
         def integrand(xs, _t=t):
-            xs = np.atleast_1d(np.asarray(xs, dtype=float))
-            conv = np.array([convolve_point(F, 0, _t, x, cfg) for x in xs])
-            return (conv - F.values(xs)) * test_fn.deriv(xs)
+            return (convolve_values(F, 0, _t, xs, cfg) - F.values(xs)) * test_fn.deriv(xs)
 
         val, _ = integrate(integrand, lo, hi, cfg, points=F.breakpoints())
         out.append(-val)

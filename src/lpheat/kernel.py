@@ -188,7 +188,7 @@ def semigroup_residual(
         raise DomainError("semigroup check is restricted to positive t and s")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     tau = t * s / (t + s)
-    width = cfg.tail_width_sigmas * math.sqrt(2.0 * tau)
+    width = cfg.kernel_width(tau)
     worst = 0.0
     for x in xs:
         centre = x * s / (t + s)

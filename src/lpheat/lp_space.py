@@ -3,8 +3,9 @@
 Variants: indicators, finite step combinations, Gaussian kernel powers,
 two slowly decaying tail profiles, and sampled grid data.  Each variant
 knows its pointwise values, its jump locations, a finite window outside
-which it is negligible at a given tolerance, a bound for its sup, and
-the exponent range for which it belongs to L^p:
+which it is negligible at a given tolerance, its ess sup, its L^p norm,
+truncation windows with certified tail bounds, and the exponent range
+for which it belongs to L^p:
 
     Indicator, StepCombo, Sampled     every p in [1, inf]
     GaussianPower(t, beta)            every p in [1, inf]
@@ -17,7 +18,7 @@ itself, while the sine profile just misses it; both diverge below.
 Norms are adaptive-quadrature integrals of |F|^p except for Sampled
 data (composite trapezoid on the grid, second-order accurate) and the
 two tail profiles, which get substitution and period-panel treatments
-documented on ``lp_norm``.
+documented on their ``finite_lp_norm`` methods.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import DomainError, MembershipError
+from .exceptions import ApproximationError, DomainError, MembershipError
 from .kernel import theta_values
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -86,9 +87,50 @@ class PrimitiveFunction:
         """Finite window outside which |F| is negligible for cfg's budget."""
         raise NotImplementedError
 
+    def jumps(self) -> dict[float, float] | None:
+        """Signed jump at each breakpoint for step-type variants, else None."""
+        return None
+
     def sup_bound(self) -> float:
-        """A finite upper bound for ess sup |F| (tight for every variant)."""
+        """ess sup |F|: exact, or a scan refined by golden section where no
+        maximizer is known."""
         raise NotImplementedError
+
+    def finite_lp_norm(self, p: float, cfg: QuadratureConfig) -> float:
+        """(integral of |F|^p)^{1/p} for a finite p that F admits.
+
+        Adaptive quadrature on the effective support, normalized by the
+        sup so the tolerances act relatively even when |F|^p is tiny.
+        """
+        lo, hi = self.effective_support(cfg)
+        scale = self.sup_bound()
+        if scale == 0.0:
+            return 0.0
+
+        def integrand(x):
+            return np.abs(self.values(x) / scale) ** p
+
+        val, _ = integrate(integrand, lo, hi, cfg, points=self.breakpoints())
+        return scale * val ** (1.0 / p)
+
+    def truncation_window(self, p: float, eps: float, cfg: QuadratureConfig) -> tuple[float, float]:
+        """Window whose exterior p-mass is below eps^p."""
+        if not self.is_compactly_supported():
+            raise DomainError(f"no truncation rule for variant {self.kind!r}")
+        return self.effective_support(cfg)
+
+    def tail_power_outside(self, p: float, lo: float, hi: float) -> float:
+        """Certified upper bound for the integral of |F|^p outside [lo, hi]."""
+        if not self.is_compactly_supported():
+            raise DomainError(f"no tail bound for variant {self.kind!r}")
+        slo, shi = self.effective_support(DEFAULT_CONFIG)
+        if lo <= slo and hi >= shi:
+            return 0.0
+        raise DomainError("window must contain the support of a compact variant")
+
+    def shifted(self, h: float) -> PrimitiveFunction:
+        """x -> F(x - h), for the location-bearing variants."""
+        raise DomainError(f"translation is not defined for variant {self.kind!r}")
 
     def admits(self, p: float) -> bool:
         """Whether F belongs to L^p."""
@@ -120,11 +162,17 @@ class Indicator(PrimitiveFunction):
     def breakpoints(self):
         return (self.a, self.b)
 
+    def jumps(self):
+        return {self.a: 1.0, self.b: -1.0}
+
     def effective_support(self, cfg):
         return (self.a, self.b)
 
     def sup_bound(self):
         return 1.0
+
+    def shifted(self, h):
+        return Indicator(self.a + h, self.b + h)
 
     def admits(self, p):
         return True
@@ -193,6 +241,9 @@ class StepCombo(PrimitiveFunction):
     def sup_bound(self):
         return max((abs(v) for _, _, v in self.levels()), default=0.0)
 
+    def shifted(self, h):
+        return StepCombo(tuple((hh, a + h, b + h) for hh, a, b in self.steps))
+
     def admits(self, p):
         return True
 
@@ -232,6 +283,22 @@ class GaussianPower(PrimitiveFunction):
     def sup_bound(self):
         return self.prefactor()
 
+    def truncation_window(self, p, eps, cfg):
+        target = eps ** p
+        lo, hi = -1.0, 1.0
+        while self.tail_power_outside(p, lo, hi) > target:
+            lo *= 2.0
+            hi *= 2.0
+            if hi > 1e6:
+                raise ApproximationError("gaussian window search ran away", best_error=eps)
+        return lo, hi
+
+    def tail_power_outside(self, p, lo, hi):
+        c = p * self.beta / (4.0 * self.t)
+        pref = self.prefactor() ** p
+        scale = 0.5 * math.sqrt(math.pi / c)
+        return pref * scale * (math.erfc(hi * math.sqrt(c)) + math.erfc(-lo * math.sqrt(c)))
+
     def admits(self, p):
         return True
 
@@ -265,7 +332,42 @@ class TailLog(PrimitiveFunction):
         return (_E, min(hi, 1e300))
 
     def sup_bound(self):
-        return _E ** (-1.0 / self.p0)
+        return _E ** (-1.0 / self.p0)  # decreasing from x = e
+
+    def finite_lp_norm(self, p, cfg):
+        """Via u = log x the p-th power integral becomes
+        int_1^inf exp(-(p/p0 - 1) u) u^{-2p} du, which decays exponentially
+        for p > p0 and like u^{-2p} at p = p0; either way a finite panel set
+        with a certified cut captures it to within abs_tol / 10.
+        """
+        rate = p / self.p0 - 1.0
+        if rate > 1e-9:
+            hi = max(4.0, math.log(10.0 / (rate * cfg.abs_tol)) / rate)
+
+            def g(u):
+                return np.exp(-rate * u) / u ** (2.0 * p)
+        else:
+            # p == p0: pure power integrand; cut where the exact tail drops below budget
+            hi = (10.0 / ((2.0 * p - 1.0) * cfg.abs_tol)) ** (1.0 / (2.0 * p - 1.0))
+
+            def g(u):
+                return u ** (-2.0 * p)
+
+        val, _ = integrate(g, 1.0, hi, cfg, points=geometric_edges(1.0, hi))
+        return val ** (1.0 / p)
+
+    def truncation_window(self, p, eps, cfg):
+        u = ((2.0 * p - 1.0) * eps ** p) ** (-1.0 / (2.0 * p - 1.0))
+        return _E, math.exp(max(u, 1.0 + 1e-9))
+
+    def tail_power_outside(self, p, lo, hi):
+        if lo > _E:
+            raise DomainError("tail window must start at the support edge")
+        u0 = math.log(max(hi, _E))
+        rate = p / self.p0 - 1.0
+        if rate > 1e-9:
+            return math.exp(-rate * u0) * u0 ** (-2.0 * p) / rate
+        return u0 ** (1.0 - 2.0 * p) / (2.0 * p - 1.0)
 
     def admits(self, p):
         if math.isinf(p):
@@ -274,6 +376,9 @@ class TailLog(PrimitiveFunction):
 
     def to_json(self):
         return {"type": "tail_log", "p": self.p0}
+
+
+_SINE_PANELS = 2048
 
 
 @dataclass(frozen=True)
@@ -301,7 +406,37 @@ class TruncatedSine(PrimitiveFunction):
         return (1.0, min(hi, 1e300))
 
     def sup_bound(self):
-        return 1.0
+        # global maximum sits inside the first few arches of the envelope
+        return _scan_refine_max(self.values, 1.0, 1.0 + 4.0 * math.pi, 4001)
+
+    def finite_lp_norm(self, p, cfg):
+        """One quadrature panel per sine arch out to _SINE_PANELS * pi, then
+        an asymptotic completion m_p * X^{1-a} / (a - 1) with a = p/p0 and
+        m_p the mean of |sin|^p over a period.  The completion's own error
+        is O(1/X) of the tail, roughly 1e-6 relative overall; adequate for
+        the membership and structural checks this variant participates in.
+        """
+        a = p / self.p0
+        edges = [1.0] + [k * math.pi for k in range(1, _SINE_PANELS + 1)]
+
+        def g(x):
+            return np.abs(self.values(x)) ** p
+
+        val, _ = composite_gk15(g, edges)
+        cut = _SINE_PANELS * math.pi
+        mean_sin = math.gamma((p + 1.0) / 2.0) / (math.sqrt(math.pi) * math.gamma(p / 2.0 + 1.0))
+        tail = mean_sin * cut ** (1.0 - a) / (a - 1.0)
+        return (val + tail) ** (1.0 / p)
+
+    def truncation_window(self, p, eps, cfg):
+        a = p / self.p0
+        return 1.0, max(2.0, ((a - 1.0) * eps ** p) ** (-1.0 / (a - 1.0)))
+
+    def tail_power_outside(self, p, lo, hi):
+        if lo > 1.0:
+            raise DomainError("tail window must start at the support edge")
+        a = p / self.p0
+        return hi ** (1.0 - a) / (a - 1.0)
 
     def admits(self, p):
         if math.isinf(p):
@@ -333,7 +468,16 @@ class Sampled(PrimitiveFunction):
         return (self.grid.x0, self.grid.x1)
 
     def sup_bound(self):
+        # piecewise linear attains its extrema at nodes
         return float(np.max(np.abs(self.grid.array())))
+
+    def finite_lp_norm(self, p, cfg):
+        """Composite trapezoid rule on the sample grid (second order)."""
+        power = np.abs(self.grid.array()) ** p
+        return float(np.trapezoid(power, dx=self.grid.dx)) ** (1.0 / p)
+
+    def shifted(self, h):
+        return Sampled(GridFunction(self.grid.x0 + h, self.grid.dx, self.grid.values))
 
     def admits(self, p):
         return True
@@ -371,13 +515,7 @@ def evaluate(F: PrimitiveFunction, x: float) -> float:
 
 def translate(F: PrimitiveFunction, h: float) -> PrimitiveFunction:
     """x -> F(x - h) for the location-bearing variants."""
-    if isinstance(F, Indicator):
-        return Indicator(F.a + h, F.b + h)
-    if isinstance(F, StepCombo):
-        return StepCombo(tuple((hh, a + h, b + h) for hh, a, b in F.steps))
-    if isinstance(F, Sampled):
-        return Sampled(GridFunction(F.grid.x0 + h, F.grid.dx, F.grid.values))
-    raise DomainError(f"translation is not defined for variant {F.kind!r}")
+    return F.shifted(h)
 
 
 def _require_membership(F: PrimitiveFunction, p: float):
@@ -387,8 +525,8 @@ def _require_membership(F: PrimitiveFunction, p: float):
         )
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 80) -> float:
-    """Golden-section maximum of a scalar callable on [lo, hi]."""
+def _golden_max(fn, lo: float, hi: float, iters: int) -> tuple[float, float]:
+    """Golden-section maximum of a scalar callable on [lo, hi] as (x, fn(x))."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -403,120 +541,36 @@ def _golden_max(fn, lo: float, hi: float, iters: int = 80) -> float:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fn(d)
-    return max(fc, fd)
+    return (float(c), fc) if fc >= fd else (float(d), fd)
 
 
 def _scan_refine_max(fn_vec, lo: float, hi: float, n: int = 2001) -> float:
+    """max |fn_vec| on [lo, hi]: an n-node scan refined around its best node."""
     xs = np.linspace(lo, hi, n)
     vals = np.abs(np.asarray(fn_vec(xs), dtype=float))
     i = int(np.argmax(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, n - 1)]
-    if a == b:
-        return float(vals[i])
-    refined = _golden_max(lambda x: abs(float(fn_vec(np.asarray([x]))[0])), a, b)
+    _, refined = _golden_max(
+        lambda x: abs(float(fn_vec(np.asarray([x]))[0])),
+        xs[max(i - 1, 0)],
+        xs[min(i + 1, n - 1)],
+        iters=80,
+    )
     return max(float(vals[i]), refined)
-
-
-def _ess_sup(F: PrimitiveFunction, cfg: QuadratureConfig) -> float:
-    if isinstance(F, Indicator):
-        return 1.0
-    if isinstance(F, StepCombo):
-        return F.sup_bound()
-    if isinstance(F, GaussianPower):
-        return F.prefactor()
-    if isinstance(F, TailLog):
-        return F.sup_bound()  # decreasing from x = e
-    if isinstance(F, TruncatedSine):
-        # global maximum sits inside the first few arches of the envelope
-        return _scan_refine_max(F.values, 1.0, 1.0 + 4.0 * math.pi, 4001)
-    if isinstance(F, Sampled):
-        return F.sup_bound()  # piecewise linear attains its extrema at nodes
-    raise DomainError(f"unknown variant {F.kind!r}")
-
-
-def _tail_log_power(F: TailLog, s: float, cfg: QuadratureConfig) -> float:
-    """integral of |F|^s for the log-damped profile via u = log x.
-
-    The substitution turns the integral into
-    int_1^inf exp(-(s/p0 - 1) u) u^{-2s} du, which decays exponentially
-    for s > p0 and like u^{-2s} at s = p0; either way a finite panel set
-    with a certified cut captures it to within abs_tol / 10.
-    """
-    rate = s / F.p0 - 1.0
-    if rate > 1e-9:
-        hi = max(4.0, math.log(10.0 / (rate * cfg.abs_tol)) / rate)
-
-        def g(u):
-            return np.exp(-rate * u) / u ** (2.0 * s)
-
-        val, _ = integrate(g, 1.0, hi, cfg, points=geometric_edges(1.0, hi))
-        return val
-    # s == p0: pure power integrand; cut where the exact tail drops below budget
-    hi = (10.0 / ((2.0 * s - 1.0) * cfg.abs_tol)) ** (1.0 / (2.0 * s - 1.0))
-
-    def g0(u):
-        return u ** (-2.0 * s)
-
-    val, _ = integrate(g0, 1.0, hi, cfg, points=geometric_edges(1.0, hi))
-    return val
-
-
-_SINE_PANELS = 2048
-
-
-def _truncated_sine_power(F: TruncatedSine, s: float, cfg: QuadratureConfig) -> float:
-    """integral of |F|^s for the sine profile.
-
-    One quadrature panel per sine arch out to _SINE_PANELS * pi, then an
-    asymptotic completion m_s * X^{1-a} / (a - 1) with a = s/p0 and m_s
-    the mean of |sin|^s over a period.  The completion's own error is
-    O(1/X) of the tail, roughly 1e-6 relative overall; adequate for the
-    membership and structural checks this variant participates in.
-    """
-    a = s / F.p0
-    edges = [1.0] + [k * math.pi for k in range(1, _SINE_PANELS + 1)]
-
-    def g(x):
-        return np.abs(F.values(x)) ** s
-
-    val, _ = composite_gk15(g, edges)
-    cut = _SINE_PANELS * math.pi
-    mean_sin = math.gamma((s + 1.0) / 2.0) / (math.sqrt(math.pi) * math.gamma(s / 2.0 + 1.0))
-    tail = mean_sin * cut ** (1.0 - a) / (a - 1.0)
-    return val + tail
 
 
 def lp_norm(F: PrimitiveFunction, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """(integral of |F|^p)^{1/p}, or the essential sup for p = inf.
 
-    Raises :class:`MembershipError` when F is outside L^p.  Sampled data
-    uses the composite trapezoid rule on its own grid; everything else
-    goes through adaptive quadrature on a certified window.
+    Raises :class:`MembershipError` when F is outside L^p.  Each variant
+    supplies its own rule through ``sup_bound`` and ``finite_lp_norm``.
     """
     p = float(p)
     if math.isnan(p) or p < 1.0:
         raise DomainError(f"norm exponent must lie in [1, inf], got {p}")
     _require_membership(F, p)
     if math.isinf(p):
-        return _ess_sup(F, cfg)
-    if isinstance(F, Sampled):
-        power = np.abs(F.grid.array()) ** p
-        return float(np.trapezoid(power, dx=F.grid.dx)) ** (1.0 / p)
-    if isinstance(F, TailLog):
-        return _tail_log_power(F, p, cfg) ** (1.0 / p)
-    if isinstance(F, TruncatedSine):
-        return _truncated_sine_power(F, p, cfg) ** (1.0 / p)
-    lo, hi = F.effective_support(cfg)
-    scale = F.sup_bound()  # relative accuracy even when |F|^p is tiny
-    if scale == 0.0:
-        return 0.0
-
-    def integrand(x):
-        return np.abs(F.values(x) / scale) ** p
-
-    val, _ = integrate(integrand, lo, hi, cfg, points=F.breakpoints())
-    return scale * val ** (1.0 / p)
+        return F.sup_bound()
+    return F.finite_lp_norm(p, cfg)
 
 
 def combo_lp_norm(

@@ -17,13 +17,9 @@ import numpy as np
 
 from .exceptions import ApproximationError, DomainError, MembershipError
 from .lp_space import (
-    GaussianPower,
     Indicator,
     PrimitiveFunction,
-    Sampled,
     StepCombo,
-    TailLog,
-    TruncatedSine,
     lp_norm,
     primitive_from_json,
     primitive_to_json,
@@ -32,14 +28,6 @@ from .constants import conjugate
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, composite_gk15, integrate
 
 _ATOM_TOL = 1e-12
-
-
-def _step_jumps(F: PrimitiveFunction) -> dict[float, float] | None:
-    if isinstance(F, Indicator):
-        return {F.a: 1.0, F.b: -1.0}
-    if isinstance(F, StepCombo):
-        return F.jumps()
-    return None
 
 
 @dataclass(frozen=True)
@@ -62,7 +50,7 @@ class LprimeElement:
         if self.atoms is not None:
             atoms = tuple((float(w), float(loc)) for w, loc in self.atoms)
             object.__setattr__(self, "atoms", atoms)
-            jumps = _step_jumps(self.primitive)
+            jumps = self.primitive.jumps()
             if jumps is None:
                 raise DomainError("atoms require a step-type primitive")
             declared = {loc: w for w, loc in atoms}
@@ -76,7 +64,7 @@ class LprimeElement:
 
 def from_primitive(F: PrimitiveFunction, p: float) -> LprimeElement:
     """Element f = F', with atoms attached automatically for step primitives."""
-    jumps = _step_jumps(F)
+    jumps = F.jumps()
     atoms = tuple((w, loc) for loc, w in sorted(jumps.items())) if jumps else None
     return LprimeElement(F, p, atoms)
 
@@ -104,58 +92,6 @@ class StepApproximation:
     bins: int
 
 
-def _truncation_window(
-    F: PrimitiveFunction, p: float, eps: float, cfg: QuadratureConfig
-) -> tuple[float, float]:
-    """Window whose exterior p-mass is below (eps)^p, variant by variant."""
-    if F.is_compactly_supported():
-        return F.effective_support(cfg)
-    target = eps ** p
-    if isinstance(F, GaussianPower):
-        lo, hi = -1.0, 1.0
-        while _tail_power_outside(F, p, lo, hi) > target:
-            lo *= 2.0
-            hi *= 2.0
-            if hi > 1e6:
-                raise ApproximationError("gaussian window search ran away", best_error=eps)
-        return lo, hi
-    if isinstance(F, TailLog):
-        u = ((2.0 * p - 1.0) * target) ** (-1.0 / (2.0 * p - 1.0))
-        return math.e, math.exp(max(u, 1.0 + 1e-9))
-    if isinstance(F, TruncatedSine):
-        a = p / F.p0
-        return 1.0, max(2.0, ((a - 1.0) * target) ** (-1.0 / (a - 1.0)))
-    raise DomainError(f"no truncation rule for variant {F.kind!r}")
-
-
-def _tail_power_outside(F: PrimitiveFunction, p: float, lo: float, hi: float) -> float:
-    """Certified upper bound for the integral of |F|^p outside [lo, hi]."""
-    if F.is_compactly_supported():
-        slo, shi = F.effective_support(DEFAULT_CONFIG)
-        if lo <= slo and hi >= shi:
-            return 0.0
-        raise DomainError("window must contain the support of a compact variant")
-    if isinstance(F, GaussianPower):
-        c = p * F.beta / (4.0 * F.t)
-        pref = F.prefactor() ** p
-        scale = 0.5 * math.sqrt(math.pi / c)
-        return pref * scale * (math.erfc(hi * math.sqrt(c)) + math.erfc(-lo * math.sqrt(c)))
-    if isinstance(F, TailLog):
-        if lo > math.e:
-            raise DomainError("tail window must start at the support edge")
-        u0 = math.log(max(hi, math.e))
-        rate = p / F.p0 - 1.0
-        if rate > 1e-9:
-            return math.exp(-rate * u0) * u0 ** (-2.0 * p) / rate
-        return u0 ** (1.0 - 2.0 * p) / (2.0 * p - 1.0)
-    if isinstance(F, TruncatedSine):
-        if lo > 1.0:
-            raise DomainError("tail window must start at the support edge")
-        a = p / F.p0
-        return hi ** (1.0 - a) / (a - 1.0)
-    raise DomainError(f"no tail bound for variant {F.kind!r}")
-
-
 def step_approximation(
     f: LprimeElement,
     epsilon: float,
@@ -172,11 +108,12 @@ def step_approximation(
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise DomainError("approximation target must be positive")
     F = f.primitive
-    if isinstance(F, (Indicator, StepCombo)):
-        return StepApproximation(f, 0.0, len(_step_jumps(F) or {}))
+    jumps = F.jumps()
+    if jumps is not None:
+        return StepApproximation(f, 0.0, len(jumps))
     p = f.p
-    lo, hi = _truncation_window(F, p, epsilon / 2.0, cfg)
-    tail_power = _tail_power_outside(F, p, lo, hi)
+    lo, hi = F.truncation_window(p, epsilon / 2.0, cfg)
+    tail_power = F.tail_power_outside(p, lo, hi)
     brk = [b for b in F.breakpoints() if lo < b < hi]
 
     bins = 8

@@ -16,6 +16,7 @@ loop then never has to hunt for a jump.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -80,6 +81,10 @@ class QuadratureConfig:
             raise DomainError("max_subdivisions must be at least 1")
         if self.tail_width_sigmas < 6:
             raise DomainError("tail_width_sigmas below 6 would not certify truncation")
+
+    def kernel_width(self, t: float) -> float:
+        """Half-width ``tail_width_sigmas * sqrt(2 t)`` of the window kept around theta_t."""
+        return self.tail_width_sigmas * math.sqrt(2.0 * t)
 
 
 DEFAULT_CONFIG = QuadratureConfig()

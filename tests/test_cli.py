@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,25 @@ def test_evolve_bad_grid_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--p", "two", "--q", "1"],
+        ["evolve", "--t", "1", "--grid", "0:1:many"],
+    ],
+    ids=["list", "grid"],
+)
+def test_non_numeric_input_exits_2(tmp_path, capsys, argv):
+    data = _write_element(
+        tmp_path, {"primitive": {"type": "indicator", "a": 0.0, "b": 1.0}, "p": 2.0}
+    )
+    if argv[0] == "evolve":
+        argv = argv + ["--data", data]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_evolve_json_format(tmp_path, capsys):
     data = _write_element(
         tmp_path, {"primitive": {"type": "indicator", "a": 0.0, "b": 1.0}, "p": 2.0}
@@ -201,21 +221,6 @@ def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
 
 
-def test_thread_cap_keeps_output_identical(capsys, monkeypatch):
-    code1, out1, _ = run_cli(capsys, "verify", "--suite", "variation")
-    monkeypatch.setenv("LP_HEAT_THREADS", "3")
-    code2, out2, _ = run_cli(capsys, "verify", "--suite", "variation")
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
-def test_bad_thread_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("LP_HEAT_THREADS", "zero")
-    code, _, err = run_cli(capsys, "verify", "--suite", "variation")
-    assert code == 2
-    assert "LP_HEAT_THREADS" in err
-
-
 def test_quadrature_failure_exits_3(tmp_path, capsys, monkeypatch):
     from lpheat.exceptions import QuadratureAccuracyError
     import lpheat.cli as cli_mod
@@ -230,3 +235,77 @@ def test_quadrature_failure_exits_3(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "evolve", "--data", data, "--t", "1", "--grid", "0:1:5")
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
+    import lpheat.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise TypeError("forced")
+
+    monkeypatch.setattr(cli_mod, "solve_values", boom)
+    data = _write_element(
+        tmp_path, {"primitive": {"type": "indicator", "a": 0.0, "b": 1.0}, "p": 2.0}
+    )
+    code, _, err = run_cli(capsys, "evolve", "--data", data, "--t", "1", "--grid", "0:1:5")
+    assert code == 4
+    assert "internal error: TypeError: forced" in err
+
+
+@pytest.mark.parametrize("command", ["evolve", "verify", "report"])
+def test_nonpositive_tolerance_exits_2(tmp_path, capsys, command):
+    extra = []
+    if command == "evolve":
+        data = _write_element(
+            tmp_path, {"primitive": {"type": "indicator", "a": 0.0, "b": 1.0}, "p": 2.0}
+        )
+        extra = ["--data", data, "--t", "1", "--grid", "0:1:5"]
+    code, _, err = run_cli(capsys, command, *extra, "--tol", "0")
+    assert code == 2
+    assert "tolerance must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["verify", "--suite", "kernel"],
+        ["verify", "--suite", "young"],
+        ["verify", "--suite", "decay"],
+        ["verify", "--suite", "variation"],
+        ["report"],
+        ["constants", "--p", "1,2", "--q", "1,1.5"],
+        ["evolve", "--t", "0.5,1", "--grid=-3:3:13"],
+        ["example-dirac"],
+    ],
+    ids=[
+        "verify-all",
+        "verify-kernel",
+        "verify-young",
+        "verify-decay",
+        "verify-variation",
+        "report",
+        "constants",
+        "evolve",
+        "example-dirac",
+    ],
+)
+def test_every_subcommand_runs_end_to_end(tmp_path, capsys, argv):
+    if argv[0] == "evolve":
+        data = _write_element(
+            tmp_path, {"primitive": {"type": "indicator", "a": -1.0, "b": 1.0}, "p": 2.0}
+        )
+        argv = argv + ["--data", data]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    if argv[0] == "report":
+        doc = json.loads(out)
+        assert doc["all_passed"] is True
+        assert doc["constants"] and doc["reports"]
+        return
+    # example-dirac appends a second table headed t,variation_lower_bound
+    for table in re.split(r"\n(?=t,variation_lower_bound\n)", out):
+        header, rows = parse_csv(table)
+        assert rows and all(len(row) == len(header) for row in rows)
+    if argv[0] == "verify":
+        assert all(row[4] == "true" for row in rows)

@@ -31,6 +31,20 @@ def test_atom_and_quadrature_routes_agree():
         assert a == pytest.approx(b, rel=1e-10, abs=1e-13)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        lh.from_primitive(StepCombo(((1.0, -2.0, 0.5), (-0.7, 0.0, 1.5), (2.0, 1.0, 2.0))), 2.0),
+        LprimeElement(Indicator(-1.0, 1.0), 2.0),
+    ],
+    ids=["atoms", "quadrature"],
+)
+def test_solve_at_is_solve_values_on_one_point(f):
+    xs = np.linspace(-3.0, 3.0, 7)
+    grid = lh.solve_values(f, 0.3, xs)
+    assert [lh.solve_at(f, 0.3, float(x)) for x in xs] == list(grid)
+
+
 def test_kernel_derivative_data_evolves_to_shifted_derivative():
     # data (theta_1)': the solution at time t is theta_{1+t}'
     f = lh.from_primitive(GaussianPower(1.0, 1.0), 2.0)

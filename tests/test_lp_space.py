@@ -143,6 +143,32 @@ def test_truncated_sine_sup():
     assert lh.lp_norm(F, math.inf) == pytest.approx(-res.fun, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "F",
+    [
+        Indicator(-1.0, 2.0),
+        StepCombo(((1.0, 0.0, 1.0), (-2.5, 0.5, 3.0))),
+        GaussianPower(0.5, 2.0),
+        TailLog(2.0),
+        TruncatedSine(1.0),
+        TruncatedSine(2.0),
+        TruncatedSine(4.0),
+        lh.sample([0.0, 1.0, -3.0, 0.5], -1.0, 1.0),
+    ],
+    ids=lambda F: F.kind,
+)
+def test_sup_bound_is_the_ess_sup(F):
+    assert lh.lp_norm(F, math.inf) == F.sup_bound()
+
+
+@pytest.mark.parametrize("p0", [1.0, 2.0, 4.0])
+def test_truncated_sine_sup_bound_matches_dense_scan(p0):
+    # the scan includes x = 1, where the sup over (1, inf) sits for p0 = 1
+    xs = np.linspace(1.0, 1.0 + 4.0 * math.pi, 10**6)
+    dense = np.max(np.abs(xs ** (-1.0 / p0) * np.sin(xs)))
+    assert TruncatedSine(p0).sup_bound() == pytest.approx(dense, abs=1e-9)
+
+
 def test_sampled_norm_trapezoid():
     xs = np.linspace(-1, 1, 201)
     hat = np.clip(1 - np.abs(xs), 0, None)
