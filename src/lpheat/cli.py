@@ -90,6 +90,13 @@ def _parse_list(raw: str) -> list[float]:
     return [_parse_float_token(tok) for tok in raw.split(",") if tok.strip()]
 
 
+def _parse_times(raw: str) -> list[float]:
+    ts = _parse_list(raw)
+    if not ts or not all(t > 0 and math.isfinite(t) for t in ts):
+        raise DomainError("t list must contain positive finite times")
+    return ts
+
+
 def _parse_grid(raw: str) -> tuple[float, float, int]:
     parts = raw.split(":")
     if len(parts) != 3:
@@ -98,8 +105,8 @@ def _parse_grid(raw: str) -> tuple[float, float, int]:
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise DomainError("grid must be a:b:n with numeric a, b and integer n") from None
-    if n < 2 or not a < b:
-        raise DomainError("grid needs a < b and n >= 2")
+    if n < 2 or not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise DomainError("grid needs finite a < b and n >= 2")
     return a, b, n
 
 
@@ -160,9 +167,7 @@ def _load_element(path: str):
 
 def cmd_evolve(args) -> int:
     f = _load_element(args.data)
-    ts = _parse_list(args.t)
-    if not ts or any(t <= 0 or math.isinf(t) for t in ts):
-        raise DomainError("t list must contain positive finite times")
+    ts = _parse_times(args.t)
     a, b, n = _parse_grid(args.grid)
     xs = np.linspace(a, b, n)
     cfg = _config_from_args(args)
@@ -213,9 +218,7 @@ def cmd_verify(args) -> int:
 def cmd_example_dirac(args) -> int:
     if args.a <= 0:
         raise DomainError("offset a must be positive")
-    ts = _parse_list(args.t)
-    if not ts or any(t <= 0 for t in ts):
-        raise DomainError("t list must contain positive times")
+    ts = _parse_times(args.t)
     a_lo, b_hi, n = _parse_grid(args.grid)
     xs = np.linspace(a_lo, b_hi, n)
     cfg = _config_from_args(args)
@@ -287,8 +290,8 @@ def _config_from_args(args) -> QuadratureConfig:
 def tolerance(raw: str) -> float:
     """argparse type shared by every --tol flag."""
     tol = float(raw)
-    if not tol > 0:
-        raise argparse.ArgumentTypeError("tolerance must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise argparse.ArgumentTypeError("tolerance must be positive and finite")
     return tol
 
 

@@ -6,6 +6,10 @@ with the effective support of F.  The neglected remainder is bounded by
 sup|F| times the kernel tail mass beyond ``tail_width_sigmas`` standard
 deviations, far below the quadrature tolerance for the default widths.
 
+``convolve_values`` is the one per-point path: for step F and n >= 1 it
+sums F's jumps times shifted theta^(n-1); otherwise it loops
+``convolve_point``, which stays the oracle for that closed form.
+
 ``convolve_grid`` is the fast path for plotting and sweeps: sampled
 kernel, FFT, zero-padding to at least twice the data length so the
 circular convolution never wraps.
@@ -20,7 +24,7 @@ import numpy as np
 
 from .exceptions import DomainError, ResolutionError, UnsupportedOrderError
 from .kernel import MAX_DERIV_ORDER, theta_deriv_values
-from .lp_space import GridFunction, PrimitiveFunction, _scan_refine_max
+from .lp_space import GridFunction, PrimitiveFunction, _moderate_window, _window_lp_norm
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 
 
@@ -69,7 +73,18 @@ def convolve_values(
     xs,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
+    """(F * theta_t^(n))(x) at each of ``xs``, n = psi_order: for step F
+    and n >= 1 the closed form F' * theta^(n-1), else ``convolve_point``."""
+    _validate_conv_args(t, psi_order)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("evaluation point must be finite")
+    jumps = F.jumps()
+    if psi_order >= 1 and jumps is not None:
+        out = np.zeros_like(xs)
+        for loc, w in sorted(jumps.items()):
+            out += w * theta_deriv_values(xs - loc, t, int(psi_order) - 1)
+        return out
     return np.array([convolve_point(F, psi_order, t, x, cfg) for x in xs])
 
 
@@ -152,19 +167,8 @@ def convolution_lp_norm(
         raise DomainError(f"norm exponent must lie in [1, inf], got {r}")
     if not terms:
         return 0.0
-    width = cfg.kernel_width(t)
-    los, his, seeds = [], [], []
-    for _, F in terms:
-        slo, shi = F.effective_support(cfg)
-        if shi - slo > 1e6:
-            raise DomainError(
-                f"full-line convolution norms are not supported for variant {F.kind!r}"
-            )
-        los.append(slo)
-        his.append(shi)
-        seeds.extend((slo, shi))
-    lo = min(los) - width
-    hi = max(his) + width
+    prims = [F for _, F in terms]
+    lo, hi = _moderate_window(prims, cfg.kernel_width(t), cfg, "full-line convolution norms")
 
     def combo(xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -173,19 +177,10 @@ def convolution_lp_norm(
             out += c * convolve_values(F, psi_order, t, xs, cfg)
         return out
 
-    if math.isinf(r):
-        return _scan_refine_max(combo, lo, hi, 1025)
-
-    # normalize by a scanned peak so the tolerances act relatively even
-    # when |v|^r is many orders below 1, and seed the partition with the
-    # scan nodes so narrow features inside a wide window are never missed
+    # for finite r, normalize by a scanned peak and seed the partition with
+    # the scan nodes so narrow features inside a wide window are never missed
     scan = np.linspace(lo, hi, 33)
-    scale = float(np.max(np.abs(combo(scan))))
-    if scale == 0.0:
-        return 0.0
-
-    def integrand(xs):
-        return np.abs(combo(xs) / scale) ** r
-
-    val, _ = integrate(integrand, lo, hi, cfg, points=list(seeds) + list(scan[1:-1]))
-    return scale * val ** (1.0 / r)
+    seeds = [e for F in prims for e in F.effective_support(cfg)] + list(scan[1:-1])
+    return _window_lp_norm(
+        combo, lo, hi, r, cfg, lambda: float(np.max(np.abs(combo(scan)))), seeds, scan_nodes=1025
+    )

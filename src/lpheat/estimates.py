@@ -29,7 +29,7 @@ from .kernel import (
     theta_norm_closed,
     theta_values,
 )
-from .lp_space import GaussianPower, Indicator, TailLog, _golden_max, _scan_refine_max, lp_norm
+from .lp_space import GaussianPower, Indicator, TailLog, _golden_max, _scan_refine_max, _window_lp_norm, lp_norm
 from .lprime import LprimeElement, dirac_difference, from_primitive, lprime_norm
 from .heat_solver import solve_at, solve_values
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, geometric_edges, integrate
@@ -400,17 +400,15 @@ def _kernel_norm_reports(cfg: QuadratureConfig, tol: float | None = None) -> lis
 
 def _kernel_deriv_norm_quadrature(q: float, t: float, cfg: QuadratureConfig) -> float:
     width = cfg.kernel_width(t)
+
+    def deriv(xs):
+        return theta_deriv_values(xs, t, 1)
+
     if math.isinf(q):
         # theta' is odd, so |theta'| is scanned on one side
-        return _scan_refine_max(lambda xs: theta_deriv_values(xs, t, 1), 0.0, width, 4001)
-
-    scale = abs(float(theta_deriv_values(math.sqrt(2.0 * t), t, 1)))  # peak magnitude
-
-    def g(x):
-        return np.abs(theta_deriv_values(x, t, 1) / scale) ** q
-
-    val, _ = integrate(g, -width, width, cfg)
-    return scale * val ** (1.0 / q)
+        return _scan_refine_max(deriv, 0.0, width, 4001)
+    peak = abs(float(theta_deriv_values(math.sqrt(2.0 * t), t, 1)))  # at x = sqrt(2t)
+    return _window_lp_norm(deriv, -width, width, q, cfg, lambda: peak)
 
 
 _YOUNG_LATTICE = (1.25, 1.5, 2.0, 3.0)

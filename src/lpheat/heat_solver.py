@@ -1,10 +1,11 @@
 """Solution map v_t = f * theta_t for derivative-of-L^p initial data.
 
 Pointwise values come from the kernel-derivative convolution of the
-primitive, v_t(x) = (F * theta_t')(x); elements carrying explicit Dirac
-atoms use the closed form sum_i w_i theta_t(x - a_i) instead.  Norms of
-v_t in the derivative space are computed as L^r norms of F * theta_t,
-since that convolution is the primitive of v_t.
+primitive, v_t(x) = (F * theta_t')(x), which for step primitives is the
+closed form sum_i w_i theta_t(x - a_i) over the jumps (see
+``convolve_values``).  Norms of v_t in the derivative space are computed
+as L^r norms of F * theta_t, since that convolution is the primitive of
+v_t.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 from .constants import ExponentTriple, K_const, _inv
 from .convolve import convolve_values, convolution_lp_norm
 from .exceptions import DomainError
-from .kernel import theta_values
-from .lp_space import GridFunction, combo_lp_norm
+from .lp_space import GridFunction, _moderate_window, _window_lp_norm, combo_lp_norm
 from .lprime import LprimeElement
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 from .report import EstimateReport, make_report
@@ -54,14 +54,7 @@ def solve_values(
     xs,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
-    """v_t at each of ``xs``: the sum of shifted kernels when f carries
-    atoms, else the convolution F * theta_t'."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if f.atoms is not None:
-        out = np.zeros_like(xs)
-        for w, loc in f.atoms:
-            out += w * theta_values(xs - loc, t)
-        return out
+    """v_t at each of ``xs``: the convolution F * theta_t'."""
     return convolve_values(f.primitive, 1, t, xs, cfg)
 
 
@@ -123,19 +116,12 @@ def _difference_norm(
 ) -> float:
     """||F * theta_t - F||_p on a certified window."""
     F = f.primitive
-    width = cfg.kernel_width(t)
-    slo, shi = F.effective_support(cfg)
-    if shi - slo > 1e6:
-        raise DomainError(
-            f"convergence norms are not supported for slowly decaying variant {F.kind!r}"
-        )
-    lo, hi = slo - width, shi + width
+    lo, hi = _moderate_window([F], cfg.kernel_width(t), cfg, "convergence norms")
 
-    def integrand(xs):
-        return np.abs(convolve_values(F, 0, t, xs, cfg) - F.values(xs)) ** p
+    def difference(xs):
+        return convolve_values(F, 0, t, xs, cfg) - F.values(xs)
 
-    val, _ = integrate(integrand, lo, hi, cfg, points=F.breakpoints())
-    return val ** (1.0 / p)
+    return _window_lp_norm(difference, lo, hi, p, cfg, lambda: 1.0, F.breakpoints())
 
 
 def ic_convergence(

@@ -1,11 +1,10 @@
 """Distributions that are derivatives of L^p functions.
 
 An element is stored through its unique primitive F in L^p together
-with the exponent; its norm is by definition the L^p norm of the
-primitive, which makes the space isometric to L^p.  When the element is
-a finite combination of Dirac differences (the derivative of a step
-function) the atoms are carried explicitly, giving the solver a
-closed-form evaluation path.
+with the exponent, and nothing else; its norm is by definition the L^p
+norm of the primitive, which makes the space isometric to L^p.  When F
+is a step function the element is a finite combination of Dirac
+differences, and ``atoms`` reads those off F's jumps.
 """
 
 from __future__ import annotations
@@ -32,11 +31,10 @@ _ATOM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class LprimeElement:
-    """f = F' with primitive F in L^p; optional explicit Dirac atoms."""
+    """f = F' with primitive F in L^p."""
 
     primitive: PrimitiveFunction
     p: float
-    atoms: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
         p = float(self.p)
@@ -47,26 +45,19 @@ class LprimeElement:
             raise MembershipError(
                 f"primitive variant {self.primitive.kind!r} is not in L^{p}"
             )
-        if self.atoms is not None:
-            atoms = tuple((float(w), float(loc)) for w, loc in self.atoms)
-            object.__setattr__(self, "atoms", atoms)
-            jumps = self.primitive.jumps()
-            if jumps is None:
-                raise DomainError("atoms require a step-type primitive")
-            declared = {loc: w for w, loc in atoms}
-            locs = set(declared) | set(jumps)
-            for loc in locs:
-                if abs(declared.get(loc, 0.0) - jumps.get(loc, 0.0)) > _ATOM_TOL:
-                    raise DomainError(
-                        f"atom weights at {loc} disagree with the primitive's jumps"
-                    )
+
+    @property
+    def atoms(self) -> tuple[tuple[float, float], ...] | None:
+        """(weight, location) Dirac atoms of F' sorted by location for step F, else None."""
+        jumps = self.primitive.jumps()
+        if jumps is None:
+            return None
+        return tuple((float(w), float(loc)) for loc, w in sorted(jumps.items()))
 
 
 def from_primitive(F: PrimitiveFunction, p: float) -> LprimeElement:
-    """Element f = F', with atoms attached automatically for step primitives."""
-    jumps = F.jumps()
-    atoms = tuple((w, loc) for loc, w in sorted(jumps.items())) if jumps else None
-    return LprimeElement(F, p, atoms)
+    """Element f = F'."""
+    return LprimeElement(F, p)
 
 
 def dirac_difference(a: float, b: float, p: float = 2.0) -> LprimeElement:
@@ -77,7 +68,7 @@ def dirac_difference(a: float, b: float, p: float = 2.0) -> LprimeElement:
     """
     if not (a < b):
         raise DomainError("dirac difference requires a < b")
-    return LprimeElement(Indicator(a, b), p, atoms=((1.0, a), (-1.0, b)))
+    return LprimeElement(Indicator(a, b), p)
 
 
 def lprime_norm(f: LprimeElement, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -189,15 +180,24 @@ def element_to_json(f: LprimeElement) -> dict:
 
 
 def element_from_json(data: dict) -> LprimeElement:
+    """Inverse of :func:`element_to_json`; optional ``atoms`` must match
+    the primitive's jumps and are then dropped (F determines them)."""
     if not isinstance(data, dict) or "primitive" not in data or "p" not in data:
         raise DomainError("element descriptor needs 'primitive' and 'p' fields")
     primitive = primitive_from_json(data["primitive"])
     p_raw = data["p"]
     p = math.inf if p_raw == "inf" else float(p_raw)
-    atoms = None
-    if "atoms" in data and data["atoms"] is not None:
+    f = LprimeElement(primitive, p)
+    if data.get("atoms") is not None:
         try:
-            atoms = tuple((float(w), float(loc)) for w, loc in data["atoms"])
+            atoms = [(float(w), float(loc)) for w, loc in data["atoms"]]
         except (TypeError, ValueError) as exc:
             raise DomainError(f"malformed atoms: {exc}") from exc
-    return LprimeElement(primitive, p, atoms)
+        jumps = primitive.jumps()
+        if jumps is None:
+            raise DomainError("atoms require a step-type primitive")
+        declared = {loc: w for w, loc in atoms}
+        for loc in set(declared) | set(jumps):
+            if abs(declared.get(loc, 0.0) - jumps.get(loc, 0.0)) > _ATOM_TOL:
+                raise DomainError(f"atom weights at {loc} disagree with the primitive's jumps")
+    return f

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lpheat as lh
 from lpheat import (
@@ -12,7 +14,8 @@ from lpheat import (
     StepCombo,
     UnsupportedOrderError,
 )
-from lpheat.kernel import theta_deriv_values, theta_values
+from lpheat.convolve import convolve_values
+from lpheat.kernel import theta_deriv_norm_closed, theta_deriv_values, theta_norm_closed, theta_values
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -90,6 +93,46 @@ def test_derivative_commutation_zero_data():
     zero = StepCombo(((0.0, -1.0, 1.0),))
     lhs, rhs = lh.convolve_smooth_derivative_check(zero, 1.0, 1, 0.2, 1e-3)
     assert lhs == 0.0 and rhs == 0.0
+
+
+_coord = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def step_primitives(draw):
+    """A random Indicator or a 2-4 step StepCombo."""
+    if draw(st.booleans()):
+        a = draw(_coord)
+        return Indicator(a, a + draw(st.floats(1e-3, 4.0)))
+    steps = []
+    for _ in range(draw(st.integers(2, 4))):
+        a = draw(_coord)
+        steps.append((draw(st.floats(-3.0, 3.0)), a, a + draw(st.floats(1e-3, 4.0))))
+    return StepCombo(tuple(steps))
+
+
+@st.composite
+def order_and_time(draw):
+    """n = 1 for t in [2^-20, 1e2]; n = 2 for t in [0.01, 1e2], below which
+    the quadrature oracle exceeds its subdivision budget."""
+    n = draw(st.sampled_from([1, 2]))
+    lo = -20.0 if n == 1 else math.log2(0.01)
+    return n, 2.0 ** draw(st.floats(lo, math.log2(1e2)))
+
+
+@given(F=step_primitives(), nt=order_and_time(), offsets=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_step_closed_form_matches_quadrature(F, nt, offsets):
+    # F * theta^(n) = F' * theta^(n-1) for step data; convolve_point is the oracle
+    n, t = nt
+    jumps = F.jumps()
+    locs = sorted(jumps) or list(F.breakpoints())
+    xs = np.array([locs[i % len(locs)] + s * math.sqrt(t) for i, s in enumerate(offsets)])
+    got = convolve_values(F, n, t, xs)
+    want = [lh.convolve_point(F, n, t, float(x)) for x in xs]
+    peak = theta_norm_closed(math.inf, t) if n == 1 else theta_deriv_norm_closed(math.inf, t)
+    scale = sum(abs(w) for w in jumps.values()) * peak
+    assert np.max(np.abs(got - want)) <= 1e-10 * max(scale, 1e-300)
 
 
 def test_grid_convolution_matches_pointwise():

@@ -88,8 +88,11 @@ def test_young_gap_boundary_protocols():
 def test_zero_integral():
     f = lh.dirac_difference(-1.0, 1.0, p=2.0)
     assert abs(lh.zero_integral(f, 1.0)) < 1e-10
-    g = lh.LprimeElement(Indicator(0.0, 1.0), 2.0, atoms=None)
+    g = lh.LprimeElement(Indicator(0.0, 1.0), 2.0)
     assert abs(lh.zero_integral(g, 0.3)) < 1e-8
+    # non-step data keeps the quadrature route
+    h = lh.from_primitive(GaussianPower(1.0, 1.0), 2.0)
+    assert abs(lh.zero_integral(h, 0.3)) < 1e-8
     zero = lh.from_primitive(StepCombo(((0.0, 0.0, 1.0),)), 2.0)
     assert lh.zero_integral(zero, 0.5) == 0.0
 

@@ -22,20 +22,11 @@ def test_solve_at_closed_form_value():
     assert got == pytest.approx(-0.1783179174187295, rel=1e-13)
 
 
-def test_atom_and_quadrature_routes_agree():
-    with_atoms = dirac_pm1()
-    without_atoms = LprimeElement(Indicator(-1.0, 1.0), 2.0, atoms=None)
-    for x in (-2.0, 0.3, 1.0, 4.0):
-        a = lh.solve_at(with_atoms, 0.7, x)
-        b = lh.solve_at(without_atoms, 0.7, x)
-        assert a == pytest.approx(b, rel=1e-10, abs=1e-13)
-
-
 @pytest.mark.parametrize(
     "f",
     [
         lh.from_primitive(StepCombo(((1.0, -2.0, 0.5), (-0.7, 0.0, 1.5), (2.0, 1.0, 2.0))), 2.0),
-        LprimeElement(Indicator(-1.0, 1.0), 2.0),
+        LprimeElement(GaussianPower(1.0, 1.0), 2.0),
     ],
     ids=["atoms", "quadrature"],
 )
@@ -80,12 +71,14 @@ def test_pde_residual_zero_data():
 
 
 def test_pde_residual_second_order_decay():
-    # probe away from x = 0.5, where antisymmetry cancels the leading error term
-    f = LprimeElement(Indicator(0.0, 1.0), 2.0, atoms=None)
+    # probe away from x = 0.5, where antisymmetry cancels the leading error
+    # term; the indicator takes the closed form, the sampled bump quadrature
     cfg = lh.QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12)
-    residuals = [abs(lh.pde_residual(f, 0.3, 0.5, h, h, cfg)) for h in (0.08, 0.04, 0.02)]
-    assert residuals[0] / residuals[1] == pytest.approx(4.0, rel=0.3)
-    assert residuals[1] / residuals[2] == pytest.approx(4.0, rel=0.3)
+    bump = lh.sample(np.exp(-np.linspace(-2.0, 2.0, 41) ** 2), -2.0, 0.1)
+    for f in (LprimeElement(Indicator(0.0, 1.0), 2.0), lh.from_primitive(bump, 2.0)):
+        residuals = [abs(lh.pde_residual(f, 0.3, 0.5, h, h, cfg)) for h in (0.08, 0.04, 0.02)]
+        assert residuals[0] / residuals[1] == pytest.approx(4.0, rel=0.3)
+        assert residuals[1] / residuals[2] == pytest.approx(4.0, rel=0.3)
 
 
 def test_pde_residual_time_guard():

@@ -59,12 +59,18 @@ def test_element_validation():
         LprimeElement(Indicator(0, 1), 0.5)
     with pytest.raises(MembershipError):
         LprimeElement(TailLog(3.0), 2.0)
-    # atoms inconsistent with the primitive's jumps
-    with pytest.raises(DomainError):
-        LprimeElement(Indicator(0, 1), 2.0, atoms=((2.0, 0.0), (-1.0, 1.0)))
-    # atoms on a non-step primitive
-    with pytest.raises(DomainError):
-        LprimeElement(GaussianPower(1.0, 1.0), 2.0, atoms=((1.0, 0.0),))
+    indicator = {"type": "indicator", "a": 0.0, "b": 1.0}
+    # JSON atoms inconsistent with the primitive's jumps
+    with pytest.raises(DomainError, match="disagree with the primitive's jumps"):
+        lh.element_from_json({"primitive": indicator, "p": 2.0, "atoms": [[2.0, 0.0], [-1.0, 1.0]]})
+    # JSON atoms on a non-step primitive
+    gaussian = {"type": "gaussian_power", "t": 1.0, "beta": 1.0}
+    with pytest.raises(DomainError, match="step-type primitive"):
+        lh.element_from_json({"primitive": gaussian, "p": 2.0, "atoms": [[1.0, 0.0]]})
+    # matching atoms are accepted and dropped: the element is its primitive
+    f = lh.element_from_json({"primitive": indicator, "p": 2.0, "atoms": [[-1.0, 1.0], [1.0, 0.0]]})
+    assert f == LprimeElement(Indicator(0.0, 1.0), 2.0)
+    assert f.atoms == ((1.0, 0.0), (-1.0, 1.0))
 
 
 def test_from_primitive_attaches_atoms():
