@@ -5,7 +5,9 @@ primitive, v_t(x) = (F * theta_t')(x), which for step primitives is the
 closed form sum_i w_i theta_t(x - a_i) over the jumps (see
 ``convolve_values``).  Norms of v_t in the derivative space are computed
 as L^r norms of F * theta_t, since that convolution is the primitive of
-v_t.
+v_t; for compact data and Gaussian powers F * theta_t is a closed form
+(``PrimitiveFunction.heat_flow``), so those norms, the contraction and
+the initial-data convergence cost one adaptive quadrature each.
 """
 
 from __future__ import annotations

@@ -16,9 +16,14 @@ The log-squared damping makes TailLog(p0) integrable at the exponent p0
 itself, while the sine profile just misses it; both diverge below.
 
 Norms are adaptive-quadrature integrals of |F|^p except for Sampled
-data (composite trapezoid on the grid, second-order accurate) and the
+data (the interpolant's exact norm, one closed form per panel) and the
 two tail profiles, which get substitution and period-panel treatments
 documented on their ``finite_lp_norm`` methods.
+
+The compact variants and Gaussian powers also give their heat flow
+F * theta_t in closed form (``heat_flow``): erfc tails for step data,
+the semigroup for Gaussian powers, erfc and kernel terms per node for
+sampled data.  The slow-tail profiles have none.
 """
 
 from __future__ import annotations
@@ -90,6 +95,13 @@ class PrimitiveFunction:
         """Signed jump at each breakpoint for step-type variants, else None."""
         return None
 
+    def heat_flow(self, t: float, xs: np.ndarray) -> np.ndarray | None:
+        """(F * theta_t)(xs) in closed form, or None where the variant has none.
+
+        ``t`` is positive and ``xs`` a finite float array; callers validate.
+        """
+        return None
+
     def sup_bound(self) -> float:
         """ess sup |F|: exact, or a scan refined by golden section where no
         maximizer is known."""
@@ -155,6 +167,9 @@ class Indicator(PrimitiveFunction):
 
     def jumps(self):
         return {self.a: 1.0, self.b: -1.0}
+
+    def heat_flow(self, t, xs):
+        return _steps_heat_flow(((1.0, self.a, self.b),), t, xs)
 
     def effective_support(self, cfg):
         return (self.a, self.b)
@@ -225,6 +240,9 @@ class StepCombo(PrimitiveFunction):
             out[b] = out.get(b, 0.0) - h
         return {loc: j for loc, j in sorted(out.items()) if j != 0.0}
 
+    def heat_flow(self, t, xs):
+        return _steps_heat_flow(self.steps, t, xs)
+
     def effective_support(self, cfg):
         cuts = self.breakpoints()
         return (cuts[0], cuts[-1])
@@ -273,6 +291,12 @@ class GaussianPower(PrimitiveFunction):
 
     def sup_bound(self):
         return self.prefactor()
+
+    def heat_flow(self, t, xs):
+        # F = A exp(-x^2 / 4 s) with s = t0 / beta is a multiple of theta_s,
+        # so by the semigroup F * theta_t is the same multiple of theta_{s + t}
+        s = self.t / self.beta
+        return self.prefactor() * math.sqrt(s / (s + t)) * np.exp(-xs * xs / (4.0 * (s + t)))
 
     def truncation_window(self, p, eps, cfg):
         target = eps ** p
@@ -463,9 +487,51 @@ class Sampled(PrimitiveFunction):
         return float(np.max(np.abs(self.grid.array())))
 
     def finite_lp_norm(self, p, cfg):
-        """Composite trapezoid rule on the sample grid (second order)."""
-        power = np.abs(self.grid.array()) ** p
-        return float(np.trapezoid(power, dx=self.grid.dx)) ** (1.0 / p)
+        """Exact norm of the interpolant, one closed form per panel.
+
+        With the panel's ends scaled to u, v by the sup, the mean of |F|^p
+        over the panel is (|u|^(p+1) + |v|^(p+1)) / ((p + 1)(|u| + |v|))
+        across a sign change, and otherwise m^p g(d) with m = max(|u|, |v|),
+        d = 1 - min(|u|, |v|) / m and g(d) = (1 - (1 - d)^(p+1)) / ((p + 1) d),
+        evaluated through expm1/log1p so nearly equal ends do not cancel.
+        """
+        y = self.grid.array()
+        peak = float(np.max(np.abs(y)))
+        if peak == 0.0:
+            return 0.0
+        u, v = y[:-1] / peak, y[1:] / peak
+        au, av = np.abs(u), np.abs(v)
+        big, small = np.maximum(au, av), np.minimum(au, av)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(big > 0.0, (big - small) / big, 0.0)
+            g = np.where(d > 0.0, -np.expm1((p + 1.0) * np.log1p(-d)) / ((p + 1.0) * d), 1.0)
+            cross = (au ** (p + 1.0) + av ** (p + 1.0)) / ((p + 1.0) * (au + av))
+        mean_power = np.where(u * v < 0.0, cross, big ** p * g)
+        return peak * float(self.grid.dx * np.sum(mean_power)) ** (1.0 / p)
+
+    def heat_flow(self, t, xs):
+        """Exact flow of the interpolant.  F = y_0 H(x - x_0) - y_N H(x - x_N)
+        + sum_i k_i (x - x_i)_+ with k_i the change of slope at node i, and
+        (x - c)_+ * theta_t = z Phi(z) + 2 t theta_t(z) with z = x - c and
+        Phi(z) = erfc(-z / 2 sqrt t) / 2: one erfc and one exp per (point,
+        node).  Right of the grid's midpoint the mirrored form, z -> c - x
+        with the signs of the jump terms flipped, is used: its linear parts
+        sum to F's zero extension, so the right tail does not cancel."""
+        nodes = self.grid.xs()
+        y = self.grid.array()
+        kinks = np.diff(np.diff(y) / self.grid.dx, prepend=0.0, append=0.0)
+        side = np.where(xs <= 0.5 * (self.grid.x0 + self.grid.x1), 1.0, -1.0)
+        root_t = math.sqrt(t)
+
+        def block(rows):
+            w = side[rows, None] * (nodes - xs[rows, None]) / (2.0 * root_t)
+            erfc_w = _erfc(w)
+            # ramp = root_t (exp(-w^2) / sqrt(pi) - w erfc(w)): both terms from
+            # the same w, and exp(-w^2) to a few ulp, since they cancel in the tail
+            ramp = root_t * (_exp_neg_square(w) / _SQRT_PI - w * erfc_w)
+            return 0.5 * side[rows] * (y[0] * erfc_w[:, 0] - y[-1] * erfc_w[:, -1]) + ramp @ kinks
+
+        return _in_blocks(block, xs.size, nodes.size)
 
     def shifted(self, h):
         return Sampled(GridFunction(self.grid.x0 + h, self.grid.dx, self.grid.values))
@@ -507,6 +573,54 @@ def evaluate(F: PrimitiveFunction, x: float) -> float:
 def translate(F: PrimitiveFunction, h: float) -> PrimitiveFunction:
     """x -> F(x - h) for the location-bearing variants."""
     return F.shifted(h)
+
+
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+_SQRT_PI = math.sqrt(math.pi)
+_BLOCK_ENTRIES = 1 << 16  # points x nodes entries per closed-form temporary
+
+
+def _erfc(z) -> np.ndarray:
+    """Elementwise ``math.erfc`` (numpy has no erf)."""
+    return _ERFC(z).astype(float)
+
+
+def _exp_neg_square(w: np.ndarray) -> np.ndarray:
+    """exp(-w^2) to a few ulp: w^2 is split as h^2 + (w - h)(w + h) with h
+    the float32 rounding of w, so the large part of the exponent is exact."""
+    w = np.clip(w, -40.0, 40.0)  # exp(-1600) underflows to 0 either way
+    h = w.astype(np.float32).astype(float)
+    return np.exp(-h * h) * np.exp(-(w - h) * (w + h))
+
+
+def _in_blocks(block, n_points: int, n_nodes: int) -> np.ndarray:
+    """Concatenate ``block(rows)`` over row slices of at most
+    ``_BLOCK_ENTRIES / n_nodes`` points, so temporaries stay bounded."""
+    step = max(1, _BLOCK_ENTRIES // max(n_nodes, 1))
+    return np.concatenate([np.zeros(0)] + [block(slice(i, i + step)) for i in range(0, n_points, step)])
+
+
+def _steps_heat_flow(steps, t: float, xs: np.ndarray) -> np.ndarray:
+    """sum_j h_j (1_[a_j, b_j] * theta_t)(xs), one erfc per (point, edge).
+
+    e_c = erfc(|x - c| / 2 sqrt t) / 2 is the kernel mass beyond the edge c
+    as seen from x, so a box is e_a - e_b left of it, e_b - e_a right of it
+    and 1 - e_a - e_b inside: a difference of tails, so neither tail cancels.
+    """
+    cuts = sorted({c for _, a, b in steps for c in (a, b)})
+    col = {c: i for i, c in enumerate(cuts)}
+    scale = 2.0 * math.sqrt(t)
+
+    def block(rows):
+        x = xs[rows]
+        e = 0.5 * _erfc(np.abs(x[:, None] - np.asarray(cuts)) / scale)
+        out = np.zeros(x.shape)
+        for h, a, b in steps:
+            ea, eb = e[:, col[a]], e[:, col[b]]
+            out += h * np.where(x <= a, ea - eb, np.where(x >= b, eb - ea, 1.0 - ea - eb))
+        return out
+
+    return _in_blocks(block, xs.size, len(cuts))
 
 
 def _require_membership(F: PrimitiveFunction, p: float):

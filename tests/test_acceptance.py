@@ -139,12 +139,7 @@ def test_criterion_4_contraction_sweep():
     worst = 0.0
     worst_case = ""
     for label, f in contraction_catalog():
-        if isinstance(f.primitive, lh.Sampled):
-            # trapezoid baseline is only second-order accurate; compare the
-            # evolved norm against the exact norm of the same interpolant
-            base = lh.combo_lp_norm([(1.0, f.primitive)], f.p, SWEEP_CFG)
-        else:
-            base = lh.lprime_norm(f, SWEEP_CFG)
+        base = lh.lprime_norm(f, SWEEP_CFG)
         for t in T_SWEEP_15:
             evolved = lh.solution_primitive_norm(f, t, f.p, SWEEP_CFG)
             rel = evolved / base

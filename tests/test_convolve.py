@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate as sci
 
 import lpheat as lh
 from lpheat import (
@@ -113,26 +118,116 @@ def step_primitives(draw):
 
 @st.composite
 def order_and_time(draw):
-    """n = 1 for t in [2^-20, 1e2]; n = 2 for t in [0.01, 1e2], below which
-    the quadrature oracle exceeds its subdivision budget."""
-    n = draw(st.sampled_from([1, 2]))
-    lo = -20.0 if n == 1 else math.log2(0.01)
+    """n = 0 and 1 for t in [2^-20, 1e2]; n = 2 for t in [0.01, 1e2], below
+    which the quadrature oracle exceeds its subdivision budget."""
+    n = draw(st.sampled_from([0, 1, 2]))
+    lo = -20.0 if n < 2 else math.log2(0.01)
     return n, 2.0 ** draw(st.floats(lo, math.log2(1e2)))
+
+
+def _oracle_values(F, n, t, xs, scale):
+    # absolute tolerance relative to the data's scale, so tiny heights get
+    # a proportionally tight oracle
+    cfg = lh.QuadratureConfig(abs_tol=max(1e-13 * scale, 1e-300))
+    return np.array([lh.convolve_point(F, n, t, float(x), cfg) for x in xs])
 
 
 @given(F=step_primitives(), nt=order_and_time(), offsets=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4))
 @settings(max_examples=100, deadline=None)
+# the two half-windows nearly cancel: the oracle's residual sits at the
+# rounding floor of its panel values
+@example(F=StepCombo(((3.0, 0.0, 1.0), (2.2250738585e-313, 0.0, 0.5))), nt=(1, 2.0 ** -15), offsets=[0.0, 0.0])
+# heights near 1e-148: an absolute oracle tolerance would swamp the values
+@example(F=StepCombo(((0.0, 0.0, 1.0), (7.42e-149, 1.0, 3.0))), nt=(2, 0.0625), offsets=[-1.0, 1.0, 2.5, -3.0])
 def test_step_closed_form_matches_quadrature(F, nt, offsets):
-    # F * theta^(n) = F' * theta^(n-1) for step data; convolve_point is the oracle
+    # F * theta = sum_j h_j (box_j * theta) for n = 0 and F * theta^(n) =
+    # F' * theta^(n-1) for n >= 1; convolve_point is the oracle
     n, t = nt
     jumps = F.jumps()
     locs = sorted(jumps) or list(F.breakpoints())
     xs = np.array([locs[i % len(locs)] + s * math.sqrt(t) for i, s in enumerate(offsets)])
+    if n == 0:
+        steps = F.steps if isinstance(F, StepCombo) else ((1.0, F.a, F.b),)
+        scale = sum(abs(h) for h, _, _ in steps)
+    else:
+        peak = theta_norm_closed(math.inf, t) if n == 1 else theta_deriv_norm_closed(math.inf, t)
+        scale = sum(abs(w) for w in jumps.values()) * peak
     got = convolve_values(F, n, t, xs)
-    want = [lh.convolve_point(F, n, t, float(x)) for x in xs]
-    peak = theta_norm_closed(math.inf, t) if n == 1 else theta_deriv_norm_closed(math.inf, t)
-    scale = sum(abs(w) for w in jumps.values()) * peak
+    want = _oracle_values(F, n, t, xs, scale)
     assert np.max(np.abs(got - want)) <= 1e-10 * max(scale, 1e-300)
+
+
+@st.composite
+def smooth_primitives(draw):
+    """A GaussianPower or a 2-41 node Sampled grid with values in [-2, 2]."""
+    if draw(st.booleans()):
+        return GaussianPower(2.0 ** draw(st.floats(-6.0, 4.0)), 2.0 ** draw(st.floats(-6.0, 6.0)))
+    vals = draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=41))
+    return lh.sample(vals, draw(_coord), draw(st.floats(0.01, 0.5)))
+
+
+@given(F=smooth_primitives(), t=st.floats(-20.0, math.log2(1e2)).map(lambda e: 2.0 ** e),
+       fractions=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_smooth_closed_form_matches_quadrature(F, t, fractions):
+    # Gaussian powers by the semigroup, sampled data by erfc and kernel terms
+    # per node; convolve_point is the oracle
+    lo, hi = F.effective_support(lh.DEFAULT_CONFIG)
+    xs = np.array([lo + f * (hi - lo) for f in fractions])
+    scale = F.sup_bound()
+    got = convolve_values(F, 0, t, xs)
+    want = _oracle_values(F, 0, t, xs, scale)
+    assert np.max(np.abs(got - want)) <= 1e-10 * max(scale, 1e-300)
+
+
+def _bump():
+    nodes = np.linspace(-2.0, 2.0, 41)
+    return lh.sample(np.exp(-nodes ** 2), -2.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        Indicator(-1.0, 1.0),
+        StepCombo(((1.0, 0.0, 1.0), (2.0, 0.5, 2.0), (0.5, -1.0, 0.25))),
+        _bump(),
+    ],
+    ids=["indicator", "step_combo", "sampled_bump"],
+)
+@pytest.mark.parametrize("t", [2.0 ** -20, 1e-3, 0.1, 1.0, 1e2])
+def test_closed_form_far_tails_do_not_cancel(F, t):
+    # 2 to 30 kernel standard deviations sqrt(2t) outside the support, where
+    # the flow of nonnegative data is a tiny positive number: a closed form
+    # that subtracted two values near 1, or two linear parts, would lose
+    # every digit here.  scipy's quad with epsabs = 0 is the relative oracle.
+    # (A Gaussian power's flow is a single Gaussian; no difference is formed.)
+    lo, hi = F.effective_support(lh.DEFAULT_CONFIG)
+    pts = [p for p in F.breakpoints() if lo < p < hi]
+    sigma = math.sqrt(2.0 * t)
+    xs = np.concatenate([lo - sigma * np.array([2.0, 5.0, 10.0, 30.0]), hi + sigma * np.array([2.0, 5.0, 10.0, 30.0])])
+    got = convolve_values(F, 0, t, xs)
+    for x, g in zip(xs, got):
+        want, _ = sci.quad(
+            lambda u: float(F.values(np.asarray([u]))[0]) * math.exp(-(x - u) ** 2 / (4.0 * t)),
+            lo, hi, points=pts or None, limit=400, epsabs=0.0, epsrel=1e-13,
+        )
+        want /= 2.0 * math.sqrt(math.pi * t)
+        assert want > 0.0
+        assert abs(g - want) <= 1e-12 * want
+
+
+def test_closed_forms_need_only_numpy():
+    # a fresh interpreter: the test session itself has scipy loaded
+    code = (
+        "import sys, lpheat as lh; "
+        "lh.convolution_lp_norm([(1.0, lh.Indicator(0.0, 1.0))], 0, 0.5, 2.0); "
+        "bad = sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'perfbench')); "
+        "print(','.join(bad))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""
 
 
 def test_grid_convolution_matches_pointwise():

@@ -169,13 +169,26 @@ def test_truncated_sine_sup_bound_matches_dense_scan(p0):
     assert TruncatedSine(p0).sup_bound() == pytest.approx(dense, abs=1e-9)
 
 
-def test_sampled_norm_trapezoid():
+def test_sampled_norm_exact():
     xs = np.linspace(-1, 1, 201)
     hat = np.clip(1 - np.abs(xs), 0, None)
     F = lh.sample(hat, -1.0, 0.01)
-    assert lh.lp_norm(F, 1.0) == pytest.approx(1.0, rel=1e-12)  # trapezoid exact for p=1
-    assert lh.lp_norm(F, 2.0) == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-4)
+    assert lh.lp_norm(F, 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert lh.lp_norm(F, 2.0) == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-12)
     assert lh.lp_norm(F, math.inf) == 1.0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.5, 8.0])
+def test_sampled_norm_matches_interpolant_integral(p):
+    # sign changes inside panels, equal and nearly equal neighbours, zeros
+    vals = [0.0, 1.0, -0.5, -0.5, 2.0, 2.0 * (1.0 + 1e-9), 0.3, 0.0, 0.0, -1.0]
+    F = lh.sample(vals, -1.0, 0.25)
+    knots = list(F.breakpoints())
+    want, _ = sci.quad(lambda x: abs(float(F.values(np.asarray([x]))[0])) ** p, knots[0], knots[-1],
+                       points=knots[1:-1], epsabs=0.0, epsrel=1e-13, limit=200)
+    assert lh.lp_norm(F, p) == pytest.approx(want ** (1.0 / p), rel=1e-12)
+    # the quadrature norm of the same interpolant, to its default rel_tol of 1e-10
+    assert lh.lp_norm(F, p) == pytest.approx(lh.combo_lp_norm([(1.0, F)], p), rel=1e-9)
 
 
 def test_sampled_evaluate_interpolates_and_vanishes_outside():
