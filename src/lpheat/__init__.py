@@ -15,7 +15,6 @@ from .constants import (
     young_constant,
 )
 from .convolve import (
-    convolve_grid,
     convolve_point,
     convolve_smooth_derivative_check,
     convolution_lp_norm,
@@ -26,12 +25,10 @@ from .exceptions import (
     LpHeatError,
     MembershipError,
     QuadratureAccuracyError,
-    ResolutionError,
     SearchFailureError,
     UnsupportedOrderError,
 )
 from .heat_solver import (
-    Solution,
     TestFunction,
     continuity_bound,
     default_time_sweep,
@@ -46,21 +43,15 @@ from .heat_solver import (
     weak_ic_check,
 )
 from .kernel import (
-    KernelPoint,
     MAX_DERIV_ORDER,
     alpha_coefficient,
     delta_coefficient,
     semigroup_residual,
-    theta,
-    theta_deriv,
     theta_deriv_norm_closed,
     theta_norm_closed,
-    theta_power,
-    theta_time_deriv,
 )
 from .lp_space import (
     GaussianPower,
-    GridFunction,
     Indicator,
     PrimitiveFunction,
     Sampled,
@@ -69,13 +60,10 @@ from .lp_space import (
     TruncatedSine,
     antiderivative,
     combo_lp_norm,
-    evaluate,
     lp_norm,
     primitive_from_json,
     primitive_to_json,
     sample,
-    sample_function,
-    translate,
 )
 from .lprime import (
     LprimeElement,

@@ -63,9 +63,12 @@ def fmt(x) -> str:
 def _write_text(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write output file: {exc}") from None
 
 
 def _rows_to_csv(header: list[str], rows: list[list]) -> str:
@@ -160,7 +163,7 @@ def _load_element(path: str):
             data = json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read data file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise DomainError(f"malformed JSON in data file: {exc}")
     return element_from_json(data)
 

@@ -2,9 +2,9 @@
 
 ``convolve_point`` evaluates (F * theta_t^(n))(x) by adaptive quadrature
 on the window where the kernel factor is non-negligible, intersected
-with the effective support of F.  The neglected remainder is bounded by
+with the effective support of F.  The neglected remainder, at most
 sup|F| times the kernel tail mass beyond ``tail_width_sigmas`` standard
-deviations, far below the quadrature tolerance for the default widths.
+deviations, is not computed.
 
 ``convolve_values`` is the one per-point path.  At n = 0 it returns
 the variant's closed-form heat flow ``F.heat_flow`` (indicators, step
@@ -14,10 +14,6 @@ sums F's jumps times shifted theta^(n-1); otherwise it loops
 the norms of F * theta_t behind ||v_t||'_r are one adaptive quadrature
 over closed-form values, not quadrature inside quadrature, except for
 the slow-tail profiles.
-
-``convolve_grid`` is the fast path for plotting and sweeps: sampled
-kernel, FFT, zero-padding to at least twice the data length so the
-circular convolution never wraps.
 """
 
 from __future__ import annotations
@@ -27,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import DomainError, ResolutionError, UnsupportedOrderError
+from .exceptions import DomainError, UnsupportedOrderError
 from .kernel import MAX_DERIV_ORDER, theta_deriv_values
-from .lp_space import GridFunction, PrimitiveFunction, _moderate_window, _window_lp_norm
+from .lp_space import PrimitiveFunction, _moderate_window, _window_lp_norm
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 
 
@@ -96,42 +92,6 @@ def convolve_values(
             out += w * theta_deriv_values(xs - loc, t, int(psi_order) - 1)
         return out
     return np.array([convolve_point(F, psi_order, t, x, cfg) for x in xs])
-
-
-def convolve_grid(
-    F: GridFunction,
-    t: float,
-    psi_order: int = 0,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> GridFunction:
-    """Discrete convolution of grid samples with the sampled kernel.
-
-    The kernel is sampled on the same spacing and, for order 0,
-    renormalized so its discrete sum times dx equals 1; derivative
-    orders keep their raw samples (their discrete sum is already close
-    to zero).  Accuracy at the nodes is second order in dx plus the
-    truncated tail.
-    """
-    _validate_conv_args(t, psi_order)
-    if F.dx > math.sqrt(t):
-        raise ResolutionError(
-            f"grid spacing {F.dx} too coarse for kernel time {t}; need dx <= sqrt(t)"
-        )
-    m = int(math.ceil(cfg.kernel_width(t) / F.dx))
-    knodes = F.dx * np.arange(-m, m + 1)
-    kvals = theta_deriv_values(knodes, t, int(psi_order))
-    if psi_order == 0:
-        kvals = kvals / (kvals.sum() * F.dx)
-    data = F.array()
-    n = data.size
-    length = n + kvals.size - 1
-    nfft = 1
-    while nfft < length:
-        nfft <<= 1
-    spectrum = np.fft.rfft(data, nfft) * np.fft.rfft(kvals, nfft)
-    full = np.fft.irfft(spectrum, nfft)[:length]
-    out = full[m: m + n] * F.dx
-    return GridFunction(F.x0, F.dx, tuple(float(v) for v in out))
 
 
 def convolve_smooth_derivative_check(

@@ -17,10 +17,6 @@ class MembershipError(DomainError):
     """The function does not belong to the requested Lebesgue space."""
 
 
-class ResolutionError(DomainError):
-    """Grid spacing is too coarse to resolve the kernel at the given time."""
-
-
 class QuadratureAccuracyError(LpHeatError, RuntimeError):
     """Adaptive quadrature did not reach the requested tolerance.
 

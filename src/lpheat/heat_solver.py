@@ -1,4 +1,4 @@
-"""Solution map v_t = f * theta_t for derivative-of-L^p initial data.
+"""The solution map v_t = f * theta_t for derivative-of-L^p initial data.
 
 Pointwise values come from the kernel-derivative convolution of the
 primitive, v_t(x) = (F * theta_t')(x), which for step primitives is the
@@ -21,7 +21,7 @@ import numpy as np
 from .constants import ExponentTriple, K_const, _inv
 from .convolve import convolve_values, convolution_lp_norm
 from .exceptions import DomainError
-from .lp_space import GridFunction, _moderate_window, _window_lp_norm, combo_lp_norm
+from .lp_space import _moderate_window, _window_lp_norm, combo_lp_norm
 from .lprime import LprimeElement
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 from .report import EstimateReport, make_report
@@ -58,30 +58,6 @@ def solve_values(
 ) -> np.ndarray:
     """v_t at each of ``xs``: the convolution F * theta_t'."""
     return convolve_values(f.primitive, 1, t, xs, cfg)
-
-
-@dataclass(frozen=True)
-class Solution:
-    """Evolved state at a fixed positive time."""
-
-    f: LprimeElement
-    t: float
-
-    def __post_init__(self):
-        if not (self.t > 0 and math.isfinite(self.t)):
-            raise DomainError("time must be positive and finite")
-
-    def at(self, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-        return solve_at(self.f, self.t, x, cfg)
-
-    def on_grid(
-        self, x0: float, x1: float, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG
-    ) -> GridFunction:
-        if n < 2:
-            raise DomainError("grid needs at least two nodes")
-        xs = np.linspace(x0, x1, n)
-        vals = solve_values(self.f, self.t, xs, cfg)
-        return GridFunction(x0, (x1 - x0) / (n - 1), tuple(float(v) for v in vals))
 
 
 def solution_primitive_norm(

@@ -46,35 +46,6 @@ from .quadrature import (
 _E = math.e
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Uniform-grid samples: values[i] sits at x0 + i * dx."""
-
-    x0: float
-    dx: float
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x0) and math.isfinite(self.dx) and self.dx > 0):
-            raise DomainError("grid origin and spacing must be finite, spacing positive")
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) < 2:
-            raise DomainError("grid needs at least two samples")
-        if not all(math.isfinite(v) for v in vals):
-            raise DomainError("grid values must be finite")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def x1(self) -> float:
-        return self.x0 + (len(self.values) - 1) * self.dx
-
-    def xs(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(len(self.values))
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-
 class PrimitiveFunction:
     """Base class for the catalog; subclasses are frozen dataclasses."""
 
@@ -464,27 +435,47 @@ class TruncatedSine(PrimitiveFunction):
 
 @dataclass(frozen=True)
 class Sampled(PrimitiveFunction):
-    """Linear interpolation of grid samples inside the grid, zero outside."""
+    """Linear interpolation of samples[i] at x0 + i * dx inside the grid,
+    zero outside."""
 
-    grid: GridFunction
+    x0: float
+    dx: float
+    samples: tuple[float, ...]
     kind = "samples"
+
+    def __post_init__(self):
+        if not (math.isfinite(self.x0) and math.isfinite(self.dx) and self.dx > 0):
+            raise DomainError("grid origin and spacing must be finite, spacing positive")
+        samples = tuple(float(v) for v in self.samples)
+        if len(samples) < 2:
+            raise DomainError("grid needs at least two samples")
+        if not all(math.isfinite(v) for v in samples):
+            raise DomainError("grid values must be finite")
+        object.__setattr__(self, "samples", samples)
+
+    @property
+    def x1(self) -> float:
+        return self.x0 + (len(self.samples) - 1) * self.dx
+
+    def nodes(self) -> np.ndarray:
+        return self.x0 + self.dx * np.arange(len(self.samples))
 
     def values(self, x):
         x = np.asarray(x, dtype=float)
-        return np.interp(x, self.grid.xs(), self.grid.array(), left=0.0, right=0.0) * (
-            (x >= self.grid.x0) & (x <= self.grid.x1)
+        return np.interp(x, self.nodes(), np.asarray(self.samples), left=0.0, right=0.0) * (
+            (x >= self.x0) & (x <= self.x1)
         )
 
     def breakpoints(self):
         # every node is a kink of the interpolant
-        return tuple(float(x) for x in self.grid.xs())
+        return tuple(float(x) for x in self.nodes())
 
     def effective_support(self, cfg):
-        return (self.grid.x0, self.grid.x1)
+        return (self.x0, self.x1)
 
     def sup_bound(self):
         # piecewise linear attains its extrema at nodes
-        return float(np.max(np.abs(self.grid.array())))
+        return float(np.max(np.abs(np.asarray(self.samples))))
 
     def finite_lp_norm(self, p, cfg):
         """Exact norm of the interpolant, one closed form per panel.
@@ -495,7 +486,7 @@ class Sampled(PrimitiveFunction):
         d = 1 - min(|u|, |v|) / m and g(d) = (1 - (1 - d)^(p+1)) / ((p + 1) d),
         evaluated through expm1/log1p so nearly equal ends do not cancel.
         """
-        y = self.grid.array()
+        y = np.asarray(self.samples)
         peak = float(np.max(np.abs(y)))
         if peak == 0.0:
             return 0.0
@@ -507,7 +498,7 @@ class Sampled(PrimitiveFunction):
             g = np.where(d > 0.0, -np.expm1((p + 1.0) * np.log1p(-d)) / ((p + 1.0) * d), 1.0)
             cross = (au ** (p + 1.0) + av ** (p + 1.0)) / ((p + 1.0) * (au + av))
         mean_power = np.where(u * v < 0.0, cross, big ** p * g)
-        return peak * float(self.grid.dx * np.sum(mean_power)) ** (1.0 / p)
+        return peak * float(self.dx * np.sum(mean_power)) ** (1.0 / p)
 
     def heat_flow(self, t, xs):
         """Exact flow of the interpolant.  F = y_0 H(x - x_0) - y_N H(x - x_N)
@@ -517,10 +508,10 @@ class Sampled(PrimitiveFunction):
         node).  Right of the grid's midpoint the mirrored form, z -> c - x
         with the signs of the jump terms flipped, is used: its linear parts
         sum to F's zero extension, so the right tail does not cancel."""
-        nodes = self.grid.xs()
-        y = self.grid.array()
-        kinks = np.diff(np.diff(y) / self.grid.dx, prepend=0.0, append=0.0)
-        side = np.where(xs <= 0.5 * (self.grid.x0 + self.grid.x1), 1.0, -1.0)
+        nodes = self.nodes()
+        y = np.asarray(self.samples)
+        kinks = np.diff(np.diff(y) / self.dx, prepend=0.0, append=0.0)
+        side = np.where(xs <= 0.5 * (self.x0 + self.x1), 1.0, -1.0)
         root_t = math.sqrt(t)
 
         def block(rows):
@@ -534,7 +525,7 @@ class Sampled(PrimitiveFunction):
         return _in_blocks(block, xs.size, nodes.size)
 
     def shifted(self, h):
-        return Sampled(GridFunction(self.grid.x0 + h, self.grid.dx, self.grid.values))
+        return Sampled(self.x0 + h, self.dx, self.samples)
 
     def admits(self, p):
         return True
@@ -543,36 +534,11 @@ class Sampled(PrimitiveFunction):
         return True
 
     def to_json(self):
-        return {
-            "type": "samples",
-            "x0": self.grid.x0,
-            "dx": self.grid.dx,
-            "values": list(self.grid.values),
-        }
+        return {"type": "samples", "x0": self.x0, "dx": self.dx, "values": list(self.samples)}
 
 
 def sample(values, x0: float, dx: float) -> Sampled:
-    return Sampled(GridFunction(x0, dx, tuple(float(v) for v in values)))
-
-
-def sample_function(fn, x0: float, x1: float, n: int) -> Sampled:
-    """Sample a vectorized callable on n uniformly spaced nodes."""
-    if n < 2:
-        raise DomainError("need at least two samples")
-    xs = np.linspace(x0, x1, n)
-    return sample(np.asarray(fn(xs), dtype=float), x0, (x1 - x0) / (n - 1))
-
-
-def evaluate(F: PrimitiveFunction, x: float) -> float:
-    """Pointwise value of a catalog function."""
-    if not math.isfinite(x):
-        raise DomainError("evaluation point must be finite")
-    return float(F.values(np.asarray([x]))[0])
-
-
-def translate(F: PrimitiveFunction, h: float) -> PrimitiveFunction:
-    """x -> F(x - h) for the location-bearing variants."""
-    return F.shifted(h)
+    return Sampled(x0, dx, values)
 
 
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
@@ -752,16 +718,6 @@ def antiderivative(g: PrimitiveFunction, x: float, cfg: QuadratureConfig = DEFAU
         return 0.0
     val, _ = integrate(g.values, a, b, cfg, points=g.breakpoints())
     return val if x > 0 else -val
-
-
-_VARIANTS = {
-    "indicator": Indicator,
-    "step_combo": StepCombo,
-    "gaussian_power": GaussianPower,
-    "tail_log": TailLog,
-    "truncated_sine": TruncatedSine,
-    "samples": Sampled,
-}
 
 
 def primitive_to_json(F: PrimitiveFunction) -> dict:

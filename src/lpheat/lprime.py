@@ -170,10 +170,7 @@ def pairing(
 
 
 def element_to_json(f: LprimeElement) -> dict:
-    out: dict = {
-        "primitive": primitive_to_json(f.primitive),
-        "p": "inf" if math.isinf(f.p) else f.p,
-    }
+    out: dict = {"primitive": primitive_to_json(f.primitive), "p": f.p}
     if f.atoms is not None:
         out["atoms"] = [[w, loc] for w, loc in f.atoms]
     return out
@@ -185,8 +182,10 @@ def element_from_json(data: dict) -> LprimeElement:
     if not isinstance(data, dict) or "primitive" not in data or "p" not in data:
         raise DomainError("element descriptor needs 'primitive' and 'p' fields")
     primitive = primitive_from_json(data["primitive"])
-    p_raw = data["p"]
-    p = math.inf if p_raw == "inf" else float(p_raw)
+    try:
+        p = float(data["p"])
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"malformed exponent p: {exc}") from exc
     f = LprimeElement(primitive, p)
     if data.get("atoms") is not None:
         try:

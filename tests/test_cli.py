@@ -132,6 +132,26 @@ def test_evolve_malformed_json_exits_2(tmp_path, capsys):
     assert "malformed JSON" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--data", "{latin1}", "--t", "1", "--grid=-1:1:5"],
+        ["constants", "--p", "2", "--q", "1", "--out", "{missing}"],
+        ["example-dirac", "--out", "{missing}"],
+    ],
+    ids=["data-not-utf8", "constants-out-missing-dir", "dirac-out-missing-dir"],
+)
+def test_io_failure_exits_2(tmp_path, capsys, argv):
+    # an undecodable data file and an unwritable --out used to exit 4
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"primitive": {"type": "indicator", "a": 0.0, "b": 1.0}, "p": 2.0, "x": "\xe9"}')
+    paths = {"latin1": str(latin1), "missing": str(tmp_path / "no_such_dir" / "out.csv")}
+    code, out, err = run_cli(capsys, *[a.format(**paths) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_evolve_bad_grid_exits_2(tmp_path, capsys):
     data = _write_element(
         tmp_path, {"primitive": {"type": "indicator", "a": 0.0, "b": 1.0}, "p": 2.0}
@@ -141,24 +161,38 @@ def test_evolve_bad_grid_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, p",
     [
-        ["constants", "--p", "two", "--q", "1"],
-        ["evolve", "--t", "1", "--grid", "0:1:many"],
-        ["evolve", "--t", "nan", "--grid=-1:1:5"],
-        ["evolve", "--t", "1", "--grid=-inf:0:3"],
-        ["example-dirac", "--t", "inf"],
-        ["example-dirac", "--grid=-inf:0:3"],
+        (["constants", "--p", "two", "--q", "1"], 2.0),
+        (["evolve", "--t", "1", "--grid", "0:1:many"], 2.0),
+        (["evolve", "--t", "nan", "--grid=-1:1:5"], 2.0),
+        (["evolve", "--t", "1", "--grid=-inf:0:3"], 2.0),
+        (["example-dirac", "--t", "inf"], 2.0),
+        (["example-dirac", "--grid=-inf:0:3"], 2.0),
+        (["evolve", "--t", "1", "--grid=-1:1:5"], "abc"),
+        (["evolve", "--t", "1", "--grid=-1:1:5"], [2]),
+        (["evolve", "--t", "1", "--grid=-1:1:5"], None),
     ],
-    ids=["list", "grid", "evolve-nan-time", "evolve-inf-grid", "dirac-inf-time", "dirac-inf-grid"],
+    ids=[
+        "list",
+        "grid",
+        "evolve-nan-time",
+        "evolve-inf-grid",
+        "dirac-inf-time",
+        "dirac-inf-grid",
+        "data-p-string",
+        "data-p-list",
+        "data-p-null",
+    ],
 )
-def test_non_numeric_input_exits_2(tmp_path, capsys, argv):
-    # non-finite times and grid ends used to write NaN or zero columns with exit 0
+def test_non_numeric_input_exits_2(tmp_path, capsys, argv, p):
+    # non-finite times and grid ends used to write NaN or zero columns with
+    # exit 0, and a non-numeric element exponent exited 4
     data = _write_element(
         tmp_path,
         {
             "primitive": {"type": "indicator", "a": 0.0, "b": 1.0},
-            "p": 2.0,
+            "p": p,
             "atoms": [[1.0, 0.0], [-1.0, 1.0]],
         },
     )

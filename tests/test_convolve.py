@@ -15,7 +15,6 @@ from lpheat import (
     DomainError,
     GaussianPower,
     Indicator,
-    ResolutionError,
     StepCombo,
     UnsupportedOrderError,
 )
@@ -67,7 +66,7 @@ def test_linearity():
 
 def test_translation_commutes():
     F = Indicator(0.0, 1.0)
-    shifted = lh.translate(F, 0.8)
+    shifted = F.shifted(0.8)
     for x in (0.0, 1.5):
         assert lh.convolve_point(shifted, 0, 0.5, x) == pytest.approx(
             lh.convolve_point(F, 0, 0.5, x - 0.8), rel=1e-11
@@ -231,60 +230,39 @@ def test_closed_forms_need_only_numpy():
 
 
 def test_grid_convolution_matches_pointwise():
+    # the closed-form flow of sampled data on a grid against the quadrature oracle
     xs = np.arange(-3.0, 3.0 + 1e-9, 0.01)
     vals = ((xs >= -1.0) & (xs <= 1.0)).astype(float)
-    G = lh.GridFunction(-3.0, 0.01, tuple(vals))
-    out = lh.convolve_grid(G, 1.0, 0)
-    i0 = int(round((0.0 - out.x0) / out.dx))
-    ref = lh.convolve_point(Indicator(-1.0, 1.0), 0, 1.0, 0.0)
-    assert out.values[i0] == pytest.approx(ref, abs=5e-4)
+    F = lh.sample(vals, -3.0, 0.01)
+    nodes = np.linspace(-3.0, 3.0, 13)
+    out = convolve_values(F, 0, 1.0, nodes)
+    ref = [lh.convolve_point(F, 0, 1.0, x) for x in nodes]
+    assert np.max(np.abs(out - ref)) < 1e-10
+    # and against the indicator it samples, to interpolation error
+    i0 = int(np.argmin(np.abs(nodes)))
+    assert out[i0] == pytest.approx(lh.convolve_point(Indicator(-1.0, 1.0), 0, 1.0, 0.0), abs=5e-4)
 
 
 def test_grid_convolution_zero_in_zero_out():
-    G = lh.GridFunction(-2.0, 0.05, tuple([0.0] * 81))
-    out = lh.convolve_grid(G, 0.5, 0)
-    assert max(abs(v) for v in out.values) == 0.0
+    F = lh.sample([0.0] * 81, -2.0, 0.05)
+    out = convolve_values(F, 0, 0.5, np.linspace(-4.0, 4.0, 161))
+    assert np.max(np.abs(out)) == 0.0
 
 
 def test_grid_convolution_semigroup_on_samples():
     xs = np.arange(-12.0, 12.0 + 1e-9, 0.02)
-    G = lh.GridFunction(-12.0, 0.02, tuple(theta_values(xs, 1.0)))
-    out = lh.convolve_grid(G, 1.0, 0)
-    ref = theta_values(xs, 2.0)
-    err = np.max(np.abs(np.asarray(out.values) - ref))
+    F = lh.sample(theta_values(xs, 1.0), -12.0, 0.02)
+    out = convolve_values(F, 0, 1.0, xs)
+    err = np.max(np.abs(out - theta_values(xs, 2.0)))
     assert err < 5e-4
 
 
 def test_grid_convolution_derivative_order():
     xs = np.arange(-12.0, 12.0 + 1e-9, 0.02)
-    G = lh.GridFunction(-12.0, 0.02, tuple(theta_values(xs, 1.0)))
-    out = lh.convolve_grid(G, 1.0, 1)
-    ref = theta_deriv_values(xs, 2.0, 1)
-    assert np.max(np.abs(np.asarray(out.values) - ref)) < 5e-4
-
-
-def test_grid_resolution_guard():
-    G = lh.GridFunction(0.0, 0.5, tuple([1.0] * 10))
-    with pytest.raises(ResolutionError):
-        lh.convolve_grid(G, 0.04, 0)
-
-
-def test_grid_kernel_sampling_normalization():
-    # order 0 samples are renormalized to unit discrete mass; derivative
-    # orders keep raw samples whose discrete sum is already near zero
-    import math as m
-
-    from lpheat.quadrature import DEFAULT_CONFIG
-
-    dx, t = 0.02, 1.0
-    mm = int(m.ceil(DEFAULT_CONFIG.tail_width_sigmas * m.sqrt(2 * t) / dx))
-    nodes = dx * np.arange(-mm, mm + 1)
-    assert abs(float(theta_deriv_values(nodes, t, 1).sum()) * dx) < 1e-12
-    ones = lh.GridFunction(-10.0, dx, tuple([1.0] * 1001))
-    out = lh.convolve_grid(ones, t, 0)
-    mid = len(out.values) // 2
-    # kernel mass falling off the finite data window is about erfc(5) = 1.5e-12
-    assert out.values[mid] == pytest.approx(1.0, abs=1e-11)
+    F = lh.sample(theta_values(xs, 1.0), -12.0, 0.02)
+    nodes = np.asarray([-3.0, -1.0, 0.0, 0.5, 2.0])
+    out = convolve_values(F, 1, 1.0, nodes)
+    assert np.max(np.abs(out - theta_deriv_values(nodes, 2.0, 1))) < 5e-4
 
 
 def test_convolution_norm_semigroup_value():
@@ -300,16 +278,12 @@ def test_convolution_norm_sup():
 
 
 def test_grid_young_consistency():
-    # discrete r-norm respects the sharp convolution bound up to grid error
-    xs = np.arange(-4.0, 4.0 + 1e-9, 0.01)
-    vals = ((xs >= -1.0) & (xs <= 1.0)).astype(float)
-    G = lh.GridFunction(-4.0, 0.01, tuple(vals))
-    out = lh.convolve_grid(G, 1.0, 0)
+    # the r-norm of the flow respects the sharp convolution bound
     tr = lh.r_from(1.0, 2.0)
-    grid_norm = lh.lp_norm(lh.Sampled(out), 2.0)
+    norm = lh.convolution_lp_norm([(1.0, Indicator(-1.0, 1.0))], 0, 1.0, tr.r)
     bound = (
         lh.young_constant(tr)
         * lh.lp_norm(Indicator(-1.0, 1.0), 1.0)
         * lh.theta_norm_closed(2.0, 1.0)
     )
-    assert grid_norm <= bound + 1e-3
+    assert norm <= bound

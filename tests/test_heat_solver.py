@@ -45,14 +45,11 @@ def test_kernel_derivative_data_evolves_to_shifted_derivative():
     assert lh.solve_at(f, 1.0, 0.7) == pytest.approx(-0.032833530355232063, rel=1e-10)
 
 
-def test_solution_object_grid():
-    sol = lh.Solution(dirac_pm1(), 1.0)
-    g = sol.on_grid(-5.0, 5.0, 11)
-    assert len(g.values) == 11
-    assert g.values[5] == 0.0  # x = 0 by symmetry
-    assert sol.at(1.0) == pytest.approx(-0.1783179174187295, rel=1e-12)
-    with pytest.raises(DomainError):
-        lh.Solution(dirac_pm1(), 0.0)
+def test_solve_values_on_grid():
+    values = lh.solve_values(dirac_pm1(), 1.0, np.linspace(-5.0, 5.0, 11))
+    assert len(values) == 11
+    assert values[5] == 0.0  # x = 0 by symmetry
+    assert values[6] == pytest.approx(-0.1783179174187295, rel=1e-12)
 
 
 def test_time_validation():

@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 from scipy import integrate as sci
 
 import lpheat as lh
-from lpheat import DomainError, KernelPoint, UnsupportedOrderError
+from lpheat import MAX_DERIV_ORDER, DomainError, GaussianPower, UnsupportedOrderError
+from lpheat.convolve import convolve_values
 from lpheat.kernel import theta_deriv_values, theta_values
 
 SQRT_PI = math.sqrt(math.pi)
 
 
 def test_theta_reference_values():
-    assert lh.theta(KernelPoint(0.0, 1.0)) == pytest.approx(1 / (2 * SQRT_PI), rel=1e-15)
-    assert lh.theta(KernelPoint(0.0, 0.25)) == pytest.approx(1 / SQRT_PI, rel=1e-15)
+    assert float(theta_values(0.0, 1.0)) == pytest.approx(1 / (2 * SQRT_PI), rel=1e-15)
+    assert float(theta_values(0.0, 0.25)) == pytest.approx(1 / SQRT_PI, rel=1e-15)
 
 
 def test_theta_unit_mass_scipy_oracle():
@@ -39,32 +40,27 @@ def test_theta_unit_mass_across_times(t):
 @settings(max_examples=80, deadline=None)
 def test_theta_positive_and_even(x, t):
     assume(x * x / (4 * t) < 700)  # below the exp underflow threshold
-    pt = KernelPoint(x, t)
-    assert lh.theta(pt) > 0
-    assert lh.theta(KernelPoint(-x, t)) == lh.theta(pt)
+    assert float(theta_values(x, t)) > 0
+    assert float(theta_values(-x, t)) == float(theta_values(x, t))
 
 
 def test_kernel_point_validation():
-    with pytest.raises(DomainError):
-        KernelPoint(0.0, 0.0)
-    with pytest.raises(DomainError):
-        KernelPoint(0.0, -1.0)
-    with pytest.raises(DomainError):
-        KernelPoint(math.nan, 1.0)
-    with pytest.raises(DomainError):
-        KernelPoint(math.inf, 1.0)
+    # theta_values does not validate; its callers check the time and points
+    F = lh.Indicator(0.0, 1.0)
+    for t, x in ((0.0, 0.0), (-1.0, 0.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(DomainError):
+            convolve_values(F, 0, t, [0.5, x])
 
 
 def test_first_derivative_values():
-    assert lh.theta_deriv(KernelPoint(0.0, 1.0), 1) == 0.0
+    assert float(theta_deriv_values(0.0, 1.0, 1)) == 0.0
     # peak magnitude of |theta_1'| at x = sqrt(2): 1 / (2^{3/2} sqrt(pi e))
-    got = lh.theta_deriv(KernelPoint(math.sqrt(2.0), 1.0), 1)
+    got = float(theta_deriv_values(math.sqrt(2.0), 1.0, 1))
     assert got == pytest.approx(-0.1209853622595717, rel=1e-12)
 
 
 def test_derivative_order_zero_matches_theta():
-    pt = KernelPoint(0.7, 0.3)
-    assert lh.theta_deriv(pt, 0) == lh.theta(pt)
+    assert float(theta_deriv_values(0.7, 0.3, 0)) == float(theta_values(0.7, 0.3))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -78,41 +74,40 @@ def test_derivative_matches_finite_difference(n):
 
 
 def test_second_derivative_against_fd_tolerance_of_example():
-    pt = KernelPoint(1.0, 1.0)
     h = 1e-5
-    fd = (lh.theta_deriv(KernelPoint(1.0 + h, 1.0), 1) - lh.theta_deriv(KernelPoint(1.0 - h, 1.0), 1)) / (2 * h)
-    assert lh.theta_deriv(pt, 2) == pytest.approx(fd, rel=1e-7)
+    fd = (float(theta_deriv_values(1.0 + h, 1.0, 1)) - float(theta_deriv_values(1.0 - h, 1.0, 1))) / (2 * h)
+    assert float(theta_deriv_values(1.0, 1.0, 2)) == pytest.approx(fd, rel=1e-7)
 
 
 def test_derivative_order_cap():
+    F = lh.sample([0.0, 1.0, 0.0], -1.0, 1.0)
+    assert np.all(np.isfinite(convolve_values(F, MAX_DERIV_ORDER, 1.0, [0.3])))
     with pytest.raises(UnsupportedOrderError):
-        lh.theta_deriv(KernelPoint(0.0, 1.0), 9)
+        convolve_values(F, MAX_DERIV_ORDER + 1, 1.0, [0.3])
     with pytest.raises(DomainError):
-        lh.theta_deriv(KernelPoint(0.0, 1.0), -1)
+        convolve_values(F, -1, 1.0, [0.3])
 
 
 def test_time_derivative():
-    # at the origin the heat equation gives theta_tt' = theta'' = -1/(4 sqrt(pi))
-    assert lh.theta_time_deriv(KernelPoint(0.0, 1.0)) == pytest.approx(
-        -0.1410473958869391, rel=1e-13
-    )
-    # identical closed form as the second space derivative
-    pt = KernelPoint(2.0, 1.0)
-    assert lh.theta_time_deriv(pt) == lh.theta_deriv(pt, 2)
+    # the kernel solves the heat equation, so its time derivative is the
+    # second space derivative; at the origin that is -1/(4 sqrt(pi))
+    assert float(theta_deriv_values(0.0, 1.0, 2)) == pytest.approx(-0.1410473958869391, rel=1e-13)
     # central difference in t
     x, t, h = 1.0, 0.5, 1e-6
-    fd = (lh.theta(KernelPoint(x, t + h)) - lh.theta(KernelPoint(x, t - h))) / (2 * h)
-    assert lh.theta_time_deriv(KernelPoint(x, t)) == pytest.approx(fd, rel=1e-6)
+    fd = (float(theta_values(x, t + h)) - float(theta_values(x, t - h))) / (2 * h)
+    assert float(theta_deriv_values(x, t, 2)) == pytest.approx(fd, rel=1e-6)
 
 
 def test_theta_power():
-    assert lh.theta_power(KernelPoint(0.0, 1.0), 2.0) == pytest.approx(1 / (4 * math.pi), rel=1e-14)
-    pt = KernelPoint(1.3, 0.7)
-    assert lh.theta_power(pt, 1.0) == pytest.approx(lh.theta(pt), rel=1e-14)
+    # GaussianPower(t, beta) is theta_t^beta
+    assert float(GaussianPower(1.0, 2.0).values(0.0)) == pytest.approx(1 / (4 * math.pi), rel=1e-14)
+    assert float(GaussianPower(0.7, 1.0).values(1.3)) == pytest.approx(
+        float(theta_values(1.3, 0.7)), rel=1e-14
+    )
     with pytest.raises(DomainError):
-        lh.theta_power(pt, 0.0)
+        GaussianPower(0.7, 0.0)
     with pytest.raises(DomainError):
-        lh.theta_power(pt, -2.0)
+        GaussianPower(0.7, -2.0)
 
 
 def test_theta_square_mass():

@@ -11,7 +11,6 @@ import lpheat as lh
 from lpheat import (
     DomainError,
     GaussianPower,
-    GridFunction,
     Indicator,
     MembershipError,
     Sampled,
@@ -24,15 +23,12 @@ from lpheat.quadrature import integrate as gk_integrate
 
 
 def test_evaluate_examples():
-    assert lh.evaluate(Indicator(0, 1), 0.5) == 1.0
-    assert lh.evaluate(Indicator(0, 1), 1.5) == 0.0
-    assert lh.evaluate(TailLog(2.0), math.e) == pytest.approx(0.6065306597126334, rel=1e-14)
-    assert lh.evaluate(TailLog(2.0), 1.0) == 0.0
-    assert lh.evaluate(GaussianPower(1.0, 1.0), 0.0) == pytest.approx(
+    assert list(Indicator(0, 1).values([0.5, 1.5])) == [1.0, 0.0]
+    assert float(TailLog(2.0).values(math.e)) == pytest.approx(0.6065306597126334, rel=1e-14)
+    assert float(TailLog(2.0).values(1.0)) == 0.0
+    assert float(GaussianPower(1.0, 1.0).values(0.0)) == pytest.approx(
         0.2820947917738781, rel=1e-14
     )
-    with pytest.raises(DomainError):
-        lh.evaluate(Indicator(0, 1), math.inf)
 
 
 def test_variant_validation():
@@ -46,10 +42,12 @@ def test_variant_validation():
         GaussianPower(1.0, -1.0)
     with pytest.raises(DomainError):
         TailLog(math.inf)
-    with pytest.raises(DomainError):
-        GridFunction(0.0, 0.0, (1.0, 2.0))
-    with pytest.raises(DomainError):
-        GridFunction(0.0, 1.0, (1.0,))
+    with pytest.raises(DomainError, match="spacing positive"):
+        lh.sample([1.0, 2.0], 0.0, 0.0)
+    with pytest.raises(DomainError, match="at least two samples"):
+        lh.sample([1.0], 0.0, 1.0)
+    with pytest.raises(DomainError, match="values must be finite"):
+        lh.sample([1.0, math.nan], 0.0, 1.0)
 
 
 def test_indicator_norms():
@@ -193,8 +191,7 @@ def test_sampled_norm_matches_interpolant_integral(p):
 
 def test_sampled_evaluate_interpolates_and_vanishes_outside():
     F = lh.sample([0.0, 2.0, 0.0], -1.0, 1.0)
-    assert lh.evaluate(F, 0.5) == 1.0
-    assert lh.evaluate(F, 5.0) == 0.0
+    assert list(F.values([0.5, 5.0])) == [1.0, 0.0]
 
 
 @given(c=st.floats(-8.0, 8.0, allow_nan=False).filter(lambda v: abs(v) > 1e-3))
@@ -208,13 +205,11 @@ def test_norm_scaling(c):
 @pytest.mark.parametrize("h", [-3.0, 0.7, 12.5])
 def test_translation_invariance(h):
     for F in (Indicator(0, 1), StepCombo(((2.0, -1.0, 0.5), (-1.0, 0.0, 2.0)))):
-        assert lh.lp_norm(lh.translate(F, h), 2.0) == pytest.approx(
-            lh.lp_norm(F, 2.0), rel=1e-12
-        )
+        assert lh.lp_norm(F.shifted(h), 2.0) == pytest.approx(lh.lp_norm(F, 2.0), rel=1e-12)
     S = lh.sample([0.0, 1.0, 0.5, 0.0], 0.0, 0.5)
-    assert lh.lp_norm(lh.translate(S, h), 2.0) == lh.lp_norm(S, 2.0)
+    assert lh.lp_norm(S.shifted(h), 2.0) == lh.lp_norm(S, 2.0)
     with pytest.raises(DomainError):
-        lh.translate(GaussianPower(1.0, 1.0), h)
+        GaussianPower(1.0, 1.0).shifted(h)
 
 
 def test_triangle_inequality_on_sampled_sum():
