@@ -36,8 +36,11 @@ import numpy as np
 
 from .exceptions import ApproximationError, DomainError, MembershipError
 from .quadrature import (
+    _BLOCK_ENTRIES,
     DEFAULT_CONFIG,
     QuadratureConfig,
+    _integrate,
+    _seed_batched,
     composite_gk15,
     geometric_edges,
     integrate,
@@ -543,7 +546,6 @@ def sample(values, x0: float, dx: float) -> Sampled:
 
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
 _SQRT_PI = math.sqrt(math.pi)
-_BLOCK_ENTRIES = 1 << 16  # points x nodes entries per closed-form temporary
 
 
 def _erfc(z) -> np.ndarray:
@@ -635,7 +637,9 @@ def _window_lp_norm(
     """L^p norm of a vectorized function on [lo, hi]: the refined scan max
     for p = inf, else s * (integral of |fn_vec / s|^p)^{1/p} with s =
     scale(), so tolerances act relatively even for tiny integrands (a
-    callable, since some normalizers cost a scan that p = inf skips)."""
+    callable, since some normalizers cost a scan that p = inf skips).
+    The seed partition's nodes go to ``fn_vec`` in one call; the value is
+    ``integrate``'s bit for bit."""
     if math.isinf(p):
         return _scan_refine_max(fn_vec, lo, hi, scan_nodes)
     s = scale()
@@ -645,7 +649,7 @@ def _window_lp_norm(
     def integrand(x):
         return np.abs(fn_vec(x) / s) ** p
 
-    val, _ = integrate(integrand, lo, hi, cfg, points=points)
+    val, _ = _integrate(integrand, lo, hi, cfg, points, _seed_batched)
     return s * val ** (1.0 / p)
 
 
@@ -724,6 +728,14 @@ def primitive_to_json(F: PrimitiveFunction) -> dict:
     return F.to_json()
 
 
+def _json_number(v) -> float:
+    """A JSON number as a float.  TypeError for anything else, booleans
+    and numeric strings included (``float`` reads True as 1.0 and "2" as 2.0)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
+
+
 def primitive_from_json(data: dict) -> PrimitiveFunction:
     """Inverse of :func:`primitive_to_json`; raises DomainError on bad input."""
     if not isinstance(data, dict) or "type" not in data:
@@ -731,17 +743,18 @@ def primitive_from_json(data: dict) -> PrimitiveFunction:
     kind = data["type"]
     try:
         if kind == "indicator":
-            return Indicator(float(data["a"]), float(data["b"]))
+            return Indicator(_json_number(data["a"]), _json_number(data["b"]))
         if kind == "step_combo":
-            return StepCombo(tuple((float(h), float(a), float(b)) for h, a, b in data["steps"]))
+            return StepCombo(tuple(tuple(_json_number(v) for v in (h, a, b)) for h, a, b in data["steps"]))
         if kind == "gaussian_power":
-            return GaussianPower(float(data["t"]), float(data["beta"]))
+            return GaussianPower(_json_number(data["t"]), _json_number(data["beta"]))
         if kind == "tail_log":
-            return TailLog(float(data["p"]))
+            return TailLog(_json_number(data["p"]))
         if kind == "truncated_sine":
-            return TruncatedSine(float(data["p"]))
+            return TruncatedSine(_json_number(data["p"]))
         if kind == "samples":
-            return sample([float(v) for v in data["values"]], float(data["x0"]), float(data["dx"]))
+            values = [_json_number(v) for v in data["values"]]
+            return sample(values, _json_number(data["x0"]), _json_number(data["dx"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed primitive descriptor: {exc}") from exc
     raise DomainError(f"unknown primitive type {kind!r}")

@@ -19,6 +19,7 @@ from .lp_space import (
     Indicator,
     PrimitiveFunction,
     StepCombo,
+    _json_number,
     lp_norm,
     primitive_from_json,
     primitive_to_json,
@@ -183,13 +184,13 @@ def element_from_json(data: dict) -> LprimeElement:
         raise DomainError("element descriptor needs 'primitive' and 'p' fields")
     primitive = primitive_from_json(data["primitive"])
     try:
-        p = float(data["p"])
+        p = _json_number(data["p"])
     except (TypeError, ValueError) as exc:
         raise DomainError(f"malformed exponent p: {exc}") from exc
     f = LprimeElement(primitive, p)
     if data.get("atoms") is not None:
         try:
-            atoms = [(float(w), float(loc)) for w, loc in data["atoms"]]
+            atoms = [(_json_number(w), _json_number(loc)) for w, loc in data["atoms"]]
         except (TypeError, ValueError) as exc:
             raise DomainError(f"malformed atoms: {exc}") from exc
         jumps = primitive.jumps()

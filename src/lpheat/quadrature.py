@@ -11,6 +11,17 @@ Integrands must accept a numpy array of nodes and return an array of
 the same shape.  Known discontinuities or kinks should be passed as
 ``points`` so the initial partition starts on them; the subdivision
 loop then never has to hunt for a jump.
+
+``integrate`` calls the integrand once per panel.  The norm integrals
+(``lp_space._window_lp_norm``) hand it every node of the seed partition
+in one call instead, then bisect exactly as ``integrate`` does; each
+seed panel is reduced with the same 1-D dot products as a single panel,
+so the value matches ``integrate``'s bit for bit for integrands that
+are evaluated node by node.  ``composite_gk15`` also takes a 2-D
+``edges``, one row of panel edges per integral, and returns a value and
+a K15-G7 error per row from one integrand call; callers redo the rows
+whose error is over tolerance with ``integrate``.  Batched temporaries
+stay within ``_BLOCK_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -57,6 +68,8 @@ _NODES = np.array([-x for x in _XGK_HALF[:-1]] + [0.0] + [x for x in reversed(_X
 _WK = np.array(list(_WGK_HALF[:-1]) + [_WGK_HALF[-1]] + list(reversed(_WGK_HALF[:-1])))
 _G7_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WG = np.array(list(_WG_HALF[:-1]) + [_WG_HALF[-1]] + list(reversed(_WG_HALF[:-1])))
+
+_BLOCK_ENTRIES = 1 << 16  # bound on the entries of a batched temporary (nodes, or points x nodes)
 
 
 @dataclass(frozen=True)
@@ -113,6 +126,47 @@ def integrate(
     remaining error estimate is below 64 eps times the summed magnitudes
     of the panel values, the rounding floor of the sum itself.
     """
+    return _integrate(f, a, b, cfg, points, _seed_each)
+
+
+def _seed_each(f: Callable, edges: list[float]) -> list[tuple[float, float]]:
+    """``_gk15`` on each seed panel, one call of ``f`` per panel."""
+    return [_gk15(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _seed_batched(f: Callable, edges: list[float]) -> list[tuple[float, float]]:
+    """``_gk15`` on every seed panel from one call of ``f`` per block of at
+    most ``_BLOCK_ENTRIES`` nodes.  Each panel is reduced with ``_gk15``'s
+    own 1-D dot products (a 2-D product goes through gemv, which rounds
+    differently), so every ``(value, error)`` equals ``_gk15``'s bit for
+    bit whenever ``f``'s value at a node does not depend on the other
+    nodes of the call."""
+    lo = np.asarray(edges[:-1])
+    hi = np.asarray(edges[1:])
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    step = _BLOCK_ENTRIES // _NODES.size
+    out = []
+    for i in range(0, lo.size, step):
+        h, m = half[i : i + step], mid[i : i + step]
+        ys = np.asarray(f((m[:, None] + h[:, None] * _NODES).ravel()), dtype=float).reshape(h.size, -1)
+        for hk, y in zip(h.tolist(), ys):
+            kron = hk * float(y @ _WK)
+            gauss = hk * float(y[_G7_IDX] @ _WG)
+            out.append((kron, abs(kron - gauss)))
+    return out
+
+
+def _integrate(
+    f: Callable,
+    a: float,
+    b: float,
+    cfg: QuadratureConfig,
+    points: Iterable[float],
+    seed: Callable[[Callable, list[float]], list[tuple[float, float]]],
+) -> tuple[float, float]:
+    """``integrate`` with the seed panels evaluated by ``seed(f, edges)``;
+    the bisection that follows calls ``_gk15`` on one panel at a time."""
     if not (np.isfinite(a) and np.isfinite(b)):
         raise DomainError("integration bounds must be finite")
     if a == b:
@@ -132,8 +186,7 @@ def integrate(
     total_err = 0.0
     heap: list[tuple[float, int, float, float, float, float]] = []
     tie = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _gk15(f, lo, hi)
+    for lo, hi, (val, err) in zip(edges[:-1], edges[1:], seed(f, edges)):
         total += val
         total_err += err
         heapq.heappush(heap, (-err, tie, lo, hi, val, err))
@@ -170,25 +223,33 @@ def integrate(
     return sign * total, total_err
 
 
-def composite_gk15(f: Callable, edges: Sequence[float]) -> tuple[float, float]:
+def composite_gk15(f: Callable, edges: Sequence) -> tuple:
     """Non-adaptive K15 rule summed over the panels given by ``edges``.
 
     Intended for integrands whose smooth pieces are known in advance
     (one oscillation period per panel, say); all panel nodes are
-    evaluated in a single vectorized call.
+    evaluated in a single vectorized call.  ``edges`` of one row give
+    ``(value, error)`` as floats.  A 2-D ``edges`` holds one row of panel
+    edges per integral (all rows with the same panel count) and gives
+    per-row ``(values, errors)`` arrays; ``f`` receives every row's nodes
+    flattened, row-major, and the error is the summed K15-G7 difference.
     """
     e = np.asarray(edges, dtype=float)
-    if e.ndim != 1 or e.size < 2:
+    if e.ndim not in (1, 2) or e.shape[-1] < 2:
         raise DomainError("composite rule needs at least two edges")
-    lo = e[:-1]
-    hi = e[1:]
+    rows = e.reshape(-1, e.shape[-1])
+    lo = rows[:, :-1]
+    hi = rows[:, 1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * _NODES[None, :]
-    y = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    kron = half * (y @ _WK)
-    gauss = half * (y[:, _G7_IDX] @ _WG)
-    return float(kron.sum()), float(np.abs(kron - gauss).sum())
+    nodes = mid[..., None] + half[..., None] * _NODES
+    y = np.asarray(f(nodes.ravel()), dtype=float).reshape(-1, _NODES.size)
+    kron = half * (y @ _WK).reshape(half.shape)
+    gauss = half * (y[:, _G7_IDX] @ _WG).reshape(half.shape)
+    values, errors = kron.sum(axis=1), np.abs(kron - gauss).sum(axis=1)
+    if e.ndim == 1:
+        return float(values[0]), float(errors[0])
+    return values, errors
 
 
 def geometric_edges(a: float, b: float, factor: float = 2.0) -> list[float]:

@@ -73,6 +73,24 @@ def test_constants_deterministic_and_round_trip(capsys):
             assert format(v, ".17g") == tok  # 17 significant digits round-trip
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify", "--suite", "kernel"], ["report"]], ids=["verify-kernel", "report"]
+)
+def test_verify_and_report_deterministic(capsys, argv):
+    code1, out1, _ = run_cli(capsys, *argv)
+    code2, out2, _ = run_cli(capsys, *argv)
+    assert code1 == code2 == 0
+    assert out1 == out2  # byte-identical reruns
+    if argv[0] == "verify":
+        header, rows = parse_csv(out1)
+        for row in rows:
+            for key in ("measured", "bound", "ratio"):
+                tok = row[header.index(key)]
+                assert format(float(tok), ".17g") == tok  # 17 significant digits round-trip
+    else:
+        assert json.loads(out1)["all_passed"] is True
+
+
 def _write_element(tmp_path, doc, name="f.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -160,18 +178,31 @@ def test_evolve_bad_grid_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+_EVOLVE = ["evolve", "--t", "1", "--grid=-1:1:5"]
+
+
 @pytest.mark.parametrize(
-    "argv, p",
+    "argv, fields",
     [
-        (["constants", "--p", "two", "--q", "1"], 2.0),
-        (["evolve", "--t", "1", "--grid", "0:1:many"], 2.0),
-        (["evolve", "--t", "nan", "--grid=-1:1:5"], 2.0),
-        (["evolve", "--t", "1", "--grid=-inf:0:3"], 2.0),
-        (["example-dirac", "--t", "inf"], 2.0),
-        (["example-dirac", "--grid=-inf:0:3"], 2.0),
-        (["evolve", "--t", "1", "--grid=-1:1:5"], "abc"),
-        (["evolve", "--t", "1", "--grid=-1:1:5"], [2]),
-        (["evolve", "--t", "1", "--grid=-1:1:5"], None),
+        (["constants", "--p", "two", "--q", "1"], {}),
+        (["evolve", "--t", "1", "--grid", "0:1:many"], {}),
+        (["evolve", "--t", "nan", "--grid=-1:1:5"], {}),
+        (["evolve", "--t", "1", "--grid=-inf:0:3"], {}),
+        (["example-dirac", "--t", "inf"], {}),
+        (["example-dirac", "--grid=-inf:0:3"], {}),
+        (_EVOLVE, {"p": "abc"}),
+        (_EVOLVE, {"p": [2]}),
+        (_EVOLVE, {"p": None}),
+        (_EVOLVE, {"p": True}),
+        (_EVOLVE, {"p": "2"}),
+        (_EVOLVE, {"primitive": {"type": "indicator", "a": False, "b": True}, "p": True, "atoms": None}),
+        (_EVOLVE, {"primitive": {"type": "indicator", "a": "0", "b": "1"}, "p": "2", "atoms": None}),
+        (_EVOLVE, {"atoms": [[True, 0.0], [-1.0, True]]}),
+        (_EVOLVE, {"atoms": [["1", 0.0], [-1.0, "1"]]}),
+        (_EVOLVE, {"primitive": {"type": "step_combo", "steps": [[1.0, 0.0, True]]}, "atoms": None}),
+        (_EVOLVE, {"primitive": {"type": "samples", "x0": 0, "dx": "0.5", "values": [1, 2]}, "atoms": None}),
+        (_EVOLVE, {"primitive": {"type": "samples", "x0": 0, "dx": 0.5, "values": [1, False]}, "atoms": None}),
+        (_EVOLVE, {"primitive": {"type": "gaussian_power", "t": "1", "beta": 1.0}, "atoms": None}),
     ],
     ids=[
         "list",
@@ -183,19 +214,28 @@ def test_evolve_bad_grid_exits_2(tmp_path, capsys):
         "data-p-string",
         "data-p-list",
         "data-p-null",
+        "data-p-bool",
+        "data-p-numeric-string",
+        "data-bool-fields",
+        "data-string-fields",
+        "data-atom-bool",
+        "data-atom-string",
+        "data-step-bool",
+        "data-samples-string-dx",
+        "data-samples-bool-value",
+        "data-gaussian-string-t",
     ],
 )
-def test_non_numeric_input_exits_2(tmp_path, capsys, argv, p):
+def test_non_numeric_input_exits_2(tmp_path, capsys, argv, fields):
     # non-finite times and grid ends used to write NaN or zero columns with
-    # exit 0, and a non-numeric element exponent exited 4
-    data = _write_element(
-        tmp_path,
-        {
-            "primitive": {"type": "indicator", "a": 0.0, "b": 1.0},
-            "p": p,
-            "atoms": [[1.0, 0.0], [-1.0, 1.0]],
-        },
-    )
+    # exit 0, a non-numeric element exponent exited 4, and JSON booleans and
+    # numeric strings were read as numbers (float(True) is 1.0) with exit 0
+    doc = {
+        "primitive": {"type": "indicator", "a": 0.0, "b": 1.0},
+        "p": 2.0,
+        "atoms": [[1.0, 0.0], [-1.0, 1.0]],
+    }
+    data = _write_element(tmp_path, {**doc, **fields})
     if argv[0] == "evolve":
         argv = argv + ["--data", data]
     code, _, err = run_cli(capsys, *argv)

@@ -8,8 +8,10 @@ from scipy import integrate as sci
 
 import lpheat as lh
 from lpheat import MAX_DERIV_ORDER, DomainError, GaussianPower, UnsupportedOrderError
+from lpheat import kernel
 from lpheat.convolve import convolve_values
 from lpheat.kernel import theta_deriv_values, theta_values
+from lpheat.quadrature import composite_gk15
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -177,6 +179,63 @@ def test_semigroup_half_half_hits_unit_time():
     # theta_{1/2} * theta_{1/2} compared against theta_1 directly
     val = lh.semigroup_residual(0.5, 0.5, np.asarray([0.0, 0.3, 2.0]))
     assert val < 1e-12
+
+
+def _semigroup_loop(t, s, xs, cfg):
+    """The per-point adaptive residual: one integrate per point."""
+    width = cfg.kernel_width(t * s / (t + s))
+    worst = 0.0
+    for x in xs:
+        centre = x * s / (t + s)
+        integrand = lambda y: theta_values(x - y, t) * theta_values(y, s)
+        val, _ = lh.integrate(integrand, centre - width, centre + width, cfg)
+        worst = max(worst, abs(val - float(theta_values(x, t + s))))
+    return worst
+
+
+@pytest.mark.parametrize("t, s", [(1.0, 1.0), (0.5, 0.5), (2.0, 3.0), (1e-3, 1e-3)])
+def test_batched_semigroup_matches_per_point_integrate(t, s):
+    xs = np.linspace(-10.0, 10.0, 81)
+    cfg = lh.QuadratureConfig()
+    assert abs(lh.semigroup_residual(t, s, xs, cfg) - _semigroup_loop(t, s, xs, cfg)) <= 1e-15
+
+
+def test_semigroup_over_several_blocks():
+    # 500 points take three batched calls; each point's value is its own row's
+    xs = np.linspace(-12.0, 12.0, 500)
+    whole = lh.semigroup_residual(0.5, 2.0, xs)
+    split = max(lh.semigroup_residual(0.5, 2.0, xs[:123]), lh.semigroup_residual(0.5, 2.0, xs[123:]))
+    assert whole == pytest.approx(split, rel=0.0, abs=1e-16)
+    assert whole < 1e-14
+
+
+def test_semigroup_tight_tolerance_falls_back_to_integrate(monkeypatch):
+    # no 20-panel K15 row meets rel_tol 1e-18, so every point is redone adaptively
+    calls = []
+    real = kernel.integrate
+    monkeypatch.setattr(kernel, "integrate", lambda *a, **k: calls.append(a[1:3]) or real(*a, **k))
+    xs = np.linspace(-10.0, 10.0, 81)
+    cfg = lh.QuadratureConfig(abs_tol=1e-30, rel_tol=1e-18, max_subdivisions=64)
+    resid = lh.semigroup_residual(1.0, 1.0, xs, cfg)
+    assert len(calls) == xs.size
+    assert resid < 1e-12
+    monkeypatch.undo()
+    assert resid == _semigroup_loop(1.0, 1.0, xs, cfg)
+
+
+def test_composite_rows_match_single_row_calls():
+    t, s = 2.0, 3.0
+    xs = np.linspace(-10.0, 10.0, 81)
+    width = lh.QuadratureConfig().kernel_width(t * s / (t + s))
+    edges = xs[:, None] * s / (t + s) + np.linspace(-width, width, 21)
+    x_nodes = np.repeat(xs, 20 * 15)
+    values, errors = composite_gk15(lambda y: theta_values(x_nodes - y, t) * theta_values(y, s), edges)
+    assert values.shape == errors.shape == xs.shape
+    for x, row, value, err in zip(xs, edges, values, errors):
+        one, one_err = composite_gk15(lambda y: theta_values(x - y, t) * theta_values(y, s), row)
+        assert value == pytest.approx(one, rel=1e-15, abs=0.0)
+        # the K15-G7 differences cancel, so compare them on the value's scale
+        assert abs(err - one_err) <= 1e-15 * abs(one)
 
 
 def test_semigroup_domain_errors():

@@ -260,3 +260,11 @@ def test_json_round_trip():
         lh.primitive_from_json({"type": "indicator", "a": 0.0})
     with pytest.raises(DomainError):
         lh.primitive_from_json([1, 2, 3])
+
+
+def test_json_numbers_are_numbers():
+    # JSON integers are numbers; booleans and numeric strings are not
+    assert lh.primitive_from_json({"type": "indicator", "a": 0, "b": 1}) == Indicator(0.0, 1.0)
+    for a, b in ((False, True), ("0", "1"), (0, None)):
+        with pytest.raises(DomainError):
+            lh.primitive_from_json({"type": "indicator", "a": a, "b": b})
