@@ -130,7 +130,7 @@ def semigroup_residual(
     centres = xs * s / (t + s)
     offsets = np.linspace(-width, width, _SEMIGROUP_PANELS + 1)
     row_nodes = 15 * _SEMIGROUP_PANELS  # K15 nodes per row
-    step = max(1, _BLOCK_ENTRIES // row_nodes)
+    step = max(1, _BLOCK_ENTRIES // row_nodes)  # one composite_gk15 block, so each node meets its own x
 
     def convolution_at(x):
         return lambda y: theta_values(x - y, t) * theta_values(y, s)

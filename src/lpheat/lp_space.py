@@ -40,7 +40,7 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     _integrate,
-    _seed_batched,
+    _panels,
     composite_gk15,
     geometric_edges,
     integrate,
@@ -523,7 +523,8 @@ class Sampled(PrimitiveFunction):
             # ramp = root_t (exp(-w^2) / sqrt(pi) - w erfc(w)): both terms from
             # the same w, and exp(-w^2) to a few ulp, since they cancel in the tail
             ramp = root_t * (_exp_neg_square(w) / _SQRT_PI - w * erfc_w)
-            return 0.5 * side[rows] * (y[0] * erfc_w[:, 0] - y[-1] * erfc_w[:, -1]) + ramp @ kinks
+            # a row-wise sum, not ramp @ kinks: gemv rounds a row by its place in the call
+            return 0.5 * side[rows] * (y[0] * erfc_w[:, 0] - y[-1] * erfc_w[:, -1]) + (ramp * kinks).sum(axis=1)
 
         return _in_blocks(block, xs.size, nodes.size)
 
@@ -649,7 +650,7 @@ def _window_lp_norm(
     def integrand(x):
         return np.abs(fn_vec(x) / s) ** p
 
-    val, _ = _integrate(integrand, lo, hi, cfg, points, _seed_batched)
+    val, _ = _integrate(integrand, lo, hi, cfg, points, _panels)
     return s * val ** (1.0 / p)
 
 

@@ -12,16 +12,22 @@ the same shape.  Known discontinuities or kinks should be passed as
 ``points`` so the initial partition starts on them; the subdivision
 loop then never has to hunt for a jump.
 
-``integrate`` calls the integrand once per panel.  The norm integrals
-(``lp_space._window_lp_norm``) hand it every node of the seed partition
-in one call instead, then bisect exactly as ``integrate`` does; each
-seed panel is reduced with the same 1-D dot products as a single panel,
-so the value matches ``integrate``'s bit for bit for integrands that
-are evaluated node by node.  ``composite_gk15`` also takes a 2-D
-``edges``, one row of panel edges per integral, and returns a value and
-a K15-G7 error per row from one integrand call; callers redo the rows
-whose error is over tolerance with ``integrate``.  Batched temporaries
-stay within ``_BLOCK_ENTRIES`` entries.
+The bisection loop is serial: pop the panel with the largest error, replace it by its halves, stop when the summed error
+meets the tolerance.  Only the evaluation is batched.  When the loop
+needs halves it has not got, one integrand call evaluates the halves of
+the popped panel and of every other panel it must still split before it
+can stop (its own error is above the stopping threshold and it is not
+at the width floor); later splits read them back.  Every panel is reduced with ``_gk15``'s own 1-D dot
+products, so values, errors, the panels split and the
+``QuadratureAccuracyError`` raised are those of a loop that calls
+``_gk15`` twice per split, bit for bit, for integrands evaluated node
+by node; only the number of integrand calls falls.  ``integrate``
+evaluates its seed partition one panel per call; the norm integrals
+(``lp_space._window_lp_norm``) hand it all to one call.
+``composite_gk15`` also takes a 2-D ``edges``, one row of panel edges
+per integral, and returns a value and a K15-G7 error per row; callers
+redo the rows whose error is over tolerance with ``integrate``.
+Integrands are called on at most ``_BLOCK_ENTRIES`` nodes at a time.
 """
 
 from __future__ import annotations
@@ -129,20 +135,20 @@ def integrate(
     return _integrate(f, a, b, cfg, points, _seed_each)
 
 
-def _seed_each(f: Callable, edges: list[float]) -> list[tuple[float, float]]:
-    """``_gk15`` on each seed panel, one call of ``f`` per panel."""
-    return [_gk15(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+def _seed_each(f: Callable, lo: list[float], hi: list[float]) -> list[tuple[float, float]]:
+    """``_gk15`` on each seed panel ``[lo[k], hi[k]]``, one call of ``f`` per panel."""
+    return [_gk15(f, a, b) for a, b in zip(lo, hi)]
 
 
-def _seed_batched(f: Callable, edges: list[float]) -> list[tuple[float, float]]:
-    """``_gk15`` on every seed panel from one call of ``f`` per block of at
-    most ``_BLOCK_ENTRIES`` nodes.  Each panel is reduced with ``_gk15``'s
-    own 1-D dot products (a 2-D product goes through gemv, which rounds
-    differently), so every ``(value, error)`` equals ``_gk15``'s bit for
-    bit whenever ``f``'s value at a node does not depend on the other
+def _panels(f: Callable, lo: Sequence[float], hi: Sequence[float]) -> list[tuple[float, float]]:
+    """``_gk15`` on every panel ``[lo[k], hi[k]]`` from one call of ``f`` per
+    block of at most ``_BLOCK_ENTRIES`` nodes.  Each panel is reduced with
+    ``_gk15``'s own 1-D dot products (a 2-D product goes through gemv, which
+    rounds differently), so every ``(value, error)`` equals ``_gk15``'s bit
+    for bit whenever ``f``'s value at a node does not depend on the other
     nodes of the call."""
-    lo = np.asarray(edges[:-1])
-    hi = np.asarray(edges[1:])
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     step = _BLOCK_ENTRIES // _NODES.size
@@ -163,10 +169,21 @@ def _integrate(
     b: float,
     cfg: QuadratureConfig,
     points: Iterable[float],
-    seed: Callable[[Callable, list[float]], list[tuple[float, float]]],
+    seed: Callable[[Callable, list[float], list[float]], list[tuple[float, float]]],
 ) -> tuple[float, float]:
-    """``integrate`` with the seed panels evaluated by ``seed(f, edges)``;
-    the bisection that follows calls ``_gk15`` on one panel at a time."""
+    """``integrate`` with the seed panels evaluated by ``seed(f, lo, hi)``.
+
+    The bisection is serial: it pops the panel with the largest error and
+    replaces it by its halves until the summed error meets the tolerance.
+    The halves are read from ``halves``; on a miss, one ``_panels`` call
+    evaluates the halves of the popped panel and of every heap panel that
+    the loop must still split before it can stop (error above the current
+    stopping threshold, width not below the floor).  Every value is
+    ``_gk15``'s, so the result does not depend on what was evaluated ahead
+    (an integrand that raises can raise on a panel the loop would have
+    stopped before splitting, when the budget runs out or ``|total|``
+    grows).
+    """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise DomainError("integration bounds must be finite")
     if a == b:
@@ -186,7 +203,7 @@ def _integrate(
     total_err = 0.0
     heap: list[tuple[float, int, float, float, float, float]] = []
     tie = 0
-    for lo, hi, (val, err) in zip(edges[:-1], edges[1:], seed(f, edges)):
+    for lo, hi, (val, err) in zip(edges[:-1], edges[1:], seed(f, edges[:-1], edges[1:])):
         total += val
         total_err += err
         heapq.heappush(heap, (-err, tie, lo, hi, val, err))
@@ -194,6 +211,7 @@ def _integrate(
 
     splits = 0
     width_floor = 64 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
+    halves: dict[int, tuple[tuple[float, float], tuple[float, float]]] = {}
     while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
         if splits >= cfg.max_subdivisions:
             # a residual at the rounding level of the panel values (the
@@ -205,14 +223,27 @@ def _integrate(
                 value=sign * total,
                 residual=total_err,
             )
-        neg_err, _, lo, hi, val, err = heapq.heappop(heap)
+        neg_err, key, lo, hi, val, err = heapq.heappop(heap)
         if hi - lo < width_floor:
             # interval is at floating-point resolution; accept its value
             total_err -= err
             continue
         mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
+        if key not in halves:
+            limit = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+            due = [(key, lo, hi)] + [
+                item[1:4]
+                for item in heap
+                if item[5] > limit and item[3] - item[2] >= width_floor and item[1] not in halves
+            ]
+            los, his = [], []
+            for _, l, h in due:
+                m = 0.5 * (l + h)
+                los += (l, m)
+                his += (m, h)
+            flat = _panels(f, los, his)
+            halves.update((k, (flat[2 * i], flat[2 * i + 1])) for i, (k, _, _) in enumerate(due))
+        (v1, e1), (v2, e2) = halves.pop(key)
         total += (v1 + v2) - val
         total_err += (e1 + e2) - err
         heapq.heappush(heap, (-e1, tie, lo, mid, v1, e1))
@@ -228,11 +259,13 @@ def composite_gk15(f: Callable, edges: Sequence) -> tuple:
 
     Intended for integrands whose smooth pieces are known in advance
     (one oscillation period per panel, say); all panel nodes are
-    evaluated in a single vectorized call.  ``edges`` of one row give
-    ``(value, error)`` as floats.  A 2-D ``edges`` holds one row of panel
-    edges per integral (all rows with the same panel count) and gives
-    per-row ``(values, errors)`` arrays; ``f`` receives every row's nodes
-    flattened, row-major, and the error is the summed K15-G7 difference.
+    evaluated in vectorized calls of at most ``_BLOCK_ENTRIES`` nodes.
+    ``edges`` of one row give ``(value, error)`` as floats.  A 2-D
+    ``edges`` holds one row of panel edges per integral (all rows with the
+    same panel count) and gives per-row ``(values, errors)`` arrays; ``f``
+    receives every row's nodes flattened, row-major (a block at a time),
+    and the error is the summed K15-G7 difference.  The node values are
+    reduced together, as one array, so blocking does not move a bit.
     """
     e = np.asarray(edges, dtype=float)
     if e.ndim not in (1, 2) or e.shape[-1] < 2:
@@ -242,8 +275,12 @@ def composite_gk15(f: Callable, edges: Sequence) -> tuple:
     hi = rows[:, 1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    nodes = mid[..., None] + half[..., None] * _NODES
-    y = np.asarray(f(nodes.ravel()), dtype=float).reshape(-1, _NODES.size)
+    h, m = half.ravel(), mid.ravel()
+    y = np.empty((h.size, _NODES.size))
+    step = _BLOCK_ENTRIES // _NODES.size
+    for i in range(0, h.size, step):
+        nodes = m[i : i + step, None] + h[i : i + step, None] * _NODES
+        y[i : i + step] = np.asarray(f(nodes.ravel()), dtype=float).reshape(-1, _NODES.size)
     kron = half * (y @ _WK).reshape(half.shape)
     gauss = half * (y[:, _G7_IDX] @ _WG).reshape(half.shape)
     values, errors = kron.sum(axis=1), np.abs(kron - gauss).sum(axis=1)

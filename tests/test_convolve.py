@@ -257,6 +257,19 @@ def test_grid_convolution_semigroup_on_samples():
     assert err < 5e-4
 
 
+@pytest.mark.parametrize("n_nodes", [2, 5, 41])
+def test_sampled_flow_independent_of_batch(n_nodes):
+    # a point's flow is the same alone and at every position of a batch
+    rng = np.random.default_rng(n_nodes)
+    F = lh.sample(rng.normal(size=n_nodes), -2.0, 4.0 / (n_nodes - 1))
+    xs = rng.uniform(-6.0, 6.0, 23)
+    for t in (0.01, 0.3, 2.0):
+        alone = [F.heat_flow(t, np.array([x]))[0] for x in xs]
+        for shift in range(xs.size):
+            batch = np.roll(xs, shift)
+            assert F.heat_flow(t, batch).tolist() == np.roll(alone, shift).tolist()
+
+
 def test_grid_convolution_derivative_order():
     xs = np.arange(-12.0, 12.0 + 1e-9, 0.02)
     F = lh.sample(theta_values(xs, 1.0), -12.0, 0.02)

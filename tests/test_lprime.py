@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,22 @@ def test_step_approximation_resource_cap():
     with pytest.raises(ApproximationError) as exc:
         lh.step_approximation(f, 1e-9, max_bins=64)
     assert exc.value.best_error > 1e-9
+
+
+def test_step_approximation_memory_at_the_bin_cap():
+    # 65,536 bins: composite_gk15 evaluates the integrand in blocks of at
+    # most 65,536 nodes, so the traced peak is the stored node values
+    # (15 per panel) and not a block of temporaries per node
+    f = LprimeElement(lh.TruncatedSine(1.0), 2.0)
+    tracemalloc.start()
+    try:
+        res = lh.step_approximation(f, 0.03)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.bins == 65536
+    assert res.achieved_error == 0.020321279468955143  # the value before blocking
+    assert peak < 20e6
 
 
 def test_step_approximation_tail_log():

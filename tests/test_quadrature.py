@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -8,12 +9,13 @@ from scipy import integrate as sci
 
 import lpheat as lh
 from lpheat import DomainError, QuadratureAccuracyError, QuadratureConfig
+from lpheat import convolve
 from lpheat.convolve import convolve_values
 from lpheat.lp_space import _window_lp_norm
 from lpheat.quadrature import (
     _BLOCK_ENTRIES,
     _gk15,
-    _seed_batched,
+    _panels,
     composite_gk15,
     geometric_edges,
     integrate,
@@ -110,7 +112,7 @@ def test_batched_seed_panels_equal_gk15(name):
     f = _SEED_INTEGRANDS[name]
     rng = np.random.default_rng(7)
     edges = sorted(rng.uniform(-3.0, 3.0, 40).tolist())
-    batched = _seed_batched(f, edges)
+    batched = _panels(f, edges[:-1], edges[1:])
     assert batched == [_gk15(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
@@ -118,7 +120,7 @@ def test_batched_seed_panels_span_several_blocks():
     f = _SEED_INTEGRANDS["gaussian"]
     edges = np.linspace(-4.0, 4.0, 2 * _BLOCK_ENTRIES // 15 + 3).tolist()
     calls = []
-    batched = _seed_batched(lambda x: calls.append(x.size) or f(x), edges)
+    batched = _panels(lambda x: calls.append(x.size) or f(x), edges[:-1], edges[1:])
     assert len(calls) == 3 and max(calls) <= _BLOCK_ENTRIES
     assert batched == [_gk15(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
@@ -143,15 +145,140 @@ def test_window_norm_equals_integrate_bit_for_bit(name, points, p, scale):
 
 
 def test_window_norm_of_sampled_flow_within_rounding():
-    # Sampled.heat_flow sums over nodes with a matrix-vector product whose
-    # rounding depends on a row's place in the call, so a batched seed can
-    # move its last bits; the norm stays within rounding of integrate's
+    # Sampled.heat_flow reduces each point's row on its own, so a point's
+    # flow does not depend on the nodes batched with it: the batched norm
+    # is integrate's bit for bit
     F = lh.sample(np.cos(np.linspace(-2, 2, 41)), -2.0, 0.1)
     for t, p in ((0.05, 2.0), (0.2, 1.5), (1.0, 3.0)):
         f = lambda x: convolve_values(F, 0, t, x)
         got = _window_lp_norm(f, -4.0, 4.0, p, _NORM_CFG, lambda: 1.0, F.breakpoints())
         val, _ = integrate(lambda x: np.abs(f(x)) ** p, -4.0, 4.0, _NORM_CFG, F.breakpoints())
-        assert got == pytest.approx(val ** (1.0 / p), rel=1e-14, abs=0.0)
+        assert got == val ** (1.0 / p)
+
+
+def _reference_integrate(f, a, b, cfg=lh.DEFAULT_CONFIG, points=()):
+    """The serial bisection with no evaluation ahead: one ``_gk15`` call per
+    seed panel and two per split.  ``integrate`` must replay it exactly."""
+    if a == b:
+        return 0.0, 0.0
+    sign = 1.0
+    if a > b:
+        a, b = b, a
+        sign = -1.0
+    edges = [a] + [p for p in sorted(set(float(p) for p in points)) if a < p < b] + [b]
+    total = total_err = 0.0
+    heap = []
+    tie = 0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        val, err = _gk15(f, lo, hi)
+        total += val
+        total_err += err
+        heapq.heappush(heap, (-err, tie, lo, hi, val, err))
+        tie += 1
+    splits = 0
+    width_floor = 64 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
+    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        if splits >= cfg.max_subdivisions:
+            if total_err <= 64 * np.finfo(float).eps * sum(abs(item[4]) for item in heap):
+                break
+            raise QuadratureAccuracyError("budget", value=sign * total, residual=total_err)
+        _, _, lo, hi, val, err = heapq.heappop(heap)
+        if hi - lo < width_floor:
+            total_err -= err
+            continue
+        mid = 0.5 * (lo + hi)
+        v1, e1 = _gk15(f, lo, mid)
+        v2, e2 = _gk15(f, mid, hi)
+        total += (v1 + v2) - val
+        total_err += (e1 + e2) - err
+        heapq.heappush(heap, (-e1, tie, lo, mid, v1, e1))
+        tie += 1
+        heapq.heappush(heap, (-e2, tie, mid, hi, v2, e2))
+        tie += 1
+        splits += 1
+    return sign * total, total_err
+
+
+def _outcome(run):
+    """repr of ``(value, error)``, or of the budget error's value and
+    residual, so equal outcomes are equal to the bit (and to the sign of 0)."""
+    try:
+        return repr(run())
+    except QuadratureAccuracyError as exc:
+        return repr(("budget", exc.value, exc.residual))
+
+
+def _replay_integrand(kind, c, width):
+    if kind == "kink":
+        return lambda x: np.abs(np.asarray(x) - c) ** 1.5
+    if kind == "jump":  # never passed as a point, so bisection runs into the width floor
+        return lambda x: np.where(np.asarray(x) > c, 1.0, -0.5)
+    if kind == "narrow gaussian":
+        return lambda x: np.exp(-(((np.asarray(x) - c) / width) ** 2))
+    return lambda x: np.sin(np.asarray(x) / width)  # oscillation, to exhaust small budgets
+
+
+_REPLAY_CASES = dict(
+    kind=st.sampled_from(["kink", "jump", "narrow gaussian", "oscillation"]),
+    c=st.floats(-2.0, 2.0),
+    width=st.floats(1e-3, 1.0),
+    a=st.floats(-3.0, 3.0),
+    b=st.floats(-3.0, 3.0),
+    points=st.lists(st.floats(-3.5, 3.5), max_size=6),
+    tol=st.sampled_from([1e-6, 1e-10, 1e-14]),
+    budget=st.sampled_from([2, 8, 40, 512]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_REPLAY_CASES)
+def test_integrate_replays_serial_bisection(kind, c, width, a, b, points, tol, budget):
+    f = _replay_integrand(kind, c, width)
+    cfg = QuadratureConfig(abs_tol=tol, rel_tol=tol, max_subdivisions=budget)
+    got = _outcome(lambda: integrate(f, a, b, cfg, points))
+    assert got == _outcome(lambda: _reference_integrate(f, a, b, cfg, points))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([1.0, 2.0]) | st.floats(1.0, 5.0), scale=st.floats(0.5, 4.0), **_REPLAY_CASES)
+def test_window_norm_replays_serial_bisection(kind, c, width, a, b, points, tol, budget, p, scale):
+    f = _replay_integrand(kind, c, width)
+    cfg = QuadratureConfig(abs_tol=tol, rel_tol=tol, max_subdivisions=budget)
+    lo, hi = min(a, b), max(a, b)
+    got = _outcome(lambda: _window_lp_norm(f, lo, hi, p, cfg, lambda: scale, points))
+
+    def reference():
+        val, _ = _reference_integrate(lambda x: np.abs(f(x) / scale) ** p, lo, hi, cfg, points)
+        return scale * val ** (1.0 / p)
+
+    assert got == _outcome(reference)
+
+
+_SLOW_TAIL_POINTS = [
+    (lh.TailLog(1.5), 1, 0.01, 5.0),
+    (lh.TailLog(3.0), 0, 0.01, 5.0),
+    (lh.TruncatedSine(2.0), 1, 2.0, 10.0),
+]
+
+
+@pytest.mark.parametrize("F, n, t, x", _SLOW_TAIL_POINTS, ids=lambda v: str(v))
+def test_convolve_point_splits_in_fewer_calls(monkeypatch, F, n, t, x):
+    # the halves a point's bisection must split are evaluated ahead in one
+    # call per round: at most half the serial loop's calls on the same nodes
+    def run(integrator):
+        calls = []
+        kernel = convolve.theta_deriv_values
+        monkeypatch.setattr(convolve, "integrate", integrator)
+        monkeypatch.setattr(convolve, "theta_deriv_values", lambda u, t, n: calls.append(np.size(u)) or kernel(u, t, n))
+        value = convolve.convolve_point(F, n, t, x)
+        monkeypatch.undo()
+        return value, len(calls), sum(calls)
+
+    value, calls, nodes = run(integrate)
+    ref_value, ref_calls, ref_nodes = run(_reference_integrate)
+    assert value == ref_value
+    assert nodes == ref_nodes
+    assert 2 * calls <= ref_calls
 
 
 def test_config_validation():
