@@ -14,6 +14,14 @@ error (an unexpected exception; its traceback goes to stderr).  Reals
 are serialized with 17 significant digits so CSV output round-trips
 exactly; infinite exponents print as "inf".
 
+The argument parser is built once per process, on first use, and each
+subcommand runs through the module's current ``cmd_*`` function, looked
+up by name on every call.  Numeric tables (``evolve``, ``example-dirac``,
+``constants``) are written a row at a time, one ``format(v, ".17g")`` per
+float: the bytes ``csv.writer`` writes for those tokens, which never need
+quoting.  ``verify`` rows keep ``csv.writer``, since their ``params`` cell
+is JSON.
+
 Examples:
 
     lpheat constants --p 2 --q 1
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -54,10 +63,7 @@ def fmt(x) -> str:
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    return format(float(x), ".17g")  # "inf" and "-inf" for the infinities
 
 
 def _write_text(text: str, out: str | None):
@@ -71,13 +77,21 @@ def _write_text(text: str, out: str | None):
         raise DomainError(f"cannot write output file: {exc}") from None
 
 
-def _rows_to_csv(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+def _write_json(doc, out: str | None):
+    _write_text(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n", out)
+
+
+def _csv_table(header: list[str], rows) -> str:
+    """CSV of rows of floats, with "" for an empty cell, a row at a time."""
+    lines = [",".join(header)]
     for row in rows:
-        writer.writerow([fmt(v) for v in row])
-    return buf.getvalue()
+        lines.append(",".join([v if isinstance(v, str) else format(v, ".17g") for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+def _solution_csv(xs: np.ndarray, ts: list[float], columns: list[np.ndarray]) -> str:
+    header = ["x"] + [f"v_t={fmt(t)}" for t in ts]
+    return _csv_table(header, np.column_stack([xs, *columns]).tolist())
 
 
 def _parse_float_token(tok: str) -> float:
@@ -89,13 +103,16 @@ def _parse_float_token(tok: str) -> float:
         raise DomainError(f"not a number: {tok!r}") from None
 
 
-def _parse_list(raw: str) -> list[float]:
-    return [_parse_float_token(tok) for tok in raw.split(",") if tok.strip()]
+def _parse_list(raw: str, what: str) -> list[float]:
+    values = [_parse_float_token(tok) for tok in raw.split(",") if tok.strip()]
+    if not values:
+        raise DomainError(f"{what} list is empty")
+    return values
 
 
 def _parse_times(raw: str) -> list[float]:
-    ts = _parse_list(raw)
-    if not ts or not all(t > 0 and math.isfinite(t) for t in ts):
+    ts = _parse_list(raw, "t")
+    if not all(t > 0 and math.isfinite(t) for t in ts):
         raise DomainError("t list must contain positive finite times")
     return ts
 
@@ -146,14 +163,13 @@ def _constants_rows(
 
 
 def cmd_constants(args) -> int:
-    ps = _parse_list(args.p)
-    qs = _parse_list(args.q)
+    ps = _parse_list(args.p, "p")
+    qs = _parse_list(args.q, "q")
     header, rows = _constants_rows(ps, qs)
     if args.format == "json":
-        doc = [dict(zip(header, row)) for row in rows]
-        _write_text(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n", args.out)
+        _write_json([dict(zip(header, row)) for row in rows], args.out)
     else:
-        _write_text(_rows_to_csv(header, rows), args.out)
+        _write_text(_csv_table(header, rows), args.out)
     return 0
 
 
@@ -171,47 +187,34 @@ def _load_element(path: str):
 def cmd_evolve(args) -> int:
     f = _load_element(args.data)
     ts = _parse_times(args.t)
-    a, b, n = _parse_grid(args.grid)
-    xs = np.linspace(a, b, n)
+    xs = np.linspace(*_parse_grid(args.grid))
     cfg = _config_from_args(args)
     columns = [solve_values(f, t, xs, cfg) for t in ts]
-    header = ["x"] + [f"v_t={fmt(t)}" for t in ts]
-    rows = [[xs[i]] + [col[i] for col in columns] for i in range(n)]
     if args.format == "json":
-        doc = {"x": list(xs), "t": ts, "values": [list(c) for c in columns]}
-        _write_text(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n", args.out)
+        _write_json({"x": xs, "t": ts, "values": columns}, args.out)
     else:
-        _write_text(_rows_to_csv(header, rows), args.out)
+        _write_text(_solution_csv(xs, ts, columns), args.out)
     return 0
 
 
-_REPORT_HEADER = ["name", "measured", "bound", "ratio", "passed", "tolerance", "params"]
-
-
-def _report_rows(reports) -> list[list]:
-    rows = []
+def _report_csv(reports) -> str:
+    """verify rows through csv.writer, which quotes the JSON ``params`` cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["name", "measured", "bound", "ratio", "passed", "tolerance", "params"])
     for rep in reports:
-        rows.append(
-            [
-                rep.name,
-                rep.measured,
-                rep.bound,
-                rep.ratio,
-                rep.passed,
-                rep.tolerance,
-                json.dumps(_jsonable(rep.params), sort_keys=True),
-            ]
-        )
-    return rows
+        params = json.dumps(_jsonable(rep.params), sort_keys=True)
+        cells = (rep.name, rep.measured, rep.bound, rep.ratio, rep.passed, rep.tolerance, params)
+        writer.writerow([fmt(v) for v in cells])
+    return buf.getvalue()
 
 
 def cmd_verify(args) -> int:
     reports = run_suite(args.suite, DEFAULT_CONFIG, args.tol)
     if args.format == "json":
-        doc = [rep.as_dict() for rep in reports]
-        _write_text(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n", args.out)
+        _write_json([rep.as_dict() for rep in reports], args.out)
     else:
-        _write_text(_rows_to_csv(_REPORT_HEADER, _report_rows(reports)), args.out)
+        _write_text(_report_csv(reports), args.out)
     failures = [rep for rep in reports if not rep.passed]
     for rep in failures:
         sys.stderr.write(f"FAIL {rep.name} measured={fmt(rep.measured)} bound={fmt(rep.bound)}\n")
@@ -222,27 +225,17 @@ def cmd_example_dirac(args) -> int:
     if args.a <= 0:
         raise DomainError("offset a must be positive")
     ts = _parse_times(args.t)
-    a_lo, b_hi, n = _parse_grid(args.grid)
-    xs = np.linspace(a_lo, b_hi, n)
+    xs = np.linspace(*_parse_grid(args.grid))
     cfg = _config_from_args(args)
     f = dirac_difference(-args.a, args.a, p=2.0)
     columns = [solve_values(f, t, xs, cfg) for t in ts]
     bounds = variation_lower_bound(args.a, ts, cfg)
     if args.format == "json":
-        doc = {
-            "a": args.a,
-            "t": ts,
-            "x": list(xs),
-            "values": [list(c) for c in columns],
-            "variation_lower_bound": bounds,
-        }
-        _write_text(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n", args.out)
+        doc = {"a": args.a, "t": ts, "x": xs, "values": columns, "variation_lower_bound": bounds}
+        _write_json(doc, args.out)
     else:
-        header = ["x"] + [f"v_t={fmt(t)}" for t in ts]
-        rows = [[xs[i]] + [col[i] for col in columns] for i in range(n)]
-        text = _rows_to_csv(header, rows)
-        vtext = _rows_to_csv(["t", "variation_lower_bound"], [[t, v] for t, v in zip(ts, bounds)])
-        _write_text(text + vtext, args.out)
+        vtext = _csv_table(["t", "variation_lower_bound"], zip(ts, bounds))
+        _write_text(_solution_csv(xs, ts, columns) + vtext, args.out)
     return 0
 
 
@@ -254,12 +247,16 @@ def cmd_report(args) -> int:
         "reports": [rep.as_dict() for rep in reports],
         "all_passed": all(rep.passed for rep in reports),
     }
-    _write_text(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n", args.out)
+    _write_json(doc, args.out)
     return 0 if doc["all_passed"] else 1
 
 
 def _jsonable(obj):
-    """Floats to round-trip tokens JSON accepts; inf to the string 'inf'."""
+    """Floats to round-trip tokens JSON accepts, inf to the string 'inf',
+    arrays to lists."""
+    if isinstance(obj, np.ndarray):
+        # one tolist() call; the per-element walk only where an inf needs its token
+        return [_jsonable(v) for v in obj.tolist()] if np.isinf(obj).any() else obj.tolist()
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -310,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--q", required=True, help="comma-separated exponents in [1, inf]")
     pc.add_argument("--out", default=None)
     pc.add_argument("--format", choices=("csv", "json"), default="csv")
-    pc.set_defaults(func=cmd_constants)
 
     pe = sub.add_parser("evolve", help="evaluate the solution on a grid")
     pe.add_argument("--data", required=True, help="JSON element descriptor file")
@@ -319,14 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--tol", type=tolerance, default=None, help="quadrature absolute tolerance")
     pe.add_argument("--out", default=None)
     pe.add_argument("--format", choices=("csv", "json"), default="csv")
-    pe.set_defaults(func=cmd_evolve)
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", default="all", help=f"all, {', '.join(SUITES)}")
     pv.add_argument("--tol", type=tolerance, default=None, help="override every check's acceptance threshold")
     pv.add_argument("--out", default=None)
     pv.add_argument("--format", choices=("csv", "json"), default="csv")
-    pv.set_defaults(func=cmd_verify)
 
     pd = sub.add_parser("example-dirac", help="dirac-difference solution and variation bound")
     pd.add_argument("--a", type=float, default=1.0)
@@ -335,25 +329,29 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--tol", type=tolerance, default=None)
     pd.add_argument("--out", default=None)
     pd.add_argument("--format", choices=("csv", "json"), default="csv")
-    pd.set_defaults(func=cmd_example_dirac)
 
     pr = sub.add_parser("report", help="full verification document (JSON)")
     pr.add_argument("--tol", type=tolerance, default=None, help="override every check's acceptance threshold")
     pr.add_argument("--out", default=None)
-    pr.set_defaults(func=cmd_report)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses code 2 for usage errors already
         return int(exc.code or 0)
+    # the current binding, so a function replaced after the parser was built runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except QuadratureAccuracyError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3

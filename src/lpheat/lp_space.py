@@ -250,6 +250,10 @@ class GaussianPower(PrimitiveFunction):
             raise DomainError("gaussian power requires t > 0")
         if not (self.beta > 0 and math.isfinite(self.beta)):
             raise DomainError("gaussian power requires beta > 0")
+        try:
+            self.prefactor()
+        except OverflowError:
+            raise DomainError("gaussian power prefactor overflows a float") from None
 
     def prefactor(self) -> float:
         return (2.0 * math.sqrt(math.pi * self.t)) ** (-self.beta)
@@ -455,6 +459,10 @@ class Sampled(PrimitiveFunction):
         if not all(math.isfinite(v) for v in samples):
             raise DomainError("grid values must be finite")
         object.__setattr__(self, "samples", samples)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(self.kinks()).all()
+        if not finite:  # an infinite slope or change of slope would flow to inf - inf
+            raise DomainError("grid slopes and their changes must be finite")
 
     @property
     def x1(self) -> float:
@@ -462,6 +470,10 @@ class Sampled(PrimitiveFunction):
 
     def nodes(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(len(self.samples))
+
+    def kinks(self) -> np.ndarray:
+        """Change of slope at each node, the end slopes against zero."""
+        return np.diff(np.diff(self.samples) / self.dx, prepend=0.0, append=0.0)
 
     def values(self, x):
         x = np.asarray(x, dtype=float)
@@ -513,7 +525,7 @@ class Sampled(PrimitiveFunction):
         sum to F's zero extension, so the right tail does not cancel."""
         nodes = self.nodes()
         y = np.asarray(self.samples)
-        kinks = np.diff(np.diff(y) / self.dx, prepend=0.0, append=0.0)
+        kinks = self.kinks()
         side = np.where(xs <= 0.5 * (self.x0 + self.x1), 1.0, -1.0)
         root_t = math.sqrt(t)
 
@@ -550,8 +562,15 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 def _erfc(z) -> np.ndarray:
-    """Elementwise ``math.erfc`` (numpy has no erf)."""
-    return _ERFC(z).astype(float)
+    """Elementwise ``math.erfc`` (numpy has no erf).  At z <= -6 and z >= 28
+    the correctly rounded erfc is exactly 2.0 or 0.0 and is filled in without
+    the call; NaN and everything between go through ``math.erfc``."""
+    z = np.asarray(z, dtype=float)
+    low = z <= -6.0
+    out = np.where(low, 2.0, 0.0)
+    mid = ~(low | (z >= 28.0))
+    out[mid] = _ERFC(z[mid]).astype(float)
+    return out
 
 
 def _exp_neg_square(w: np.ndarray) -> np.ndarray:

@@ -394,3 +394,228 @@ def test_every_subcommand_runs_end_to_end(tmp_path, capsys, argv):
         assert rows and all(len(row) == len(header) for row in rows)
     if argv[0] == "verify":
         assert all(row[4] == "true" for row in rows)
+
+
+# -- output bytes against the per-cell formatting path -----------------------
+#
+# The reference below is the per-cell path the CLI used before it wrote its
+# numeric tables a row at a time: every cell through ``_ref_fmt`` and
+# ``csv.writer``, every JSON document through ``_ref_jsonable`` and
+# ``json.dumps(indent=2, sort_keys=True)``.  The CLI must write the same bytes.
+
+
+def _ref_fmt(x):
+    if isinstance(x, str):
+        return x
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    x = float(x)
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return format(x, ".17g")
+
+
+def _ref_csv(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_ref_fmt(v) for v in row])
+    return buf.getvalue()
+
+
+def _ref_jsonable(obj):
+    if isinstance(obj, dict):
+        return {k: _ref_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_ref_jsonable(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (str, int)):
+        return obj
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return x
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
+
+
+def _ref_json(doc):
+    return json.dumps(_ref_jsonable(doc), indent=2, sort_keys=True) + "\n"
+
+
+def _ref_solution_csv(xs, ts, columns):
+    header = ["x"] + [f"v_t={_ref_fmt(t)}" for t in ts]
+    return _ref_csv(header, [[xs[i]] + [col[i] for col in columns] for i in range(len(xs))])
+
+
+_PRIMITIVES = {
+    "indicator": {"type": "indicator", "a": -1.0, "b": 0.5},
+    "step_combo": {"type": "step_combo", "steps": [[1.0, -1.0, 0.5], [-0.3, 0.2, 2.0]]},
+    "gaussian_power": {"type": "gaussian_power", "t": 0.3, "beta": 1.7},
+    "samples": {"type": "samples", "x0": -1.0, "dx": 0.25, "values": [0.0, 0.3, 1.0, -0.5, 0.2, 0.0, 0.7]},
+    "tail_log": {"type": "tail_log", "p": 2.0},
+    "truncated_sine": {"type": "truncated_sine", "p": 2.0},
+}
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+@pytest.mark.parametrize("kind", sorted(_PRIMITIVES))
+def test_evolve_bytes_match_reference(tmp_path, capsys, kind, out_format):
+    from lpheat import DEFAULT_CONFIG, element_from_json, solve_values
+
+    doc = {"primitive": _PRIMITIVES[kind], "p": 3.0}
+    data = _write_element(tmp_path, doc)
+    ts = [0.01, 0.5, 3.0]
+    xs = np.linspace(-3.0, 8.0, 23)
+    code, out, _ = run_cli(
+        capsys, "evolve", "--data", data, "--t", "0.01,0.5,3", "--grid=-3:8:23", "--format", out_format
+    )
+    assert code == 0
+    f = element_from_json(doc)
+    columns = [solve_values(f, t, xs, DEFAULT_CONFIG) for t in ts]
+    if out_format == "json":
+        assert out == _ref_json({"x": list(xs), "t": ts, "values": [list(c) for c in columns]})
+    else:
+        assert out == _ref_solution_csv(xs, ts, columns)
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_example_dirac_bytes_match_reference(capsys, out_format):
+    from lpheat import DEFAULT_CONFIG, dirac_difference, solve_values
+    from lpheat.estimates import variation_lower_bound
+
+    code, out, _ = run_cli(capsys, "example-dirac", "--a", "0.5", "--t", "2,0.01", "--format", out_format)
+    assert code == 0
+    ts, xs = [2.0, 0.01], np.linspace(-5.0, 5.0, 101)
+    f = dirac_difference(-0.5, 0.5, p=2.0)
+    columns = [solve_values(f, t, xs, DEFAULT_CONFIG) for t in ts]
+    bounds = variation_lower_bound(0.5, ts, DEFAULT_CONFIG)
+    if out_format == "json":
+        doc = {"a": 0.5, "t": ts, "x": list(xs), "values": [list(c) for c in columns]}
+        assert out == _ref_json({**doc, "variation_lower_bound": bounds})
+    else:
+        vtext = _ref_csv(["t", "variation_lower_bound"], [[t, v] for t, v in zip(ts, bounds)])
+        assert out == _ref_solution_csv(xs, ts, columns) + vtext
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_constants_bytes_match_reference(capsys, out_format):
+    from lpheat.cli import _constants_rows
+
+    # p = inf has r = inf and leaves the M cell empty
+    code, out, _ = run_cli(capsys, "constants", "--p", "1,1.5,inf", "--q", "1", "--format", out_format)
+    assert code == 0
+    header, rows = _constants_rows([1.0, 1.5, math.inf], [1.0])
+    assert "" in [row[header.index("M")] for row in rows]
+    assert math.inf in [v for row in rows for v in row]
+    if out_format == "json":
+        assert out == _ref_json([dict(zip(header, row)) for row in rows])
+    else:
+        assert out == _ref_csv(header, rows)
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_verify_bytes_match_reference(capsys, out_format):
+    from lpheat import DEFAULT_CONFIG
+    from lpheat.estimates import run_suite
+
+    code, out, _ = run_cli(capsys, "verify", "--suite", "variation", "--format", out_format)
+    assert code == 0
+    reports = run_suite("variation", DEFAULT_CONFIG, None)
+    if out_format == "json":
+        assert out == _ref_json([rep.as_dict() for rep in reports])
+    else:
+        header = ["name", "measured", "bound", "ratio", "passed", "tolerance", "params"]
+        rows = [
+            [r.name, r.measured, r.bound, r.ratio, r.passed, r.tolerance]
+            + [json.dumps(_ref_jsonable(r.params), sort_keys=True)]
+            for r in reports
+        ]
+        assert all('"' in row[-1] for row in rows)  # cells csv.writer must quote
+        assert out == _ref_csv(header, rows)
+
+
+def test_table_writers_on_extreme_floats():
+    from lpheat.cli import _csv_table, _jsonable
+
+    extremes = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf,
+                math.nan, 0.1, 1e16, 1e17, 123456789.0]
+    a = np.array(extremes)
+    columns = [a, a[::-1].copy(), np.roll(a, 3)]
+    rows = [[c[i] for c in columns] for i in range(a.size)]
+    header = ["x", "v_t=1", "v_t=2"]
+    assert _csv_table(header, np.column_stack(columns).tolist()) == _ref_csv(header, rows)
+    assert _csv_table(header, [["", 1.0, math.inf]]) == _ref_csv(header, [["", 1.0, math.inf]])
+    finite = a[np.isfinite(a)]
+    for col in (a, finite, a.reshape(1, -1)):
+        expected = json.dumps(_ref_jsonable({"v": [col.tolist()]}), indent=2)
+        assert json.dumps(_jsonable({"v": [col]}), indent=2) == expected
+
+
+# -- the parser is built once per process -------------------------------------
+
+
+def test_cached_parser_reused_safely(tmp_path, capsys, monkeypatch):
+    import lpheat.cli as cli_mod
+
+    data = _write_element(tmp_path, {"primitive": {"type": "indicator", "a": -1.0, "b": 1.0}, "p": 2.0})
+    commands = [
+        ["constants", "--p", "1.25,2", "--q", "1,1.5"],
+        ["evolve", "--t", "1", "--grid", "0:1:many", "--data", data],
+        ["evolve", "--t", "0.5,1", "--grid=-3:3:13", "--data", data],
+        ["verify", "--suite", "variation"],
+        ["constants", "--bogus"],
+    ]
+    alone = []
+    for argv in commands:
+        cli_mod._parser.cache_clear()
+        alone.append(run_cli(capsys, *argv))
+    cli_mod._parser.cache_clear()
+    parser = cli_mod._parser()
+    in_sequence = [run_cli(capsys, *argv) for argv in commands]
+    assert in_sequence == alone
+    assert [r[0] for r in alone] == [0, 2, 0, 0, 2]
+    assert cli_mod._parser() is parser
+
+    # dispatch goes through the module's current binding, not the one the parser saw
+    seen = []
+    monkeypatch.setattr(cli_mod, "cmd_evolve", lambda args: seen.append(args.grid) or 7)
+    assert run_cli(capsys, *commands[2])[0] == 7
+    assert seen == ["-3:3:13"]
+    assert cli_mod._parser() is parser
+
+
+# -- input errors -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, q", [("", "2"), (",", "2"), ("2", ""), ("2", " , ")])
+def test_constants_empty_exponent_list_exits_2(capsys, p, q):
+    # used to print the header alone with exit 0
+    code, out, err = run_cli(capsys, "constants", "--p", p, "--q", q)
+    assert code == 2
+    assert out == ""
+    assert "list is empty" in err
+
+
+@pytest.mark.parametrize(
+    "primitive, message",
+    [
+        ({"type": "gaussian_power", "t": 1e-300, "beta": 5}, "prefactor overflows"),
+        ({"type": "samples", "x0": 0, "dx": 1e-320, "values": [1, 2]}, "slopes"),
+        ({"type": "samples", "x0": 0, "dx": 1.0, "values": [1.5e308, -1.5e308, 1.5e308]}, "slopes"),
+    ],
+    ids=["gaussian-prefactor", "samples-slope", "samples-kink"],
+)
+def test_overflowing_descriptor_exits_2(tmp_path, capsys, primitive, message):
+    # the Gaussian power exited 4 (OverflowError), the sampled data wrote inf columns with exit 0
+    data = _write_element(tmp_path, {"primitive": primitive, "p": 2.0})
+    code, out, err = run_cli(capsys, "evolve", "--data", data, "--t", "1", "--grid=-1:1:5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err

@@ -48,6 +48,33 @@ def test_variant_validation():
         lh.sample([1.0], 0.0, 1.0)
     with pytest.raises(DomainError, match="values must be finite"):
         lh.sample([1.0, math.nan], 0.0, 1.0)
+    with pytest.raises(DomainError, match="prefactor overflows"):
+        GaussianPower(1e-300, 5.0)
+    with pytest.raises(DomainError, match="slopes"):
+        lh.sample([1.0, 2.0], 0.0, 1e-320)
+    with pytest.raises(DomainError, match="slopes"):
+        lh.sample([1.5e308, -1.5e308, 1.5e308], 0.0, 1.0)
+
+
+def test_erfc_fills_exact_tails_bitwise():
+    from lpheat.lp_space import _erfc
+
+    # the correctly rounded erfc is exactly 2 at z <= -6 and exactly 0 at z >= 28
+    assert math.erfc(-6.0) == 2.0 and math.erfc(28.0) == 0.0
+    edges = [np.nextafter(c, d) for c in (-6.0, 28.0) for d in (-np.inf, np.inf)]
+    z = np.concatenate(
+        [
+            np.linspace(-40.0, 40.0, 20001),
+            np.linspace(-6.5, -5.5, 1001),
+            np.linspace(27.0, 28.5, 1001),
+            [-6.0, 28.0, -0.0, 5e-324, np.inf, -np.inf, np.nan],
+            edges,
+        ]
+    )
+    expected = np.array([math.erfc(v) for v in z])
+    got = _erfc(z.reshape(-1, 1))
+    assert got.shape == (z.size, 1) and got.dtype == np.float64
+    assert np.array_equal(got.ravel().view(np.int64), expected.view(np.int64))
 
 
 def test_indicator_norms():
