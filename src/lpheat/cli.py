@@ -10,17 +10,24 @@ Subcommands:
 
 Exit codes: 0 success / all checks passed, 1 verification failures,
 2 usage or input errors, 3 numerical (quadrature) failure, 4 internal
-error (an unexpected exception; its traceback goes to stderr).  Reals
+error (an unexpected exception; its traceback goes to stderr).  Each
+command runs with numpy's overflow warnings off: far out on an extreme
+grid x^2 / 4t overflows, and exp(-inf) gives the right 0.  Reals
 are serialized with 17 significant digits so CSV output round-trips
 exactly; infinite exponents print as "inf".
 
 The argument parser is built once per process, on first use, and each
 subcommand runs through the module's current ``cmd_*`` function, looked
-up by name on every call.  Numeric tables (``evolve``, ``example-dirac``,
-``constants``) are written a row at a time, one ``format(v, ".17g")`` per
-float: the bytes ``csv.writer`` writes for those tokens, which never need
-quoting.  ``verify`` rows keep ``csv.writer``, since their ``params`` cell
-is JSON.
+up by name on every call.  The solution tables of ``evolve`` and
+``example-dirac`` are formatted whole, in one ``%`` with a
+"%.17g,...\n" row format; the other numeric tables (``constants``, the
+variation bound) a row at a time, one ``format(v, ".17g")`` per float.
+Both give the bytes ``csv.writer`` writes for those tokens, which never
+need quoting.  ``verify`` rows keep ``csv.writer``, since their
+``params`` cell is JSON.  JSON documents are laid out by ``_json_text``
+in the bytes of ``json.dumps(indent=2, sort_keys=True)``, with each list
+of floats handed whole to the C encoder (with an indent, ``json.dumps``
+runs its pure-Python encoder).
 
 Examples:
 
@@ -78,7 +85,29 @@ def _write_text(text: str, out: str | None):
 
 
 def _write_json(doc, out: str | None):
-    _write_text(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n", out)
+    _write_text(_json_text(_jsonable(doc)) + "\n", out)
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for a ``_jsonable``
+    document, each line after the first prefixed with ``indent``.
+
+    A list of floats goes to the C encoder in one ``json.dumps`` call,
+    whose ", " separators become line breaks (a float token holds no ", ").
+    A dict with string keys or a list is laid out here when it directly
+    holds a list, so that the float lists below it reach the C encoder;
+    any other value goes to ``json.dumps`` whole, in one call."""
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, list) and obj and all(type(v) is float for v in obj):
+        return "[\n" + inner + json.dumps(obj)[1:-1].replace(", ", sep) + "\n" + indent + "]"
+    str_keys = isinstance(obj, dict) and all(isinstance(k, str) for k in obj)
+    if str_keys and any(isinstance(v, list) for v in obj.values()):
+        items = [json.dumps(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]
+        return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
+    if isinstance(obj, list) and any(isinstance(v, list) for v in obj):
+        return "[\n" + inner + sep.join([_json_text(v, inner) for v in obj]) + "\n" + indent + "]"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
 def _csv_table(header: list[str], rows) -> str:
@@ -90,8 +119,12 @@ def _csv_table(header: list[str], rows) -> str:
 
 
 def _solution_csv(xs: np.ndarray, ts: list[float], columns: list[np.ndarray]) -> str:
-    header = ["x"] + [f"v_t={fmt(t)}" for t in ts]
-    return _csv_table(header, np.column_stack([xs, *columns]).tolist())
+    """The x column and one column per time, the whole table in one ``%``
+    with a "%.17g,...\n" row format (the same token as ``format(v, ".17g")``)."""
+    header = ",".join(["x"] + [f"v_t={fmt(t)}" for t in ts]) + "\n"
+    table = np.column_stack([xs, *columns])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return header + (row * table.shape[0]) % tuple(table.ravel().tolist())
 
 
 def _parse_float_token(tok: str) -> float:
@@ -351,7 +384,10 @@ def main(argv: list[str] | None = None) -> int:
     # the current binding, so a function replaced after the parser was built runs
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
+        # far out on an extreme grid x^2 / 4t overflows and exp(-inf) gives the
+        # right 0; one errstate here, since per kernel call it costs 2.3 us
+        with np.errstate(over="ignore"):
+            return command(args)
     except QuadratureAccuracyError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3

@@ -6,14 +6,13 @@ with the effective support of F.  The neglected remainder, at most
 sup|F| times the kernel tail mass beyond ``tail_width_sigmas`` standard
 deviations, is not computed.
 
-``convolve_values`` is the one per-point path.  At n = 0 it returns
-the variant's closed-form heat flow ``F.heat_flow`` (indicators, step
-combinations, Gaussian powers, sampled data); for step F and n >= 1 it
-sums F's jumps times shifted theta^(n-1); otherwise it loops
-``convolve_point``, which stays the oracle for every closed form.  So
-the norms of F * theta_t behind ||v_t||'_r are one adaptive quadrature
-over closed-form values, not quadrature inside quadrature, except for
-the slow-tail profiles.
+``convolve_values`` is the one per-point path, one dispatch: the
+variant's closed form ``F.heat_flow(t, xs, order=n)`` where it has one
+(every order for indicators, step combinations and Gaussian powers,
+n = 0 for sampled data), else a loop of ``convolve_point``, which stays
+the oracle for every closed form.  So the norms of F * theta_t behind
+||v_t||'_r are one adaptive quadrature over closed-form values, not
+quadrature inside quadrature, except for the slow-tail profiles.
 """
 
 from __future__ import annotations
@@ -74,23 +73,16 @@ def convolve_values(
     xs,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
-    """(F * theta_t^(n))(x) at each of ``xs``, n = psi_order: for n = 0
-    ``F.heat_flow`` where the variant has a closed form, for step F and
-    n >= 1 the closed form F' * theta^(n-1), else ``convolve_point``."""
+    """(F * theta_t^(n))(x) at each of ``xs``, n = psi_order: the
+    variant's closed form ``F.heat_flow`` where it has one at order n,
+    else ``convolve_point`` per point."""
     _validate_conv_args(t, psi_order)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not np.all(np.isfinite(xs)):
         raise DomainError("evaluation point must be finite")
-    if psi_order == 0:
-        flow = F.heat_flow(t, xs)
-        if flow is not None:
-            return flow
-    jumps = F.jumps()
-    if psi_order >= 1 and jumps is not None:
-        out = np.zeros_like(xs)
-        for loc, w in sorted(jumps.items()):
-            out += w * theta_deriv_values(xs - loc, t, int(psi_order) - 1)
-        return out
+    flow = F.heat_flow(t, xs, int(psi_order))
+    if flow is not None:
+        return flow
     return np.array([convolve_point(F, psi_order, t, x, cfg) for x in xs])
 
 

@@ -1,9 +1,9 @@
 """The solution map v_t = f * theta_t for derivative-of-L^p initial data.
 
 Pointwise values come from the kernel-derivative convolution of the
-primitive, v_t(x) = (F * theta_t')(x), which for step primitives is the
-closed form sum_i w_i theta_t(x - a_i) over the jumps (see
-``convolve_values``).  Norms of v_t in the derivative space are computed
+primitive, v_t(x) = (F * theta_t')(x), which is a closed form for step
+primitives (sum_i w_i theta_t(x - a_i) over the jumps) and Gaussian
+powers (c theta_{s+t}'), see ``PrimitiveFunction.heat_flow``.  Norms of v_t in the derivative space are computed
 as L^r norms of F * theta_t, since that convolution is the primitive of
 v_t; for compact data and Gaussian powers F * theta_t is a closed form
 (``PrimitiveFunction.heat_flow``), so those norms, the contraction and

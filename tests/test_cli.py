@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpheat.cli import main
 
@@ -556,6 +560,105 @@ def test_table_writers_on_extreme_floats():
     for col in (a, finite, a.reshape(1, -1)):
         expected = json.dumps(_ref_jsonable({"v": [col.tolist()]}), indent=2)
         assert json.dumps(_jsonable({"v": [col]}), indent=2) == expected
+
+
+_EXTREME_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 0.1, 1e16, 1e17]
+_floats = st.one_of(st.sampled_from(_EXTREME_FLOATS), st.floats())
+_float_arrays = st.lists(_floats, max_size=12).map(lambda v: np.array(v, dtype=float))
+_json_leaves = st.one_of(
+    _floats,
+    st.integers(min_value=-(10 ** 30), max_value=10 ** 30),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=12),  # quotes, backslashes, control and non-ASCII characters need escaping
+    st.sampled_from(["", "inf", "a, b", '"', "\\", "\n", "\u00e9", "\U0001f600", "\x7f"]),
+    st.lists(_floats, max_size=12),  # the float lists the writer hands to the C encoder
+    _float_arrays,
+)
+_json_documents = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    ),
+    max_leaves=20,
+)
+
+
+def _arrays_as_lists(obj):
+    # the reference predates ndarray input: it takes lists of numpy scalars
+    if isinstance(obj, np.ndarray):
+        return list(obj)
+    if isinstance(obj, dict):
+        return {k: _arrays_as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_arrays_as_lists(v) for v in obj)
+    return obj
+
+
+@given(doc=_json_documents)
+@settings(max_examples=100, deadline=None)
+def test_json_writer_matches_reference(doc):
+    from lpheat.cli import _write_json
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _write_json(doc, None)
+    assert buf.getvalue() == _ref_json(_arrays_as_lists(doc))
+
+
+@given(n=st.integers(0, 20), ts=st.lists(st.floats(min_value=5e-324), min_size=1, max_size=4), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_solution_csv_matches_reference(n, ts, data):
+    from lpheat.cli import _solution_csv
+
+    cells = st.lists(_floats, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=float))
+    xs = data.draw(cells)
+    columns = [data.draw(cells) for _ in ts]
+    assert _solution_csv(xs, ts, columns) == _ref_solution_csv(xs, ts, columns)
+
+
+# -- extreme but valid input: no numpy warning reaches stderr -----------------
+
+
+def _run_without_warnings(capsys, *argv):
+    # a numpy RuntimeWarning raised as an error would exit 4 with a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(capsys, *argv)
+
+
+def test_evolve_on_extreme_grid_writes_no_warning(tmp_path, capsys):
+    data = _write_element(tmp_path, {"primitive": {"type": "indicator", "a": -1.0, "b": 0.5}, "p": 2.0})
+    code, out, err = _run_without_warnings(capsys, "evolve", "--data", data, "--t", "1e-300,1e300",
+                                           "--grid=-1e300:1e300:11")
+    assert (code, err) == (0, "")
+    xs = np.linspace(-1e300, 1e300, 11)
+    assert out == _ref_solution_csv(xs, [1e-300, 1e300], [np.zeros(11), np.zeros(11)])
+
+
+def test_example_dirac_at_extreme_offset_writes_no_warning(capsys):
+    from lpheat import DEFAULT_CONFIG
+    from lpheat.estimates import variation_lower_bound
+
+    code, out, err = _run_without_warnings(capsys, "example-dirac", "--a", "1e300", "--t", "1", "--grid=-1:1:3")
+    assert (code, err) == (0, "")
+    vtext = _ref_csv(["t", "variation_lower_bound"], [[1.0, variation_lower_bound(1e300, [1.0], DEFAULT_CONFIG)[0]]])
+    assert out == _ref_solution_csv(np.linspace(-1.0, 1.0, 3), [1.0], [np.zeros(3)]) + vtext
+
+
+@pytest.mark.parametrize("t0, beta", [(0.3, 1.7), (1e-9, 1.0)])
+def test_gaussian_evolve_on_extreme_grid_writes_no_warning(tmp_path, capsys, t0, beta):
+    # at t0 = 1e-9 and t = 1e-300, x / 2(s + t) overflows at x = 1e300: the
+    # flow there is 0, not inf * 0 = nan
+    data = _write_element(tmp_path, {"primitive": {"type": "gaussian_power", "t": t0, "beta": beta}, "p": 2.0})
+    code, out, err = _run_without_warnings(capsys, "evolve", "--data", data, "--t", "1e-300,1,1e300",
+                                           "--grid=-1e300:1e300:5")
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert [float(v) for row in rows for v in row[1:]] == [0.0] * 15
 
 
 # -- the parser is built once per process -------------------------------------

@@ -19,7 +19,13 @@ from lpheat import (
     UnsupportedOrderError,
 )
 from lpheat.convolve import convolve_values
-from lpheat.kernel import theta_deriv_norm_closed, theta_deriv_values, theta_norm_closed, theta_values
+from lpheat.kernel import (
+    MAX_DERIV_ORDER,
+    theta_deriv_norm_closed,
+    theta_deriv_values,
+    theta_norm_closed,
+    theta_values,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -177,6 +183,71 @@ def test_smooth_closed_form_matches_quadrature(F, t, fractions):
     got = convolve_values(F, 0, t, xs)
     want = _oracle_values(F, 0, t, xs, scale)
     assert np.max(np.abs(got - want)) <= 1e-10 * max(scale, 1e-300)
+
+
+@st.composite
+def gaussian_order_time(draw):
+    """(GaussianPower, n, t) with n in 1..MAX_DERIV_ORDER and t in [2^-20, 1e2].
+
+    The oracle integrates F theta_t^(n), whose peaks exceed the result by
+    about ((s + t) / t)^((n + 1) / 2) with s = t0 / beta, and cancel; s / t
+    is kept where that factor is at most 1e4, so the oracle keeps its digits."""
+    n = draw(st.integers(1, MAX_DERIV_ORDER))
+    t = 2.0 ** draw(st.floats(-20.0, math.log2(1e2)))
+    s = t * 2.0 ** draw(st.floats(-6.0, math.log2(1e4 ** (2.0 / (n + 1)) - 1.0)))
+    beta = 2.0 ** draw(st.floats(-3.0, 3.0))
+    return GaussianPower(s * beta, beta), n, t
+
+
+@given(Fnt=gaussian_order_time(), fractions=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_gaussian_closed_form_matches_quadrature_at_every_order(Fnt, fractions):
+    # F * theta_t^(n) = c theta_{s+t}^(n) out to 30 standard deviations
+    # sqrt(2 (s + t)) of the flow; convolve_point is the oracle, and the bound
+    # is relative to the column's sup, scanned on the closed form
+    F, n, t = Fnt
+    sd = math.sqrt(2.0 * (F.t / F.beta + t))
+    xs = 30.0 * sd * np.array(fractions)
+    sup = float(np.max(np.abs(F.heat_flow(t, np.linspace(-12.0, 12.0, 4001) * sd, n))))
+    got = convolve_values(F, n, t, xs)
+    want = _oracle_values(F, n, t, xs, sup)
+    assert np.max(np.abs(got - want)) <= 1e-11 * sup
+
+
+def test_gaussian_forms_far_out_are_zero():
+    # x * x overflows past 1e154 and exp(-inf) gives the right 0; at
+    # t0 = 1e-9, t = 1e-300 x / 2(s + t) overflows too, and the flow must
+    # still be 0 there, not inf * 0 = nan
+    xs = np.array([-1e300, -1e160, 0.0, 1e160, 1e300])
+    far = [0, 1, 3, 4]
+    with np.errstate(over="ignore", invalid="raise"):
+        for F in (GaussianPower(0.3, 1.7), GaussianPower(1e-9, 1.0)):
+            assert F.values(xs)[far].tolist() == [0.0] * 4
+            for t in (1e-300, 1.0, 1e300):
+                for n in range(MAX_DERIV_ORDER + 1):
+                    assert np.all(F.heat_flow(t, xs, n)[far] == 0.0)
+
+
+def _per_jump_loop(F, n, t, xs):
+    # the jump sum as convolve_values computed it before the closed forms
+    # moved to heat_flow: one kernel call per jump, in jump order
+    out = np.zeros_like(xs)
+    for loc, w in sorted(F.jumps().items()):
+        out += w * theta_deriv_values(xs - loc, t, n - 1)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_step_jump_sum_matches_per_jump_loop_bitwise(n):
+    rng = np.random.default_rng(n)
+    combos = [Indicator(-1.0, 0.5), StepCombo(((1.0, -1.0, 0.5), (-0.3, 0.2, 2.0), (2.5, 0.2, 0.7)))]
+    combos += [StepCombo(tuple((rng.normal(), a, a + rng.uniform(0.1, 2.0)) for a in rng.uniform(-3, 3, 8)))]
+    # 8,193 and 40,000 points span several blocks of the (jump, point) array,
+    # the first with one point in its last block for the indicator
+    for xs in (np.linspace(-6.0, 6.0, 151), rng.uniform(-8.0, 8.0, 8_193), rng.uniform(-8.0, 8.0, 40_000)):
+        for F in combos:
+            for t in (2.0 ** -20, 0.01, 0.7, 1e2):
+                assert convolve_values(F, n, t, xs).tolist() == _per_jump_loop(F, n, t, xs).tolist()
 
 
 def _bump():
