@@ -34,7 +34,6 @@ from .heat_solver import (
     default_time_sweep,
     gaussian_test_function,
     ic_convergence,
-    norm_limit_check,
     pde_residual,
     plateau_test_function,
     solution_primitive_norm,

@@ -13,18 +13,24 @@ n = 0 for sampled data), else a loop of ``convolve_point``, which stays
 the oracle for every closed form.  So the norms of F * theta_t behind
 ||v_t||'_r are one adaptive quadrature over closed-form values, not
 quadrature inside quadrature, except for the slow-tail profiles.
+
+``Heated(F, t, n, cfg)`` is that flow as a catalog function, so every
+norm of a heat flow, or of a flow minus its data, is one
+``combo_lp_norm``: ``convolution_lp_norm`` is that norm over ``Heated``
+terms.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .exceptions import DomainError, UnsupportedOrderError
 from .kernel import MAX_DERIV_ORDER, theta_deriv_values
-from .lp_space import PrimitiveFunction, _moderate_window, _window_lp_norm
+from .lp_space import PrimitiveFunction, combo_lp_norm
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 
 
@@ -86,6 +92,34 @@ def convolve_values(
     return np.array([convolve_point(F, psi_order, t, x, cfg) for x in xs])
 
 
+@dataclass(frozen=True)
+class Heated(PrimitiveFunction):
+    """The heat flow F * theta_t^(n) as a catalog function for norms: its
+    values are ``convolve_values``, its window is F's support widened by
+    the kernel width, and F's support edges seed quadrature partitions.
+    It has no sup_bound: ``combo_lp_norm`` scans the combination."""
+
+    F: PrimitiveFunction
+    t: float
+    n: int
+    cfg: QuadratureConfig
+    kind = "heated"
+
+    def values(self, x):
+        return convolve_values(self.F, self.n, self.t, x, self.cfg)
+
+    def breakpoints(self):
+        return self.F.effective_support(self.cfg)
+
+    def effective_support(self, cfg):
+        lo, hi = self.F.effective_support(cfg)
+        width = cfg.kernel_width(self.t)
+        return lo - width, hi + width
+
+    def source(self):
+        return self.F
+
+
 def convolve_smooth_derivative_check(
     F: PrimitiveFunction,
     t: float,
@@ -117,32 +151,9 @@ def convolution_lp_norm(
     r: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> float:
-    """L^r norm over the line of x -> sum_i c_i (F_i * theta_t^(n))(x).
-
-    Works on finite certified windows; supported for terms whose
-    effective supports are of moderate size (compact variants, Gaussian
-    powers, sampled data).
+    """L^r norm over the line of x -> sum_i c_i (F_i * theta_t^(n))(x):
+    ``combo_lp_norm`` over ``Heated`` terms, so supported for data of
+    moderate support (compact variants, Gaussian powers, sampled data).
     """
     _validate_conv_args(t, psi_order)
-    r = float(r)
-    if math.isnan(r) or r < 1.0:
-        raise DomainError(f"norm exponent must lie in [1, inf], got {r}")
-    if not terms:
-        return 0.0
-    prims = [F for _, F in terms]
-    lo, hi = _moderate_window(prims, cfg.kernel_width(t), cfg, "full-line convolution norms")
-
-    def combo(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        out = np.zeros_like(xs)
-        for c, F in terms:
-            out += c * convolve_values(F, psi_order, t, xs, cfg)
-        return out
-
-    # for finite r, normalize by a scanned peak and seed the partition with
-    # the scan nodes so narrow features inside a wide window are never missed
-    scan = np.linspace(lo, hi, 33)
-    seeds = [e for F in prims for e in F.effective_support(cfg)] + list(scan[1:-1])
-    return _window_lp_norm(
-        combo, lo, hi, r, cfg, lambda: float(np.max(np.abs(combo(scan)))), seeds, scan_nodes=1025
-    )
+    return combo_lp_norm([(c, Heated(F, t, psi_order, cfg)) for c, F in terms], r, cfg)

@@ -25,11 +25,10 @@ from .exceptions import DomainError, SearchFailureError
 from .kernel import (
     semigroup_residual,
     theta_deriv_norm_closed,
-    theta_deriv_values,
     theta_norm_closed,
     theta_values,
 )
-from .lp_space import GaussianPower, Indicator, TailLog, _golden_max, _scan_refine_max, _window_lp_norm, lp_norm
+from .lp_space import GaussianPower, Indicator, TailLog, _golden_max, combo_lp_norm, lp_norm
 from .lprime import LprimeElement, dirac_difference, from_primitive, lprime_norm
 from .heat_solver import solve_at, solve_values
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, geometric_edges, integrate
@@ -363,7 +362,8 @@ def _kernel_norm_reports(cfg: QuadratureConfig, tol: float | None = None) -> lis
     for q in _NORM_EXPONENTS:
         for t in _NORM_TIMES:
             closed = theta_norm_closed(q, t)
-            measured = lp_norm(GaussianPower(t, 1.0), q, cfg)
+            # quadrature on purpose: lp_norm of a Gaussian power is the closed form
+            measured = combo_lp_norm([(1.0, GaussianPower(t, 1.0))], q, cfg)
             reports.append(
                 make_report(
                     "kernel_norm_closed_vs_quadrature",
@@ -374,7 +374,8 @@ def _kernel_norm_reports(cfg: QuadratureConfig, tol: float | None = None) -> lis
                 )
             )
             closed_d = theta_deriv_norm_closed(q, t)
-            measured_d = _kernel_deriv_norm_quadrature(q, t, cfg)
+            # theta_{t/2} * theta_{t/2}' = theta_t'
+            measured_d = convolution_lp_norm([(1.0, GaussianPower(t / 2.0, 1.0))], 1, t / 2.0, q, cfg)
             reports.append(
                 make_report(
                     "kernel_deriv_norm_closed_vs_quadrature",
@@ -396,19 +397,6 @@ def _kernel_norm_reports(cfg: QuadratureConfig, tol: float | None = None) -> lis
             )
         )
     return reports
-
-
-def _kernel_deriv_norm_quadrature(q: float, t: float, cfg: QuadratureConfig) -> float:
-    width = cfg.kernel_width(t)
-
-    def deriv(xs):
-        return theta_deriv_values(xs, t, 1)
-
-    if math.isinf(q):
-        # theta' is odd, so |theta'| is scanned on one side
-        return _scan_refine_max(deriv, 0.0, width, 4001)
-    peak = abs(float(theta_deriv_values(math.sqrt(2.0 * t), t, 1)))  # at x = sqrt(2t)
-    return _window_lp_norm(deriv, -width, width, q, cfg, lambda: peak)
 
 
 _YOUNG_LATTICE = (1.25, 1.5, 2.0, 3.0)

@@ -3,11 +3,13 @@
 Pointwise values come from the kernel-derivative convolution of the
 primitive, v_t(x) = (F * theta_t')(x), which is a closed form for step
 primitives (sum_i w_i theta_t(x - a_i) over the jumps) and Gaussian
-powers (c theta_{s+t}'), see ``PrimitiveFunction.heat_flow``.  Norms of v_t in the derivative space are computed
-as L^r norms of F * theta_t, since that convolution is the primitive of
-v_t; for compact data and Gaussian powers F * theta_t is a closed form
-(``PrimitiveFunction.heat_flow``), so those norms, the contraction and
-the initial-data convergence cost one adaptive quadrature each.
+powers (c theta_{s+t}'), see ``PrimitiveFunction.heat_flow``.  Norms of
+v_t in the derivative space are L^r norms of its primitive F * theta_t,
+and the initial-data convergence is the L^p norm of F * theta_t - F:
+both are ``combo_lp_norm`` over ``convolve.Heated`` terms, the one norm
+path, scaled by the combination's own scanned peak.  For compact data
+and Gaussian powers F * theta_t is a closed form, so each of these norms
+costs one adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constants import ExponentTriple, K_const, _inv
-from .convolve import convolve_values, convolution_lp_norm
+from .convolve import Heated, convolve_values, convolution_lp_norm
 from .exceptions import DomainError
-from .lp_space import _moderate_window, _window_lp_norm, combo_lp_norm
+from .lp_space import combo_lp_norm
 from .lprime import LprimeElement
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 from .report import EstimateReport, make_report
@@ -89,41 +91,18 @@ def pde_residual(
     return v_xx - v_t
 
 
-def _difference_norm(
-    f: LprimeElement, t: float, p: float, cfg: QuadratureConfig
-) -> float:
-    """||F * theta_t - F||_p on a certified window."""
-    F = f.primitive
-    lo, hi = _moderate_window([F], cfg.kernel_width(t), cfg, "convergence norms")
-
-    def difference(xs):
-        return convolve_values(F, 0, t, xs, cfg) - F.values(xs)
-
-    return _window_lp_norm(difference, lo, hi, p, cfg, lambda: 1.0, F.breakpoints())
-
-
 def ic_convergence(
     f: LprimeElement,
     t_sequence: Sequence[float],
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> list[float]:
-    """||v_t - f||'_p along the given times, via the primitive identity."""
+    """||v_t - f||'_p along the given times, via the primitive identity:
+    the L^p norm of F * theta_t - F."""
     for t in t_sequence:
         if t <= 0:
             raise DomainError("all times must be positive")
-    return [_difference_norm(f, t, f.p, cfg) for t in t_sequence]
-
-
-def norm_limit_check(
-    f: LprimeElement,
-    t_sequence: Sequence[float],
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> list[float]:
-    """||v_t||'_p along the given times; approaches ||f||'_p from below."""
-    for t in t_sequence:
-        if t <= 0:
-            raise DomainError("all times must be positive")
-    return [solution_primitive_norm(f, t, f.p, cfg) for t in t_sequence]
+    F = f.primitive
+    return [combo_lp_norm([(1.0, Heated(F, t, 0, cfg)), (-1.0, F)], f.p, cfg) for t in t_sequence]
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,12 @@ for which it belongs to L^p:
 The log-squared damping makes TailLog(p0) integrable at the exponent p0
 itself, while the sine profile just misses it; both diverge below.
 
-Norms are adaptive-quadrature integrals of |F|^p except for Sampled
-data (the interpolant's exact norm, one closed form per panel) and the
-two tail profiles, which get substitution and period-panel treatments
-documented on their ``finite_lp_norm`` methods.
+Norms are adaptive-quadrature integrals of |F|^p except for Gaussian
+powers (a closed form), Sampled data (the interpolant's exact norm, one
+closed form per panel) and the two tail profiles, which get
+substitution and period-panel treatments documented on their
+``finite_lp_norm`` methods.  ``combo_lp_norm`` is the one norm of a
+linear combination, heat flows (``convolve.Heated``) included.
 
 The compact variants and Gaussian powers also give their heat flow
 F * theta_t^(n) in closed form (``heat_flow(t, xs, order=n)``).  At
@@ -69,6 +71,10 @@ class PrimitiveFunction:
         """Finite window outside which |F| is negligible for cfg's budget."""
         raise NotImplementedError
 
+    def source(self) -> PrimitiveFunction:
+        """The data this function is built from: itself, or a heat flow's data."""
+        return self
+
     def jumps(self) -> dict[float, float] | None:
         """Signed jump at each breakpoint for step-type variants, else None."""
         return None
@@ -94,7 +100,7 @@ class PrimitiveFunction:
         sup so the tolerances act relatively even when |F|^p is tiny.
         """
         lo, hi = self.effective_support(cfg)
-        return _window_lp_norm(self.values, lo, hi, p, cfg, self.sup_bound, self.breakpoints())
+        return _window_lp_norm(self.values, lo, hi, p, cfg, self.sup_bound(), self.breakpoints())
 
     def truncation_window(self, p: float, eps: float, cfg: QuadratureConfig) -> tuple[float, float]:
         """Window whose exterior p-mass is below eps^p."""
@@ -279,6 +285,11 @@ class GaussianPower(PrimitiveFunction):
 
     def sup_bound(self):
         return self.prefactor()
+
+    def finite_lp_norm(self, p, cfg):
+        """A (4 pi t0 / (beta p))^(1 / 2p) with A = prefactor(): the integral
+        of A^p exp(-p beta x^2 / 4 t0) is A^p sqrt(4 pi t0 / (beta p))."""
+        return self.prefactor() * (4.0 * math.pi * self.t / (self.beta * p)) ** (0.5 / p)
 
     def heat_flow(self, t, xs, order=0):
         # F = A exp(-x^2 / 4 s) with s = t0 / beta is c theta_s, c = A 2 sqrt(pi s),
@@ -639,10 +650,13 @@ def _jumps_heat_flow(jumps: dict[float, float], t: float, xs: np.ndarray, order:
     the per-jump loop's bit for bit."""
     locs = sorted(jumps)
     shifts = np.asarray(locs, dtype=float)[:, None]
+    # past 1e3 sqrt(t) the kernel factor underflows to 0; the clip keeps x / 2t
+    # finite there, so the recurrence gives those zeros, not inf * 0
+    edge = 1e3 * math.sqrt(t)
 
     def block(rows):
         x = xs[rows]
-        kernel = theta_deriv_values(x - shifts, t, order - 1)
+        kernel = theta_deriv_values(np.clip(x - shifts, -edge, edge), t, order - 1)
         out = np.zeros(x.shape)
         for j, loc in enumerate(locs):
             out += jumps[loc] * kernel[j]
@@ -693,36 +707,20 @@ def _scan_refine_max(fn_vec, lo: float, hi: float, n: int = 2001) -> float:
     return max(float(vals[i]), refined)
 
 
-def _window_lp_norm(
-    fn_vec, lo: float, hi: float, p: float, cfg: QuadratureConfig, scale, points=(), scan_nodes=4001
-) -> float:
-    """L^p norm of a vectorized function on [lo, hi]: the refined scan max
-    for p = inf, else s * (integral of |fn_vec / s|^p)^{1/p} with s =
-    scale(), so tolerances act relatively even for tiny integrands (a
-    callable, since some normalizers cost a scan that p = inf skips).
-    The seed partition's nodes go to ``fn_vec`` in one call; the value is
+def _window_lp_norm(fn_vec, lo: float, hi: float, p: float, cfg: QuadratureConfig, scale: float, points=()) -> float:
+    """L^p norm of a vectorized function on [lo, hi] for finite p:
+    s * (integral of |fn_vec / s|^p)^{1/p} with s = ``scale``, so
+    tolerances act relatively even for tiny integrands.  A zero scale is
+    taken as 1: a scan that reads 0 need not mean a zero function.  The
+    seed partition's nodes go to ``fn_vec`` in one call; the value is
     ``integrate``'s bit for bit."""
-    if math.isinf(p):
-        return _scan_refine_max(fn_vec, lo, hi, scan_nodes)
-    s = scale()
-    if s == 0.0:
-        return 0.0
+    s = scale or 1.0
 
     def integrand(x):
         return np.abs(fn_vec(x) / s) ** p
 
     val, _ = _integrate(integrand, lo, hi, cfg, points, _panels)
     return s * val ** (1.0 / p)
-
-
-def _moderate_window(prims, width: float, cfg: QuadratureConfig, what: str) -> tuple[float, float]:
-    """Hull of the effective supports widened by ``width``; DomainError
-    naming ``what`` for a slowly decaying variant (support above 1e6)."""
-    supports = [F.effective_support(cfg) for F in prims]
-    for F, (lo, hi) in zip(prims, supports):
-        if hi - lo > 1e6:
-            raise DomainError(f"{what} are not supported for slowly decaying variant {F.kind!r}")
-    return min(lo for lo, _ in supports) - width, max(hi for _, hi in supports) + width
 
 
 def lp_norm(F: PrimitiveFunction, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -745,17 +743,31 @@ def combo_lp_norm(
     p: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> float:
-    """L^p norm of a finite linear combination of catalog functions.
+    """L^p norm of a finite linear combination of catalog functions, on
+    the hull of their effective supports.
 
-    Supported for combinations whose effective supports are finite
-    windows of moderate size (compact variants and Gaussian powers).
+    Supported where the data behind every term has a support of moderate
+    size (compact variants, Gaussian powers and their heat flows
+    ``convolve.Heated``); a slowly decaying variant (support above 1e6)
+    raises DomainError.  Finite p is normalized by the combination's peak
+    on a 33-node scan of the window, so the tolerances act relatively even
+    where the terms cancel; the interior scan nodes seed the partition
+    with the terms' breakpoints, so no first panel is wider than 1/32 of
+    the window.  p = inf is the larger of the refined 1,025-node scan max
+    and the combination at the middle of each cell between breakpoints.
     """
     p = float(p)
     if math.isnan(p) or p < 1.0:
         raise DomainError(f"norm exponent must lie in [1, inf], got {p}")
     if not terms:
         return 0.0
-    lo, hi = _moderate_window([F for _, F in terms], 0.0, cfg, "combination norms")
+    for _, F in terms:
+        data = F.source()
+        lo, hi = data.effective_support(cfg)
+        if hi - lo > 1e6:
+            raise DomainError(f"combination norms are not supported for slowly decaying variant {data.kind!r}")
+    supports = [F.effective_support(cfg) for _, F in terms]
+    lo, hi = min(a for a, _ in supports), max(b for _, b in supports)
 
     def combo(x):
         x = np.asarray(x, dtype=float)
@@ -765,9 +777,15 @@ def combo_lp_norm(
         return out
 
     pts = [b for _, F in terms for b in F.breakpoints()]
-    return _window_lp_norm(
-        combo, lo, hi, p, cfg, lambda: sum(abs(c) * F.sup_bound() for c, F in terms), pts
-    )
+    if math.isinf(p):
+        # the refined scan can step over a feature narrower than its spacing,
+        # but not over the middle of a cell between two breakpoints
+        cuts = np.unique(pts)
+        mids = 0.5 * (cuts[:-1] + cuts[1:])
+        return max(_scan_refine_max(combo, lo, hi, 1025), float(np.max(np.abs(combo(mids)), initial=0.0)))
+    scan = np.linspace(lo, hi, 33)
+    peak = float(np.max(np.abs(combo(scan))))
+    return _window_lp_norm(combo, lo, hi, p, cfg, peak, pts + list(scan[1:-1]))
 
 
 def antiderivative(g: PrimitiveFunction, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:

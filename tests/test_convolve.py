@@ -18,7 +18,7 @@ from lpheat import (
     StepCombo,
     UnsupportedOrderError,
 )
-from lpheat.convolve import convolve_values
+from lpheat.convolve import Heated, convolve_values
 from lpheat.kernel import (
     MAX_DERIV_ORDER,
     theta_deriv_norm_closed,
@@ -248,6 +248,32 @@ def test_step_jump_sum_matches_per_jump_loop_bitwise(n):
         for F in combos:
             for t in (2.0 ** -20, 0.01, 0.7, 1e2):
                 assert convolve_values(F, n, t, xs).tolist() == _per_jump_loop(F, n, t, xs).tolist()
+
+
+def test_step_jump_sum_far_out_is_zero_not_nan():
+    # x / 2t overflows at these (t, x) while the kernel factor underflows to
+    # 0; the clipped shift keeps the recurrence at those zeros, not inf * 0
+    with np.errstate(over="ignore", invalid="raise"):
+        assert convolve_values(Indicator(-1.0, 0.5), 2, 1e-300, [1e300]).tolist() == [0.0]
+        assert convolve_values(StepCombo(((1.0, 0.0, 1.0),)), 3, 1e-200, [1e200]).tolist() == [0.0]
+        xs = np.array([-1e300, -1e200, 1e200, 1e300])
+        for F in (Indicator(-1.0, 0.5), StepCombo(((1.0, -1.0, 0.5), (-0.3, 0.2, 2.0)))):
+            for t in (1e-300, 1e-200, 1.0):
+                for n in range(1, MAX_DERIV_ORDER + 1):
+                    assert convolve_values(F, n, t, xs).tolist() == [0.0] * 4
+
+
+def test_heated_is_the_flow_as_a_catalog_function():
+    cfg = lh.DEFAULT_CONFIG
+    F = StepCombo(((1.0, 0.0, 1.0), (-2.0, 0.5, 2.0)))
+    H = Heated(F, 0.1, 1, cfg)
+    xs = np.linspace(-3.0, 4.0, 57)
+    assert H.values(xs).tolist() == convolve_values(F, 1, 0.1, xs).tolist()
+    w = cfg.kernel_width(0.1)
+    assert H.effective_support(cfg) == (-w, 2.0 + w)
+    assert H.breakpoints() == (0.0, 2.0)
+    assert H.source() is F
+    assert lh.convolution_lp_norm([(2.0, F)], 1, 0.1, 3.0) == lh.combo_lp_norm([(2.0, H)], 3.0)
 
 
 def _bump():

@@ -110,10 +110,34 @@ def test_ic_convergence_kernel_derivative_data():
     assert norms[0] > norms[1] > norms[2]
 
 
+def test_ic_convergence_gaussian_power_matches_exact():
+    # ||F * theta_t - F||_3 for F = 2 pi theta_{1/4}, against 40-digit
+    # mpmath; the difference is about 1e-4 of F, so only a scale taken
+    # from the difference itself lets the tolerances act relatively
+    f = lh.from_primitive(GaussianPower(0.5, 2.0), 3.0)
+    got = lh.ic_convergence(f, [2.0 ** -13, 2.0 ** -14])
+    assert got[0] == pytest.approx(3.3812034322130729e-05, rel=1e-9)
+    assert got[1] == pytest.approx(1.6908768172199739e-05, rel=1e-9)
+
+
+@pytest.mark.parametrize("t", [1e10, 1e12])
+def test_norms_at_large_t_judge_the_data_not_the_window(t):
+    # the window of F * theta_t is wider than 1e6 here; the slow-tail rule
+    # looks at the data's own support, [0, 1]
+    f = lh.dirac_difference(0.0, 1.0, p=2.0)
+    norm = lh.solution_primitive_norm(f, t, 2.0)
+    if t == 1e10:
+        assert norm == 0.0014123425229005853
+    # the flow is nearly theta_t, and <F * theta_t, F> nearly theta_t(0)
+    assert norm == pytest.approx(lh.theta_norm_closed(2.0, t), rel=1e-6)
+    (dist,) = lh.ic_convergence(f, [t])
+    assert dist == pytest.approx(math.sqrt(1.0 + norm ** 2 - 1.0 / math.sqrt(math.pi * t)), rel=1e-9)
+
+
 def test_norm_limit_approaches_from_below():
     f = lh.dirac_difference(0.0, 1.0, p=2.0)
     ts = [0.5, 0.1, 0.02, 0.004]
-    norms = lh.norm_limit_check(f, ts)
+    norms = [lh.solution_primitive_norm(f, t, f.p) for t in ts]
     target = lh.lprime_norm(f)
     assert all(n <= target * (1 + 1e-9) for n in norms)
     assert all(b > a for a, b in zip(norms, norms[1:]))
@@ -122,14 +146,14 @@ def test_norm_limit_approaches_from_below():
 
 def test_norm_limit_zero_data():
     zero = lh.from_primitive(StepCombo(((0.0, 0.0, 1.0),)), 2.0)
-    assert lh.norm_limit_check(zero, [0.5, 0.1]) == [0.0, 0.0]
+    assert [lh.solution_primitive_norm(zero, t, zero.p) for t in (0.5, 0.1)] == [0.0, 0.0]
 
 
 def test_norm_limit_gaussian_scaling():
     # primitive theta_1: || theta_1 * theta_t ||_2 = alpha_2 (1 + t)^{-1/4}
     f = lh.from_primitive(GaussianPower(1.0, 1.0), 2.0)
     ts = [1.0, 0.25, 0.05]
-    norms = lh.norm_limit_check(f, ts)
+    norms = [lh.solution_primitive_norm(f, t, f.p) for t in ts]
     for t, n in zip(ts, norms):
         assert n == pytest.approx(0.4466219208690012 * (1 + t) ** -0.25, rel=1e-8)
 

@@ -258,6 +258,44 @@ def test_combo_norm_matches_direct():
     )
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_combo_norm_of_nearly_equal_gaussians_matches_scipy(p):
+    # the terms cancel to 1e-4 of their size: the scale is the difference's
+    # own peak, so rel_tol acts on the difference, not on the terms
+    F, G = GaussianPower(1.0, 1.0), GaussianPower(1.0 + 1e-4, 1.0)
+    t0, t1 = 1.0, 1.0 + 1e-4
+    cross = math.sqrt(2.0 * t0 * t1 / (t1 - t0) * math.log(t1 / t0))  # where the kernels meet
+    power = lambda x: abs(float(F.values(x)) - float(G.values(x))) ** p
+    pieces = ((-60.0, -cross), (-cross, cross), (cross, 60.0))
+    want = sum(sci.quad(power, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in pieces) ** (1.0 / p)
+    assert lh.combo_lp_norm([(1.0, F), (-1.0, G)], p) == pytest.approx(want, rel=1e-9)
+
+
+def test_combo_norm_sees_a_step_between_scan_nodes():
+    # F - G is 1 on [0.5001, 0.5006] only, between two nodes of the 33-node
+    # scale scan and of the 1,025-node sup scan of [0, 1]: the scanned peak
+    # is 0, and the breakpoints must still find the step
+    F = StepCombo(((1.0, 0.0, 1.0), (1.0, 0.5001, 0.5006)))
+    G = Indicator(0.0, 1.0)
+    for p in (1.0, 2.0, 3.0):
+        assert lh.combo_lp_norm([(1.0, F), (-1.0, G)], p) == pytest.approx((0.5006 - 0.5001) ** (1.0 / p), rel=1e-12)
+    assert lh.combo_lp_norm([(1.0, F), (-1.0, G)], math.inf) == 1.0
+
+
+@pytest.mark.parametrize("t0, beta", [(1.0, 1.0), (0.5, 2.0), (1e-4, 1.0), (3.0, 0.37), (1.0, 0.0025)])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.5])
+def test_gaussian_power_norm_is_its_closed_form(t0, beta, p):
+    mp = pytest.importorskip("mpmath")
+    F = GaussianPower(t0, beta)
+    with mp.workdps(40):
+        a = (2 * mp.sqrt(mp.pi * mp.mpf(t0))) ** (-mp.mpf(beta))
+        power = mp.quad(lambda x: a ** p * mp.exp(-p * mp.mpf(beta) * x * x / (4 * mp.mpf(t0))), [-mp.inf, 0, mp.inf])
+        want = float(power ** (1 / mp.mpf(p)))
+    assert lh.lp_norm(F, p) == pytest.approx(want, rel=4e-15)
+    # the quadrature the kernel suite measures agrees with it
+    assert lh.combo_lp_norm([(1.0, F)], p) == pytest.approx(want, rel=1e-9)
+
+
 def test_antiderivative():
     g = Indicator(0.0, 1.0)
     assert lh.antiderivative(g, 2.0) == pytest.approx(1.0, rel=1e-13)

@@ -139,7 +139,7 @@ def test_window_norm_equals_integrate_bit_for_bit(name, points, p, scale):
     # the batched seed partition must not move a norm by one ulp (for
     # integrands whose value at a node does not depend on the other nodes)
     f = _SEED_INTEGRANDS[name]
-    got = _window_lp_norm(f, -3.0, 3.0, p, _NORM_CFG, lambda: scale, points)
+    got = _window_lp_norm(f, -3.0, 3.0, p, _NORM_CFG, scale, points)
     val, _ = integrate(lambda x: np.abs(f(x) / scale) ** p, -3.0, 3.0, _NORM_CFG, points)
     assert got == scale * val ** (1.0 / p)
 
@@ -151,7 +151,7 @@ def test_window_norm_of_sampled_flow_within_rounding():
     F = lh.sample(np.cos(np.linspace(-2, 2, 41)), -2.0, 0.1)
     for t, p in ((0.05, 2.0), (0.2, 1.5), (1.0, 3.0)):
         f = lambda x: convolve_values(F, 0, t, x)
-        got = _window_lp_norm(f, -4.0, 4.0, p, _NORM_CFG, lambda: 1.0, F.breakpoints())
+        got = _window_lp_norm(f, -4.0, 4.0, p, _NORM_CFG, 1.0, F.breakpoints())
         val, _ = integrate(lambda x: np.abs(f(x)) ** p, -4.0, 4.0, _NORM_CFG, F.breakpoints())
         assert got == val ** (1.0 / p)
 
@@ -245,7 +245,7 @@ def test_window_norm_replays_serial_bisection(kind, c, width, a, b, points, tol,
     f = _replay_integrand(kind, c, width)
     cfg = QuadratureConfig(abs_tol=tol, rel_tol=tol, max_subdivisions=budget)
     lo, hi = min(a, b), max(a, b)
-    got = _outcome(lambda: _window_lp_norm(f, lo, hi, p, cfg, lambda: scale, points))
+    got = _outcome(lambda: _window_lp_norm(f, lo, hi, p, cfg, scale, points))
 
     def reference():
         val, _ = _reference_integrate(lambda x: np.abs(f(x) / scale) ** p, lo, hi, cfg, points)
