@@ -16,7 +16,6 @@ from .constants import (
 )
 from .convolve import (
     convolve_point,
-    convolve_smooth_derivative_check,
     convolution_lp_norm,
 )
 from .exceptions import (
@@ -31,7 +30,6 @@ from .exceptions import (
 from .heat_solver import (
     TestFunction,
     continuity_bound,
-    default_time_sweep,
     gaussian_test_function,
     ic_convergence,
     pde_residual,
@@ -61,7 +59,6 @@ from .lp_space import (
     combo_lp_norm,
     lp_norm,
     primitive_from_json,
-    primitive_to_json,
     sample,
 )
 from .lprime import (
@@ -79,7 +76,6 @@ from .estimates import (
     EstimateReport,
     NonmembershipEvidence,
     decay_bound_check,
-    extremal_family_ratio,
     limit_at_infinity,
     nonmembership_probe,
     rate_sharpness,

@@ -96,8 +96,9 @@ def convolve_values(
 class Heated(PrimitiveFunction):
     """The heat flow F * theta_t^(n) as a catalog function for norms: its
     values are ``convolve_values``, its window is F's support widened by
-    the kernel width, and F's support edges seed quadrature partitions.
-    It has no sup_bound: ``combo_lp_norm`` scans the combination."""
+    the kernel width, and F's support edges and jumps seed quadrature
+    partitions.  It has no sup_bound: ``combo_lp_norm`` scans the
+    combination."""
 
     F: PrimitiveFunction
     t: float
@@ -109,7 +110,7 @@ class Heated(PrimitiveFunction):
         return convolve_values(self.F, self.n, self.t, x, self.cfg)
 
     def breakpoints(self):
-        return self.F.effective_support(self.cfg)
+        return tuple(sorted({*self.F.effective_support(self.cfg), *(self.F.jumps() or ())}))
 
     def effective_support(self, cfg):
         lo, hi = self.F.effective_support(cfg)
@@ -118,30 +119,6 @@ class Heated(PrimitiveFunction):
 
     def source(self):
         return self.F
-
-
-def convolve_smooth_derivative_check(
-    F: PrimitiveFunction,
-    t: float,
-    n: int,
-    x: float,
-    h: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> tuple[float, float]:
-    """Central difference of order n-1 versus the direct order-n convolution.
-
-    Returns ``(lhs, rhs)``; their gap is O(h^2) when differentiation
-    commutes with the convolution.
-    """
-    if n < 1 or int(n) != n:
-        raise DomainError("commutation check needs derivative order n >= 1")
-    if not (h > 0 and math.isfinite(h)):
-        raise DomainError("finite-difference step must be positive")
-    lhs = (
-        convolve_point(F, n - 1, t, x + h, cfg) - convolve_point(F, n - 1, t, x - h, cfg)
-    ) / (2.0 * h)
-    rhs = convolve_point(F, n, t, x, cfg)
-    return lhs, rhs
 
 
 def convolution_lp_norm(

@@ -113,21 +113,6 @@ def young_equality_gap(
     return 1.0 - measured / bound
 
 
-def extremal_family_ratio(
-    tr: ExponentTriple,
-    t: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
-    """Ratio measured/bound of the derivative-space estimate at the
-    t-matched Gaussian extremal family; equals 1 at interior exponents."""
-    beta = beta_extremizer(tr.p, tr.q)
-    if not (0 < beta < math.inf):
-        raise DomainError("extremal family ratio needs interior exponents")
-    f = from_primitive(GaussianPower(t, beta), tr.p)
-    rep = verify_lprime_bound(f, tr, t, cfg)
-    return rep.ratio
-
-
 def rate_sharpness(
     tr: ExponentTriple,
     t_sequence: Sequence[float],

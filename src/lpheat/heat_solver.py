@@ -29,17 +29,6 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 from .report import EstimateReport, make_report
 
 
-def default_time_sweep(terms: int = 15) -> list[float]:
-    """Geometric sweep 1, 1/2, ..., 2^-(terms-1) used by convergence checks.
-
-    Convergence assertions should weight the late terms; the first few
-    sit in the preasymptotic regime for rough data.
-    """
-    if terms < 1:
-        raise DomainError("sweep needs at least one term")
-    return [2.0 ** -k for k in range(terms)]
-
-
 def solve_at(
     f: LprimeElement,
     t: float,

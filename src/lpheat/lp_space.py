@@ -15,20 +15,21 @@ for which it belongs to L^p:
 The log-squared damping makes TailLog(p0) integrable at the exponent p0
 itself, while the sine profile just misses it; both diverge below.
 
-Norms are adaptive-quadrature integrals of |F|^p except for Gaussian
-powers (a closed form), Sampled data (the interpolant's exact norm, one
-closed form per panel) and the two tail profiles, which get
-substitution and period-panel treatments documented on their
-``finite_lp_norm`` methods.  ``combo_lp_norm`` is the one norm of a
-linear combination, heat flows (``convolve.Heated``) included.
+No variant's norm is generic quadrature: step data and Sampled data
+have their exact norms (one closed form per cell or panel), Gaussian
+powers a closed form, and the two tail profiles substitution and
+period-panel treatments documented on their ``finite_lp_norm`` methods.
+``combo_lp_norm`` is the one norm of a linear combination, heat flows
+(``convolve.Heated``) included.
 
 The compact variants and Gaussian powers also give their heat flow
-F * theta_t^(n) in closed form (``heat_flow(t, xs, order=n)``).  At
-n = 0: erfc tails for step data, the semigroup for Gaussian powers, erfc
-and kernel terms per node for sampled data.  At every n >= 1 up to
-``MAX_DERIV_ORDER``: the jump sum sum_j w_j theta_t^(n-1)(x - a_j) for
-step data and c theta_{s+t}^(n) for Gaussian powers.  Sampled data has
-its closed form at n = 0 only; the slow-tail profiles have none.
+F * theta_t^(n) in closed form (``heat_flow(t, xs, order=n)``).  Step
+data (Indicator and StepCombo share one implementation) is a sum over
+its jumps at every order up to ``MAX_DERIV_ORDER``: erfc tails plus the
+level at n = 0, sum_j w_j theta_t^(n-1)(x - a_j) above it.  Gaussian
+powers give c theta_{s+t}^(n) by the semigroup.  Sampled data has its
+closed form (erfc and kernel terms per node) at n = 0 only; the
+slow-tail profiles have none.
 """
 
 from __future__ import annotations
@@ -94,13 +95,8 @@ class PrimitiveFunction:
         raise NotImplementedError
 
     def finite_lp_norm(self, p: float, cfg: QuadratureConfig) -> float:
-        """(integral of |F|^p)^{1/p} for a finite p that F admits.
-
-        Adaptive quadrature on the effective support, normalized by the
-        sup so the tolerances act relatively even when |F|^p is tiny.
-        """
-        lo, hi = self.effective_support(cfg)
-        return _window_lp_norm(self.values, lo, hi, p, cfg, self.sup_bound(), self.breakpoints())
+        """(integral of |F|^p)^{1/p} for a finite p that F admits."""
+        raise NotImplementedError
 
     def truncation_window(self, p: float, eps: float, cfg: QuadratureConfig) -> tuple[float, float]:
         """Window whose exterior p-mass is below eps^p."""
@@ -132,69 +128,11 @@ class PrimitiveFunction:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Indicator(PrimitiveFunction):
-    """Characteristic function of [a, b]."""
-
-    a: float
-    b: float
-    kind = "indicator"
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
-            raise DomainError("indicator requires finite a < b")
-
-    def values(self, x):
-        x = np.asarray(x, dtype=float)
-        return ((x >= self.a) & (x <= self.b)).astype(float)
-
-    def breakpoints(self):
-        return (self.a, self.b)
-
-    def jumps(self):
-        return {self.a: 1.0, self.b: -1.0}
-
-    def heat_flow(self, t, xs, order=0):
-        if order == 0:
-            return _steps_heat_flow(((1.0, self.a, self.b),), t, xs)
-        return _jumps_heat_flow(self.jumps(), t, xs, order)
-
-    def effective_support(self, cfg):
-        return (self.a, self.b)
-
-    def sup_bound(self):
-        return 1.0
-
-    def shifted(self, h):
-        return Indicator(self.a + h, self.b + h)
-
-    def admits(self, p):
-        return True
-
-    def is_compactly_supported(self):
-        return True
-
-    def to_json(self):
-        return {"type": "indicator", "a": self.a, "b": self.b}
-
-
-@dataclass(frozen=True)
-class StepCombo(PrimitiveFunction):
-    """Finite sum of height * indicator([a, b]) terms; overlaps add."""
+class _Steps(PrimitiveFunction):
+    """Step data: the sum of height * indicator([a, b]) over ``self.steps``,
+    overlaps adding.  Indicator and StepCombo share every method here."""
 
     steps: tuple[tuple[float, float, float], ...]
-    kind = "step_combo"
-
-    def __post_init__(self):
-        steps = tuple((float(h), float(a), float(b)) for h, a, b in self.steps)
-        if not steps:
-            raise DomainError("step combination must contain at least one step")
-        for h, a, b in steps:
-            if not (math.isfinite(h) and math.isfinite(a) and math.isfinite(b)):
-                raise DomainError("step parameters must be finite")
-            if a >= b:
-                raise DomainError("each step requires a < b")
-        object.__setattr__(self, "steps", steps)
 
     def values(self, x):
         x = np.asarray(x, dtype=float)
@@ -204,11 +142,7 @@ class StepCombo(PrimitiveFunction):
         return out
 
     def breakpoints(self):
-        pts = set()
-        for _, a, b in self.steps:
-            pts.add(a)
-            pts.add(b)
-        return tuple(sorted(pts))
+        return tuple(sorted({c for _, a, b in self.steps for c in (a, b)}))
 
     def levels(self) -> list[tuple[float, float, float]]:
         """Constant pieces as (lo, hi, value) on the open cells between jumps."""
@@ -229,9 +163,39 @@ class StepCombo(PrimitiveFunction):
         return {loc: j for loc, j in sorted(out.items()) if j != 0.0}
 
     def heat_flow(self, t, xs, order=0):
-        if order == 0:
-            return _steps_heat_flow(self.steps, t, xs)
-        return _jumps_heat_flow(self.jumps(), t, xs, order)
+        """A sum over the jumps w_j at a_j, added one jump at a time in jump
+        order.  At n >= 1, F * theta_t^(n) = F' * theta_t^(n-1) =
+        sum_j w_j theta_t^(n-1)(x - a_j), one kernel call on the (jump,
+        point) array.  At n = 0 it is level(x) + sum_j w_j s_j e_j(x), with
+        e_j = erfc(|x - a_j| / 2 sqrt t) / 2 the kernel mass beyond a_j as
+        seen from x, s_j = -1 where a_j <= x and +1 otherwise, and level(x)
+        the step value on the cell right of x.  The level sums the heights
+        covering that cell, so it is exactly 0 in a gap, and the tails are
+        differences of tails, so neither cancels."""
+        jumps = self.jumps()
+        locs = list(jumps)
+        shifts = np.asarray(locs, dtype=float)[:, None]
+        root_t = math.sqrt(t)
+        # past 1e3 sqrt(t) the kernel factor underflows to 0; the clip keeps x / 2t
+        # finite there, so the recurrence gives those zeros, not inf * 0
+        edge = 1e3 * root_t
+
+        def block(rows):
+            x = xs[rows]
+            out = np.zeros(x.shape)
+            if order == 0:
+                for h, a, b in self.steps:
+                    out += h * ((x >= a) & (x < b))
+                terms = np.where(x >= shifts, -0.5, 0.5) * _erfc(np.abs(x - shifts) / (2.0 * root_t))
+            else:
+                terms = theta_deriv_values(np.clip(x - shifts, -edge, edge), t, order - 1)
+            for j, loc in enumerate(locs):
+                out += jumps[loc] * terms[j]
+            return out
+
+        # blocks of 16,384 entries (128 KB): on 151 to 100,001 points the fastest
+        # size measured; 65,536-entry temporaries ran 2-3x slower per element
+        return _in_blocks(block, xs.size, len(locs), entries=1 << 14)
 
     def effective_support(self, cfg):
         cuts = self.breakpoints()
@@ -240,14 +204,64 @@ class StepCombo(PrimitiveFunction):
     def sup_bound(self):
         return max((abs(v) for _, _, v in self.levels()), default=0.0)
 
-    def shifted(self, h):
-        return StepCombo(tuple((hh, a + h, b + h) for hh, a, b in self.steps))
+    def finite_lp_norm(self, p, cfg):
+        """Exact: peak (sum over the cells of |level / peak|^p length)^(1/p)
+        with peak = sup_bound(), so |level|^p neither under- nor overflows."""
+        peak = self.sup_bound()
+        if peak == 0.0:
+            return 0.0
+        return peak * math.fsum(abs(v / peak) ** p * (hi - lo) for lo, hi, v in self.levels()) ** (1.0 / p)
 
     def admits(self, p):
         return True
 
     def is_compactly_supported(self):
         return True
+
+
+@dataclass(frozen=True)
+class Indicator(_Steps):
+    """Characteristic function of [a, b]."""
+
+    a: float
+    b: float
+    kind = "indicator"
+
+    def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
+            raise DomainError("indicator requires finite a < b")
+
+    @property
+    def steps(self):
+        return ((1.0, self.a, self.b),)
+
+    def shifted(self, h):
+        return Indicator(self.a + h, self.b + h)
+
+    def to_json(self):
+        return {"type": "indicator", "a": self.a, "b": self.b}
+
+
+@dataclass(frozen=True)
+class StepCombo(_Steps):
+    """Finite sum of height * indicator([a, b]) terms; overlaps add."""
+
+    steps: tuple[tuple[float, float, float], ...]
+    kind = "step_combo"
+
+    def __post_init__(self):
+        steps = tuple((float(h), float(a), float(b)) for h, a, b in self.steps)
+        if not steps:
+            raise DomainError("step combination must contain at least one step")
+        for h, a, b in steps:
+            if not (math.isfinite(h) and math.isfinite(a) and math.isfinite(b)):
+                raise DomainError("step parameters must be finite")
+            if a >= b:
+                raise DomainError("each step requires a < b")
+        object.__setattr__(self, "steps", steps)
+
+    def shifted(self, h):
+        return StepCombo(tuple((hh, a + h, b + h) for hh, a, b in self.steps))
 
     def to_json(self):
         return {"type": "step_combo", "steps": [list(s) for s in self.steps]}
@@ -427,7 +441,7 @@ class TruncatedSine(PrimitiveFunction):
 
     def sup_bound(self):
         # global maximum sits inside the first few arches of the envelope
-        return _scan_refine_max(self.values, 1.0, 1.0 + 4.0 * math.pi, 4001)
+        return _scan_refine_max(self.values, np.linspace(1.0, 1.0 + 4.0 * math.pi, 4001))
 
     def finite_lp_norm(self, p, cfg):
         """One quadrature panel per sine arch out to _SINE_PANELS * pi, then
@@ -620,53 +634,6 @@ def _in_blocks(block, n_points: int, n_nodes: int, entries: int = _BLOCK_ENTRIES
     return np.concatenate([block(slice(i, i + step)) for i in range(0, n_points, step)])
 
 
-def _steps_heat_flow(steps, t: float, xs: np.ndarray) -> np.ndarray:
-    """sum_j h_j (1_[a_j, b_j] * theta_t)(xs), one erfc per (point, edge).
-
-    e_c = erfc(|x - c| / 2 sqrt t) / 2 is the kernel mass beyond the edge c
-    as seen from x, so a box is e_a - e_b left of it, e_b - e_a right of it
-    and 1 - e_a - e_b inside: a difference of tails, so neither tail cancels.
-    """
-    cuts = sorted({c for _, a, b in steps for c in (a, b)})
-    col = {c: i for i, c in enumerate(cuts)}
-    scale = 2.0 * math.sqrt(t)
-
-    def block(rows):
-        x = xs[rows]
-        e = 0.5 * _erfc(np.abs(x[:, None] - np.asarray(cuts)) / scale)
-        out = np.zeros(x.shape)
-        for h, a, b in steps:
-            ea, eb = e[:, col[a]], e[:, col[b]]
-            out += h * np.where(x <= a, ea - eb, np.where(x >= b, eb - ea, 1.0 - ea - eb))
-        return out
-
-    return _in_blocks(block, xs.size, len(cuts))
-
-
-def _jumps_heat_flow(jumps: dict[float, float], t: float, xs: np.ndarray, order: int) -> np.ndarray:
-    """F * theta_t^(n) = F' * theta_t^(n-1) = sum_j w_j theta_t^(n-1)(xs - a_j)
-    for step F with jump w_j at a_j: one kernel call on the (jump, point)
-    array, its rows added one at a time in jump order, so each value is
-    the per-jump loop's bit for bit."""
-    locs = sorted(jumps)
-    shifts = np.asarray(locs, dtype=float)[:, None]
-    # past 1e3 sqrt(t) the kernel factor underflows to 0; the clip keeps x / 2t
-    # finite there, so the recurrence gives those zeros, not inf * 0
-    edge = 1e3 * math.sqrt(t)
-
-    def block(rows):
-        x = xs[rows]
-        kernel = theta_deriv_values(np.clip(x - shifts, -edge, edge), t, order - 1)
-        out = np.zeros(x.shape)
-        for j, loc in enumerate(locs):
-            out += jumps[loc] * kernel[j]
-        return out
-
-    # blocks of 16,384 entries (128 KB): on 151 to 100,001 points the fastest
-    # size measured; 65,536-entry temporaries ran 2-3x slower per element
-    return _in_blocks(block, xs.size, len(locs), entries=1 << 14)
-
-
 def _require_membership(F: PrimitiveFunction, p: float):
     if not F.admits(p):
         raise MembershipError(
@@ -693,34 +660,18 @@ def _golden_max(fn, lo: float, hi: float, iters: int) -> tuple[float, float]:
     return (float(c), fc) if fc >= fd else (float(d), fd)
 
 
-def _scan_refine_max(fn_vec, lo: float, hi: float, n: int = 2001) -> float:
-    """max |fn_vec| on [lo, hi]: an n-node scan refined around its best node."""
-    xs = np.linspace(lo, hi, n)
+def _scan_refine_max(fn_vec, xs: np.ndarray) -> float:
+    """max |fn_vec| on the increasing nodes ``xs``, refined by golden section
+    between the neighbours of the best node."""
     vals = np.abs(np.asarray(fn_vec(xs), dtype=float))
     i = int(np.argmax(vals))
     _, refined = _golden_max(
         lambda x: abs(float(fn_vec(np.asarray([x]))[0])),
         xs[max(i - 1, 0)],
-        xs[min(i + 1, n - 1)],
+        xs[min(i + 1, xs.size - 1)],
         iters=80,
     )
     return max(float(vals[i]), refined)
-
-
-def _window_lp_norm(fn_vec, lo: float, hi: float, p: float, cfg: QuadratureConfig, scale: float, points=()) -> float:
-    """L^p norm of a vectorized function on [lo, hi] for finite p:
-    s * (integral of |fn_vec / s|^p)^{1/p} with s = ``scale``, so
-    tolerances act relatively even for tiny integrands.  A zero scale is
-    taken as 1: a scan that reads 0 need not mean a zero function.  The
-    seed partition's nodes go to ``fn_vec`` in one call; the value is
-    ``integrate``'s bit for bit."""
-    s = scale or 1.0
-
-    def integrand(x):
-        return np.abs(fn_vec(x) / s) ** p
-
-    val, _ = _integrate(integrand, lo, hi, cfg, points, _panels)
-    return s * val ** (1.0 / p)
 
 
 def lp_norm(F: PrimitiveFunction, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -749,12 +700,15 @@ def combo_lp_norm(
     Supported where the data behind every term has a support of moderate
     size (compact variants, Gaussian powers and their heat flows
     ``convolve.Heated``); a slowly decaying variant (support above 1e6)
-    raises DomainError.  Finite p is normalized by the combination's peak
-    on a 33-node scan of the window, so the tolerances act relatively even
-    where the terms cancel; the interior scan nodes seed the partition
-    with the terms' breakpoints, so no first panel is wider than 1/32 of
-    the window.  p = inf is the larger of the refined 1,025-node scan max
-    and the combination at the middle of each cell between breakpoints.
+    raises DomainError.  Finite p is s (integral of |combo / s|^p)^(1/p)
+    with s the combination's peak on a 33-node scan of the window (1 where
+    the scan reads 0), so the tolerances act relatively even where the
+    terms cancel; the interior scan nodes seed the partition with the
+    terms' breakpoints, so no first panel is wider than 1/32 of the
+    window, and the seed panels' nodes go to the terms in one call.
+    p = inf is the larger of the refined 1,025-node scan max and the
+    combination at the middle of each cell between breakpoints; the scan
+    skips the step terms' breakpoints, where closed steps add.
     """
     p = float(p)
     if math.isnan(p) or p < 1.0:
@@ -779,13 +733,22 @@ def combo_lp_norm(
     pts = [b for _, F in terms for b in F.breakpoints()]
     if math.isinf(p):
         # the refined scan can step over a feature narrower than its spacing,
-        # but not over the middle of a cell between two breakpoints
+        # but not over the middle of a cell between two breakpoints; an ess
+        # sup ignores single points, so no scan node sits on a step term's
+        # breakpoint, where closed steps add
         cuts = np.unique(pts)
         mids = 0.5 * (cuts[:-1] + cuts[1:])
-        return max(_scan_refine_max(combo, lo, hi, 1025), float(np.max(np.abs(combo(mids)), initial=0.0)))
+        scan = np.linspace(lo, hi, 1025)
+        scan = scan[~np.isin(scan, [b for _, F in terms if F.jumps() is not None for b in F.breakpoints()])]
+        return max(_scan_refine_max(combo, scan), float(np.max(np.abs(combo(mids)), initial=0.0)))
     scan = np.linspace(lo, hi, 33)
-    peak = float(np.max(np.abs(combo(scan))))
-    return _window_lp_norm(combo, lo, hi, p, cfg, peak, pts + list(scan[1:-1]))
+    s = float(np.max(np.abs(combo(scan)))) or 1.0
+
+    def integrand(x):
+        return np.abs(combo(x) / s) ** p
+
+    val, _ = _integrate(integrand, lo, hi, cfg, pts + list(scan[1:-1]), _panels)
+    return s * val ** (1.0 / p)
 
 
 def antiderivative(g: PrimitiveFunction, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -804,10 +767,6 @@ def antiderivative(g: PrimitiveFunction, x: float, cfg: QuadratureConfig = DEFAU
     return val if x > 0 else -val
 
 
-def primitive_to_json(F: PrimitiveFunction) -> dict:
-    return F.to_json()
-
-
 def _json_number(v) -> float:
     """A JSON number as a float.  TypeError for anything else, booleans
     and numeric strings included (``float`` reads True as 1.0 and "2" as 2.0)."""
@@ -817,7 +776,7 @@ def _json_number(v) -> float:
 
 
 def primitive_from_json(data: dict) -> PrimitiveFunction:
-    """Inverse of :func:`primitive_to_json`; raises DomainError on bad input."""
+    """Inverse of ``F.to_json()``; raises DomainError on bad input."""
     if not isinstance(data, dict) or "type" not in data:
         raise DomainError("primitive descriptor must be an object with a 'type' field")
     kind = data["type"]

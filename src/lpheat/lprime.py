@@ -22,7 +22,6 @@ from .lp_space import (
     _json_number,
     lp_norm,
     primitive_from_json,
-    primitive_to_json,
 )
 from .constants import conjugate
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, composite_gk15, integrate
@@ -171,7 +170,7 @@ def pairing(
 
 
 def element_to_json(f: LprimeElement) -> dict:
-    out: dict = {"primitive": primitive_to_json(f.primitive), "p": f.p}
+    out: dict = {"primitive": f.primitive.to_json(), "p": f.p}
     if f.atoms is not None:
         out["atoms"] = [[w, loc] for w, loc in f.atoms]
     return out

@@ -23,7 +23,7 @@ products, so values, errors, the panels split and the
 ``_gk15`` twice per split, bit for bit, for integrands evaluated node
 by node; only the number of integrand calls falls.  ``integrate``
 evaluates its seed partition one panel per call; the norm integrals
-(``lp_space._window_lp_norm``) hand it all to one call.
+(``lp_space.combo_lp_norm``) hand it all to one call.
 ``composite_gk15`` also takes a 2-D ``edges``, one row of panel edges
 per integral, and returns a value and a K15-G7 error per row; callers
 redo the rows whose error is over tolerance with ``integrate``.

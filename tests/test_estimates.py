@@ -34,7 +34,9 @@ def test_bounds_on_sampled_data_at_relaxed_tolerance():
 
 def test_extremal_family_saturates_bound():
     for p, q in ((2.0, 4.0 / 3.0), (1.5, 1.5), (1.25, 2.0)):
-        ratio = lh.extremal_family_ratio(lh.r_from(p, q), 1.0)
+        # the t-matched Gaussian extremal family saturates the derivative-space estimate
+        f = lh.from_primitive(lh.GaussianPower(1.0, lh.beta_extremizer(p, q)), p)
+        ratio = lh.verify_lprime_bound(f, lh.r_from(p, q), 1.0).ratio
         assert ratio == pytest.approx(1.0, abs=1e-7)
 
 

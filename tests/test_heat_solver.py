@@ -209,6 +209,20 @@ def test_continuity_bound_scaled_pair():
     assert rep.measured == pytest.approx(direct, rel=1e-9)
 
 
+def test_continuity_sees_a_narrow_step_between_scan_nodes():
+    # the flows differ by 1_[0.501, 0.502] * theta_t, which at t = 1e-10
+    # lives between two scan nodes: the data's jumps seed the partition
+    f = lh.from_primitive(StepCombo(((1.0, 0.0, 1.0), (1.0, 0.501, 0.502))), 2.0)
+    g = lh.from_primitive(Indicator(0.0, 1.0), 2.0)
+    t, width = 1e-10, 0.502 - 0.501
+    # ||1_[0, L] * theta_t||_2^2 = L erf(L / sqrt(8t)) - 4t (1 - exp(-L^2 / 8t)) / sqrt(2 pi t)
+    want = math.sqrt(width * math.erf(width / math.sqrt(8.0 * t)) - 4.0 * t * -math.expm1(-width * width / (8.0 * t)) / math.sqrt(2.0 * math.pi * t))
+    measured = lh.continuity_bound(f, g, lh.r_from(2.0, 1.0), t).measured
+    # the panels beside 0.501 and 0.502 are wider than the flow's 1e-5 edges,
+    # and their nodes miss the outer tails: 8.4e-4 of the value is lost
+    assert measured == pytest.approx(want, rel=1e-3)
+
+
 def test_continuity_bound_exponent_guard():
     f = lh.dirac_difference(0.0, 1.0, p=2.0)
     g = lh.dirac_difference(0.0, 1.0, p=3.0)

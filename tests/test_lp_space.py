@@ -18,6 +18,8 @@ from lpheat import (
     TailLog,
     TruncatedSine,
 )
+from lpheat.kernel import MAX_DERIV_ORDER
+from lpheat.lp_space import _erfc
 from lpheat.quadrature import geometric_edges
 from lpheat.quadrature import integrate as gk_integrate
 
@@ -282,6 +284,71 @@ def test_combo_norm_sees_a_step_between_scan_nodes():
     assert lh.combo_lp_norm([(1.0, F), (-1.0, G)], math.inf) == 1.0
 
 
+def test_combo_norm_sup_ignores_the_point_where_closed_steps_meet():
+    # both closed steps hold x = 1, a node of the sup scan, and add to 2
+    # there; the ess sup ignores a single point
+    F = StepCombo(((1.0, 0.0, 1.0), (1.0, 1.0, 2.0)))
+    assert lh.combo_lp_norm([(1.0, F)], math.inf) == 1.0
+    assert lh.lp_norm(F, math.inf) == 1.0
+
+
+_STEP_NORM_CASES = {
+    "indicator": Indicator(-0.3, 1.7),
+    "overlapping": StepCombo(((1.0, 0.0, 1.0), (-2.0, 0.5, 2.0), (0.5, -1.0, 0.25))),
+    "inexact levels": StepCombo(((0.1, 0.0, 1.0), (0.2, 0.0, 2.0), (-0.3, 0.5, 3.0), (0.7, 4.0, 4.1))),
+    "zero": StepCombo(((1.0, 0.0, 1.0), (-1.0, 0.0, 1.0))),
+    "tiny": StepCombo(((1e-200, 0.0, 1.0), (3e-200, 0.5, 2.0))),
+    "huge": StepCombo(((1e200, 0.0, 1.0), (-3e200, 0.5, 2.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STEP_NORM_CASES))
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+def test_step_norm_is_exact(name, p):
+    # (sum over the cells of |level|^p length)^(1/p) in 40 digits; at
+    # 1e-200 and 1e200, |level|^p itself under- or overflows a float
+    mp = pytest.importorskip("mpmath")
+    F = _STEP_NORM_CASES[name]
+    with mp.workdps(40):
+        steps = [(mp.mpf(h), mp.mpf(a), mp.mpf(b)) for h, a, b in F.steps]
+        cuts = sorted({c for _, a, b in steps for c in (a, b)})
+        power = mp.mpf(0)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            level = sum(h for h, a, b in steps if a <= lo and hi <= b)
+            power += abs(level) ** p * (hi - lo)
+        want = float(power ** (1 / mp.mpf(p)))
+    assert lh.lp_norm(F, p) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [((1.0, 0.0, 1.0), (1.0, 100.0, 101.0)), ((0.1, 0.0, 1.0), (0.2, 0.0, 2.0), (1.0, 100.0, 101.0))],
+    ids=["unit heights", "inexact heights"],
+)
+def test_step_flow_in_a_gap_is_its_tails(steps):
+    # at x = 50 the flow is erfc tails near 1e-28; the level there is 0
+    # exactly (a cumsum of the jumps 0.3, -0.1, -0.2 leaves 2.8e-17)
+    mp = pytest.importorskip("mpmath")
+    t, x = 10.0, 50.0
+    got = StepCombo(steps).heat_flow(t, np.array([x]))[0]
+    with mp.workdps(80):
+        s = 2 * mp.sqrt(mp.mpf(t))
+        want = float(sum(mp.mpf(h) * (mp.erfc((a - x) / s) - mp.erfc((b - x) / s)) / 2 for h, a, b in steps))
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("a, b, t", [(0.0, 1.0, 0.1), (-2.5, 0.3, 1e-4), (1.0, 1.5, 10.0)])
+def test_indicator_flow_is_the_one_step_combo_flow(a, b, t):
+    xs = np.concatenate([np.linspace(a - 3.0, b + 3.0, 301), [a, b]])
+    for n in range(MAX_DERIV_ORDER + 1):
+        assert Indicator(a, b).heat_flow(t, xs, n).tolist() == StepCombo(((1.0, a, b),)).heat_flow(t, xs, n).tolist()
+    # at order 0 the jump sum is the box's difference of tails e_a - e_b,
+    # 1 - e_a - e_b and e_b - e_a, bit for bit
+    ea, eb = (0.5 * _erfc(np.abs(xs - c) / (2.0 * math.sqrt(t))) for c in (a, b))
+    box = np.where(xs <= a, ea - eb, np.where(xs >= b, eb - ea, 1.0 - ea - eb))
+    assert Indicator(a, b).heat_flow(t, xs).tolist() == box.tolist()
+
+
 @pytest.mark.parametrize("t0, beta", [(1.0, 1.0), (0.5, 2.0), (1e-4, 1.0), (3.0, 0.37), (1.0, 0.0025)])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.5])
 def test_gaussian_power_norm_is_its_closed_form(t0, beta, p):
@@ -317,7 +384,7 @@ def test_json_round_trip():
         lh.sample([0.0, 1.0, 0.0], -1.0, 1.0),
     ]
     for F in variants:
-        back = lh.primitive_from_json(lh.primitive_to_json(F))
+        back = lh.primitive_from_json(F.to_json())
         assert back == F
     with pytest.raises(DomainError):
         lh.primitive_from_json({"type": "nope"})

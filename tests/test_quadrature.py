@@ -11,10 +11,11 @@ import lpheat as lh
 from lpheat import DomainError, QuadratureAccuracyError, QuadratureConfig
 from lpheat import convolve
 from lpheat.convolve import convolve_values
-from lpheat.lp_space import _window_lp_norm
+from lpheat.convolve import Heated
 from lpheat.quadrature import (
     _BLOCK_ENTRIES,
     _gk15,
+    _integrate,
     _panels,
     composite_gk15,
     geometric_edges,
@@ -135,25 +136,30 @@ _NORM_CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-10)
     p=st.sampled_from([1.0, 1.25, 2.0, 3.0]) | st.floats(1.0, 6.0),
     scale=st.floats(0.5, 4.0),
 )
-def test_window_norm_equals_integrate_bit_for_bit(name, points, p, scale):
-    # the batched seed partition must not move a norm by one ulp (for
-    # integrands whose value at a node does not depend on the other nodes)
+def test_batched_seeds_equal_integrate_bit_for_bit(name, points, p, scale):
+    # the norms' batched seed partition must not move an integral by one ulp
+    # (for integrands whose value at a node does not depend on the other nodes)
     f = _SEED_INTEGRANDS[name]
-    got = _window_lp_norm(f, -3.0, 3.0, p, _NORM_CFG, scale, points)
-    val, _ = integrate(lambda x: np.abs(f(x) / scale) ** p, -3.0, 3.0, _NORM_CFG, points)
-    assert got == scale * val ** (1.0 / p)
+
+    def g(x):
+        return np.abs(f(x) / scale) ** p
+
+    assert _integrate(g, -3.0, 3.0, _NORM_CFG, points, _panels) == integrate(g, -3.0, 3.0, _NORM_CFG, points)
 
 
-def test_window_norm_of_sampled_flow_within_rounding():
+def test_combo_norm_of_sampled_flow_equals_integrate_bit_for_bit():
     # Sampled.heat_flow reduces each point's row on its own, so a point's
-    # flow does not depend on the nodes batched with it: the batched norm
-    # is integrate's bit for bit
+    # flow does not depend on the nodes batched with it: the norm is
+    # integrate's over the same scale and seeds, bit for bit
     F = lh.sample(np.cos(np.linspace(-2, 2, 41)), -2.0, 0.1)
     for t, p in ((0.05, 2.0), (0.2, 1.5), (1.0, 3.0)):
-        f = lambda x: convolve_values(F, 0, t, x)
-        got = _window_lp_norm(f, -4.0, 4.0, p, _NORM_CFG, 1.0, F.breakpoints())
-        val, _ = integrate(lambda x: np.abs(f(x)) ** p, -4.0, 4.0, _NORM_CFG, F.breakpoints())
-        assert got == val ** (1.0 / p)
+        H = Heated(F, t, 0, _NORM_CFG)
+        lo, hi = H.effective_support(_NORM_CFG)
+        scan = np.linspace(lo, hi, 33)
+        s = float(np.max(np.abs(H.values(scan))))
+        seeds = list(H.breakpoints()) + list(scan[1:-1])
+        val, _ = integrate(lambda x: np.abs(H.values(x) / s) ** p, lo, hi, _NORM_CFG, seeds)
+        assert lh.combo_lp_norm([(1.0, H)], p, _NORM_CFG) == s * val ** (1.0 / p)
 
 
 def _reference_integrate(f, a, b, cfg=lh.DEFAULT_CONFIG, points=()):
@@ -241,17 +247,16 @@ def test_integrate_replays_serial_bisection(kind, c, width, a, b, points, tol, b
 
 @settings(max_examples=60, deadline=None)
 @given(p=st.sampled_from([1.0, 2.0]) | st.floats(1.0, 5.0), scale=st.floats(0.5, 4.0), **_REPLAY_CASES)
-def test_window_norm_replays_serial_bisection(kind, c, width, a, b, points, tol, budget, p, scale):
+def test_batched_seeds_replay_serial_bisection(kind, c, width, a, b, points, tol, budget, p, scale):
     f = _replay_integrand(kind, c, width)
     cfg = QuadratureConfig(abs_tol=tol, rel_tol=tol, max_subdivisions=budget)
     lo, hi = min(a, b), max(a, b)
-    got = _outcome(lambda: _window_lp_norm(f, lo, hi, p, cfg, scale, points))
 
-    def reference():
-        val, _ = _reference_integrate(lambda x: np.abs(f(x) / scale) ** p, lo, hi, cfg, points)
-        return scale * val ** (1.0 / p)
+    def g(x):
+        return np.abs(f(x) / scale) ** p
 
-    assert got == _outcome(reference)
+    got = _outcome(lambda: _integrate(g, lo, hi, cfg, points, _panels))
+    assert got == _outcome(lambda: _reference_integrate(g, lo, hi, cfg, points))
 
 
 _SLOW_TAIL_POINTS = [

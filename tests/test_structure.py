@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lpheat"
-_WINDOW_NORM_INTERNALS = {"_window_lp_norm", "_scan_refine_max"}
+_NORM_INTERNALS = {"_integrate", "_panels", "_scan_refine_max"}
 
 
 def _referenced_names(tree):
@@ -21,13 +21,14 @@ def _referenced_names(tree):
 
 def test_only_lp_space_touches_the_window_norm():
     # one L^p norm path: every other module goes through lp_norm or
-    # combo_lp_norm, so a module with its own window, seeds or scale shows here
+    # combo_lp_norm, so a module with its own seeded quadrature, scan or
+    # scale shows here (quadrature defines the seeding, lp_space uses it)
     modules = sorted(_PACKAGE.glob("*.py"))
-    assert "lp_space.py" in [m.name for m in modules]
+    assert {"lp_space.py", "quadrature.py"} <= {m.name for m in modules}
     offenders = {}
     for path in modules:
-        if path.stem != "lp_space":
-            used = _WINDOW_NORM_INTERNALS & set(_referenced_names(ast.parse(path.read_text())))
+        if path.stem not in ("lp_space", "quadrature"):
+            used = _NORM_INTERNALS & set(_referenced_names(ast.parse(path.read_text())))
             if used:
                 offenders[path.name] = sorted(used)
     assert offenders == {}
