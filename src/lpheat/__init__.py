@@ -29,7 +29,6 @@ from .exceptions import (
 )
 from .heat_solver import (
     TestFunction,
-    continuity_bound,
     gaussian_test_function,
     ic_convergence,
     pde_residual,
@@ -75,8 +74,8 @@ from .lprime import (
 from .estimates import (
     EstimateReport,
     NonmembershipEvidence,
+    continuity_bound,
     decay_bound_check,
-    limit_at_infinity,
     nonmembership_probe,
     rate_sharpness,
     run_suite,

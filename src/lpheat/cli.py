@@ -262,7 +262,7 @@ def cmd_example_dirac(args) -> int:
     cfg = _config_from_args(args)
     f = dirac_difference(-args.a, args.a, p=2.0)
     columns = [solve_values(f, t, xs, cfg) for t in ts]
-    bounds = variation_lower_bound(args.a, ts, cfg)
+    bounds = variation_lower_bound(args.a, ts)
     if args.format == "json":
         doc = {"a": args.a, "t": ts, "x": xs, "values": columns, "variation_lower_bound": bounds}
         _write_json(doc, args.out)
@@ -316,7 +316,6 @@ def _config_from_args(args) -> QuadratureConfig:
         abs_tol=tol,
         rel_tol=max(tol, 1e-14),
         max_subdivisions=DEFAULT_CONFIG.max_subdivisions,
-        tail_width_sigmas=DEFAULT_CONFIG.tail_width_sigmas,
     )
 
 

@@ -3,8 +3,8 @@
 ``convolve_point`` evaluates (F * theta_t^(n))(x) by adaptive quadrature
 on the window where the kernel factor is non-negligible, intersected
 with the effective support of F.  The neglected remainder, at most
-sup|F| times the kernel tail mass beyond ``tail_width_sigmas`` standard
-deviations, is not computed.
+sup|F| times the kernel tail mass beyond ten standard deviations
+(``QuadratureConfig.kernel_width``), is not computed.
 
 ``convolve_values`` is the one per-point path, one dispatch: the
 variant's closed form ``F.heat_flow(t, xs, order=n)`` where it has one

@@ -20,13 +20,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import ExponentTriple, K_const, _inv
 from .convolve import Heated, convolve_values, convolution_lp_norm
 from .exceptions import DomainError
 from .lp_space import combo_lp_norm
 from .lprime import LprimeElement
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
-from .report import EstimateReport, make_report
 
 
 def solve_at(
@@ -166,28 +164,3 @@ def weak_ic_check(
         val, _ = integrate(integrand, lo, hi, cfg, points=F.breakpoints())
         out.append(-val)
     return out
-
-
-def continuity_bound(
-    f: LprimeElement,
-    g: LprimeElement,
-    tr: ExponentTriple,
-    t: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    tolerance: float = 1e-8,
-) -> EstimateReport:
-    """||(f - g) * theta_t||'_r against K_{p,q} ||f - g||'_p t^{-(1-1/q)/2}."""
-    if abs(f.p - g.p) > 1e-12 or abs(f.p - tr.p) > 1e-12:
-        raise DomainError("both elements and the triple must share the exponent p")
-    if not (t > 0 and math.isfinite(t)):
-        raise DomainError("time must be positive and finite")
-    lhs = convolution_lp_norm([(1.0, f.primitive), (-1.0, g.primitive)], 0, t, tr.r, cfg)
-    diff_norm = combo_lp_norm([(1.0, f.primitive), (-1.0, g.primitive)], tr.p, cfg)
-    rhs = K_const(tr) * diff_norm * t ** (-(1.0 - _inv(tr.q)) / 2.0)
-    return make_report(
-        "continuity_in_initial_data",
-        measured=lhs,
-        bound=rhs,
-        tolerance=tolerance,
-        params={"p": tr.p, "q": tr.q, "r": tr.r, "t": t},
-    )

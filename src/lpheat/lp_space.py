@@ -113,10 +113,6 @@ class PrimitiveFunction:
             return 0.0
         raise DomainError("window must contain the support of a compact variant")
 
-    def shifted(self, h: float) -> PrimitiveFunction:
-        """x -> F(x - h), for the location-bearing variants."""
-        raise DomainError(f"translation is not defined for variant {self.kind!r}")
-
     def admits(self, p: float) -> bool:
         """Whether F belongs to L^p."""
         raise NotImplementedError
@@ -235,9 +231,6 @@ class Indicator(_Steps):
     def steps(self):
         return ((1.0, self.a, self.b),)
 
-    def shifted(self, h):
-        return Indicator(self.a + h, self.b + h)
-
     def to_json(self):
         return {"type": "indicator", "a": self.a, "b": self.b}
 
@@ -259,9 +252,6 @@ class StepCombo(_Steps):
             if a >= b:
                 raise DomainError("each step requires a < b")
         object.__setattr__(self, "steps", steps)
-
-    def shifted(self, h):
-        return StepCombo(tuple((hh, a + h, b + h) for hh, a, b in self.steps))
 
     def to_json(self):
         return {"type": "step_combo", "steps": [list(s) for s in self.steps]}
@@ -293,8 +283,8 @@ class GaussianPower(PrimitiveFunction):
         return self.prefactor() * np.exp(-self.beta * x * x / (4.0 * self.t))
 
     def effective_support(self, cfg):
-        # |F| carries standard deviation sqrt(2 t / beta)
-        w = cfg.tail_width_sigmas * math.sqrt(2.0 * self.t / self.beta)
+        # |F| is a multiple of theta_{t / beta}: standard deviation sqrt(2 t / beta)
+        w = cfg.kernel_width(self.t / self.beta)
         return (-w, w)
 
     def sup_bound(self):
@@ -370,22 +360,18 @@ class TailLog(PrimitiveFunction):
 
     def finite_lp_norm(self, p, cfg):
         """Via u = log x the p-th power integral becomes
-        int_1^inf exp(-(p/p0 - 1) u) u^{-2p} du, which decays exponentially
-        for p > p0 and like u^{-2p} at p = p0; either way a finite panel set
-        with a certified cut captures it to within abs_tol / 10.
+        int_1^inf exp(-(p/p0 - 1) u) u^{-2p} du.  At p = p0 that is
+        1 / (2p - 1) exactly; for p > p0 it decays exponentially, and a
+        finite panel set with a certified cut captures it to within
+        abs_tol / 10.
         """
         rate = p / self.p0 - 1.0
-        if rate > 1e-9:
-            hi = max(4.0, math.log(10.0 / (rate * cfg.abs_tol)) / rate)
+        if rate <= 1e-9:
+            return (2.0 * p - 1.0) ** (-1.0 / p)
+        hi = max(4.0, math.log(10.0 / (rate * cfg.abs_tol)) / rate)
 
-            def g(u):
-                return np.exp(-rate * u) / u ** (2.0 * p)
-        else:
-            # p == p0: pure power integrand; cut where the exact tail drops below budget
-            hi = (10.0 / ((2.0 * p - 1.0) * cfg.abs_tol)) ** (1.0 / (2.0 * p - 1.0))
-
-            def g(u):
-                return u ** (-2.0 * p)
+        def g(u):
+            return np.exp(-rate * u) / u ** (2.0 * p)
 
         val, _ = integrate(g, 1.0, hi, cfg, points=geometric_edges(1.0, hi))
         return val ** (1.0 / p)
@@ -583,9 +569,6 @@ class Sampled(PrimitiveFunction):
             return 0.5 * side[rows] * (y[0] * erfc_w[:, 0] - y[-1] * erfc_w[:, -1]) + (ramp * kinks).sum(axis=1)
 
         return _in_blocks(block, xs.size, nodes.size)
-
-    def shifted(self, h):
-        return Sampled(self.x0 + h, self.dx, self.samples)
 
     def admits(self, p):
         return True

@@ -76,34 +76,31 @@ _G7_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WG = np.array(list(_WG_HALF[:-1]) + [_WG_HALF[-1]] + list(reversed(_WG_HALF[:-1])))
 
 _BLOCK_ENTRIES = 1 << 16  # bound on the entries of a batched temporary (nodes, or points x nodes)
+_TAIL_SIGMAS = 10.0  # windows reach this many standard deviations past the support
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and truncation policy for every integral in the package.
+    """Tolerances and subdivision budget for every integral in the package.
 
-    ``tail_width_sigmas`` fixes where Gaussian factors are truncated:
-    windows extend ``tail_width_sigmas * sqrt(2 t)`` past the relevant
-    support, at which point the neglected closed-form remainder is far
-    below ``abs_tol``.
+    Gaussian factors are truncated ``_TAIL_SIGMAS`` (ten) standard
+    deviations past the relevant support, where the neglected
+    closed-form remainder is far below ``abs_tol``.
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 512
-    tail_width_sigmas: float = 10.0
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise DomainError("quadrature tolerances must be positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be at least 1")
-        if self.tail_width_sigmas < 6:
-            raise DomainError("tail_width_sigmas below 6 would not certify truncation")
 
     def kernel_width(self, t: float) -> float:
-        """Half-width ``tail_width_sigmas * sqrt(2 t)`` of the window kept around theta_t."""
-        return self.tail_width_sigmas * math.sqrt(2.0 * t)
+        """Half-width ``_TAIL_SIGMAS * sqrt(2 t)`` of the window kept around theta_t."""
+        return _TAIL_SIGMAS * math.sqrt(2.0 * t)
 
 
 DEFAULT_CONFIG = QuadratureConfig()

@@ -196,7 +196,7 @@ def test_criterion_6_pde_residual_second_order():
 
 
 def test_criterion_7_variation_lower_bound():
-    vals = lh.variation_lower_bound(1.0, [0.25, 0.01, 1e-4], ACFG)
+    vals = lh.variation_lower_bound(1.0, [0.25, 0.01, 1e-4])
     dev = abs(vals[0] - 0.4976611325094764)  # erf(2)/2
     tail_ok = vals[1] > 0.499 and vals[2] > 0.499
     ok = dev < 1e-9 and tail_ok

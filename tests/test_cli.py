@@ -275,7 +275,8 @@ def test_verify_unknown_suite_exits_2(capsys):
 
 
 def test_verify_forced_tolerance_fails(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suite", "variation", "--tol", "1e-18")
+    # the variation rows are exact, so no tolerance makes them fail
+    code, _, err = run_cli(capsys, "verify", "--suite", "young", "--tol", "1e-18")
     assert code == 1
     assert "FAIL" in err
 
@@ -499,7 +500,7 @@ def test_example_dirac_bytes_match_reference(capsys, out_format):
     ts, xs = [2.0, 0.01], np.linspace(-5.0, 5.0, 101)
     f = dirac_difference(-0.5, 0.5, p=2.0)
     columns = [solve_values(f, t, xs, DEFAULT_CONFIG) for t in ts]
-    bounds = variation_lower_bound(0.5, ts, DEFAULT_CONFIG)
+    bounds = variation_lower_bound(0.5, ts)
     if out_format == "json":
         doc = {"a": 0.5, "t": ts, "x": list(xs), "values": [list(c) for c in columns]}
         assert out == _ref_json({**doc, "variation_lower_bound": bounds})
@@ -640,12 +641,9 @@ def test_evolve_on_extreme_grid_writes_no_warning(tmp_path, capsys):
 
 
 def test_example_dirac_at_extreme_offset_writes_no_warning(capsys):
-    from lpheat import DEFAULT_CONFIG
-    from lpheat.estimates import variation_lower_bound
-
     code, out, err = _run_without_warnings(capsys, "example-dirac", "--a", "1e300", "--t", "1", "--grid=-1:1:3")
     assert (code, err) == (0, "")
-    vtext = _ref_csv(["t", "variation_lower_bound"], [[1.0, variation_lower_bound(1e300, [1.0], DEFAULT_CONFIG)[0]]])
+    vtext = _ref_csv(["t", "variation_lower_bound"], [[1.0, 0.5]])
     assert out == _ref_solution_csv(np.linspace(-1.0, 1.0, 3), [1.0], [np.zeros(3)]) + vtext
 
 

@@ -72,7 +72,7 @@ def test_linearity():
 
 def test_translation_commutes():
     F = Indicator(0.0, 1.0)
-    shifted = F.shifted(0.8)
+    shifted = Indicator(0.8, 1.8)
     for x in (0.0, 1.5):
         assert lh.convolve_point(shifted, 0, 0.5, x) == pytest.approx(
             lh.convolve_point(F, 0, 0.5, x - 0.8), rel=1e-11
@@ -139,8 +139,9 @@ def order_and_time(draw):
 
 def _oracle_values(F, n, t, xs, scale):
     # absolute tolerance relative to the data's scale, so tiny heights get
-    # a proportionally tight oracle
-    cfg = lh.QuadratureConfig(abs_tol=max(1e-13 * scale, 1e-300))
+    # a proportionally tight oracle (floored at the least positive float: a
+    # floor of 1e-300 swamped flows of data near 1e-300)
+    cfg = lh.QuadratureConfig(abs_tol=max(1e-13 * scale, 5e-324))
     return np.array([lh.convolve_point(F, n, t, float(x), cfg) for x in xs])
 
 
@@ -181,6 +182,7 @@ def smooth_primitives(draw):
 @given(F=smooth_primitives(), t=st.floats(-20.0, math.log2(1e2)).map(lambda e: 2.0 ** e),
        fractions=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=4))
 @settings(max_examples=100, deadline=None)
+@example(F=lh.Sampled(x0=0.0, dx=0.5, samples=(0.0, 1e-300)), t=0.001953125, fractions=[0.0])
 def test_smooth_closed_form_matches_quadrature(F, t, fractions):
     # Gaussian powers by the semigroup, sampled data by erfc and kernel terms
     # per node; convolve_point is the oracle

@@ -1,11 +1,27 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import integrate as sci
 
 import lpheat as lh
 from lpheat import DomainError, GaussianPower, Indicator, SearchFailureError, StepCombo
-from lpheat.estimates import young_lattice_triples
+from lpheat.estimates import SUITES, young_lattice_triples
+
+# The row names and counts perfbench's verify oracle requires of each suite
+# (``_SUITE_ROWS`` in perfbench/workloads.py): a new or renamed row fails
+# every verify and report op there, so such a change goes with a benchmark change.
+_SUITE_ROWS = {
+    "kernel": {
+        "kernel_norm_closed_vs_quadrature": 18,
+        "kernel_deriv_norm_closed_vs_quadrature": 18,
+        "semigroup_identity_residual": 3,
+    },
+    "young": {"young_equality_gap": 13, "young_boundary_gap": 2, "derivative_space_bound": 2, "value_space_bound": 2},
+    "decay": {"compact_support_decay": 3, "zero_total_mass": 2, "sign_change_witnesses": 2, "decay_at_infinity": 2},
+    "variation": {"variation_bound_at_ratio_2": 1, "variation_bound_approaches_half": 2},
+}
 
 
 def test_lprime_bound_reduces_to_contraction_at_q1():
@@ -117,18 +133,24 @@ def test_sign_change_failure_on_zero_data():
         lh.sign_change(zero, 1.0, (-4.0, 4.0))
 
 
+def _sup_at_plus_minus(f, t, xs):
+    # max(|v_t(x)|, |v_t(-x)|) at each x
+    xs = np.asarray(xs)
+    return np.maximum(np.abs(lh.solve_values(f, t, xs)), np.abs(lh.solve_values(f, t, -xs))).tolist()
+
+
 def test_limit_at_infinity():
     f = lh.dirac_difference(-1.0, 1.0, p=2.0)
-    vals = lh.limit_at_infinity(f, 1.0, [5.0, 10.0, 20.0])
+    vals = _sup_at_plus_minus(f, 1.0, [5.0, 10.0, 20.0])
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 1e-15
     zero = lh.from_primitive(StepCombo(((0.0, 0.0, 1.0),)), 2.0)
-    assert lh.limit_at_infinity(zero, 1.0, [3.0, 6.0]) == [0.0, 0.0]
+    assert _sup_at_plus_minus(zero, 1.0, [3.0, 6.0]) == [0.0, 0.0]
 
 
 def test_limit_at_infinity_slow_tail():
     f = lh.from_primitive(lh.TailLog(2.0), 2.0)
-    vals = lh.limit_at_infinity(f, 1.0, [30.0, 60.0, 120.0])
+    vals = _sup_at_plus_minus(f, 1.0, [30.0, 60.0, 120.0])
     assert vals[0] > vals[1] > vals[2] > 0
 
 
@@ -181,9 +203,26 @@ def test_variation_lower_bound_vanishes_for_large_t():
     assert vals[0] < 1e-3
 
 
+@pytest.mark.parametrize(
+    "a, t", [(1.0, 0.25), (1.0, 0.04), (1.0, 0.01), (1.0, 1e-4), (1.0, 0.5), (1.0, 1e6), (0.5, 2.0), (1e300, 1.0)]
+)
+def test_variation_lower_bound_is_the_erf_closed_form(a, t):
+    (val,) = lh.variation_lower_bound(a, [t])
+    assert val == 0.5 * math.erf(a / math.sqrt(t))
+    # pi^{-1/2} int_0^{a / sqrt t} exp(-y^2) dy; exp(-y^2) is below 1e-300 past 27
+    upper = min(a / math.sqrt(t), 40.0)
+    ref = sci.quad(lambda y: math.exp(-y * y), 0.0, upper, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    assert abs(val - ref / math.sqrt(math.pi)) <= 1e-15
+    if a / math.sqrt(t) == 1e300:
+        assert val == 0.5
+
+
 def test_variation_domain_error():
     with pytest.raises(DomainError):
         lh.variation_lower_bound(-1.0, [0.1])
+    for t in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            lh.variation_lower_bound(1.0, [0.5, t])
 
 
 def test_nonmembership_probe():
@@ -220,8 +259,17 @@ def test_run_suite_variation_and_errors():
 
 
 def test_run_suite_tolerance_override_forces_failure():
-    reports = lh.run_suite("variation", tolerance=1e-18)
+    # the variation rows are exact, so no tolerance makes them fail
+    reports = lh.run_suite("young", tolerance=1e-18)
     assert any(not rep.passed for rep in reports)
+
+
+def test_suite_row_set_is_frozen():
+    runs = {name: lh.run_suite(name) for name in SUITES}
+    assert list(runs) == list(_SUITE_ROWS)
+    for name, reports in runs.items():
+        assert Counter(rep.name for rep in reports) == _SUITE_ROWS[name], name
+    assert lh.run_suite("all") == [rep for reports in runs.values() for rep in reports]
 
 
 def test_report_fields_round_trip():

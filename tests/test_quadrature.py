@@ -291,5 +291,3 @@ def test_config_validation():
         QuadratureConfig(abs_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureConfig(max_subdivisions=0)
-    with pytest.raises(DomainError):
-        QuadratureConfig(tail_width_sigmas=4.0)
