@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import DomainError, UnsupportedOrderError
+from .exceptions import DomainError, QuadratureAccuracyError, UnsupportedOrderError
 from .kernel import MAX_DERIV_ORDER, theta_deriv_values
 from .lp_space import PrimitiveFunction, combo_lp_norm
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
@@ -52,12 +52,15 @@ def convolve_point(
     x: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> float:
-    """(F * theta_t^(n))(x) with n = psi_order, by adaptive quadrature."""
+    """(F * theta_t^(n))(x) with n = psi_order, by adaptive quadrature;
+    QuadratureAccuracyError where ``x -+ kernel_width(t)`` rounds to ``x``."""
     _validate_conv_args(t, psi_order)
     if not math.isfinite(x):
         raise DomainError("evaluation point must be finite")
     n = int(psi_order)
     width = cfg.kernel_width(t)
+    if x - width == x or x + width == x:
+        raise QuadratureAccuracyError(f"window below floating-point resolution at x={float(x)!r}", math.nan, math.inf)
     slo, shi = F.effective_support(cfg)
     lo = max(x - width, slo)
     hi = min(x + width, shi)

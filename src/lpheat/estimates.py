@@ -28,7 +28,7 @@ from .kernel import (
     theta_norm_closed,
     theta_values,
 )
-from .lp_space import GaussianPower, Indicator, TailLog, _golden_max, combo_lp_norm, lp_norm
+from .lp_space import GaussianPower, Indicator, TailLog, _bracket_max, combo_lp_norm, lp_norm
 from .lprime import LprimeElement, dirac_difference, from_primitive, lprime_norm
 from .heat_solver import solve_at, solve_values
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, geometric_edges, integrate
@@ -192,8 +192,10 @@ def sign_change(
 ) -> tuple[float, float]:
     """Witnesses (x_neg, x_pos) with v_t(x_neg) < -threshold < threshold < v_t(x_pos).
 
-    Scans a grid, then refines the extrema by golden section.  Failure
-    to find witnesses raises; it never claims none exist.
+    Scans a grid, then refines each extremum by ``_bracket_max`` on the
+    scan cells around it, 33 points per ``solve_values`` call, to a bracket
+    3e-13 of the two cells' width.  Failure to find witnesses raises; it
+    never claims none exist.
     """
     lo, hi = search_interval
     if not (lo < hi):
@@ -205,7 +207,7 @@ def sign_change(
         def refine(i, sign):
             # maximize sign * v_t on the scan cell pair around node i
             lo_i, hi_i = xs[max(i - 1, 0)], xs[min(i + 1, n - 1)]
-            return _golden_max(lambda x: sign * solve_at(f, t, x, cfg), lo_i, hi_i, iters=60)
+            return _bracket_max(lambda x: sign * solve_values(f, t, x, cfg), lo_i, hi_i, rel_width=3e-13)
 
         x_neg, neg_peak = refine(int(np.argmin(vals)), -1.0)
         x_pos, pos_peak = refine(int(np.argmax(vals)), 1.0)

@@ -90,8 +90,8 @@ class PrimitiveFunction:
         return None
 
     def sup_bound(self) -> float:
-        """ess sup |F|: exact, or a scan refined by golden section where no
-        maximizer is known."""
+        """ess sup |F|: exact, or a scan refined by a batched bracket search
+        where no maximizer is known."""
         raise NotImplementedError
 
     def finite_lp_norm(self, p: float, cfg: QuadratureConfig) -> float:
@@ -584,19 +584,18 @@ def sample(values, x0: float, dx: float) -> Sampled:
     return Sampled(x0, dx, values)
 
 
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
 _SQRT_PI = math.sqrt(math.pi)
 
 
 def _erfc(z) -> np.ndarray:
-    """Elementwise ``math.erfc`` (numpy has no erf).  At z <= -6 and z >= 28
-    the correctly rounded erfc is exactly 2.0 or 0.0 and is filled in without
-    the call; NaN and everything between go through ``math.erfc``."""
+    """Elementwise ``math.erfc``, bit for bit (numpy has no erf).  At z <= -6
+    and z >= 28 the correctly rounded erfc is exactly 2.0 or 0.0 and is filled
+    in without the call; NaN and everything between go through one ``map``."""
     z = np.asarray(z, dtype=float)
     low = z <= -6.0
     out = np.where(low, 2.0, 0.0)
     mid = ~(low | (z >= 28.0))
-    out[mid] = _ERFC(z[mid]).astype(float)
+    out[mid] = np.fromiter(map(math.erfc, z[mid].tolist()), float, np.count_nonzero(mid))
     return out
 
 
@@ -624,36 +623,30 @@ def _require_membership(F: PrimitiveFunction, p: float):
         )
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Golden-section maximum of a scalar callable on [lo, hi] as (x, fn(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return (float(c), fc) if fc >= fd else (float(d), fd)
+def _bracket_max(fn_vec, lo: float, hi: float, rel_width: float) -> tuple[float, float]:
+    """Maximum of the vectorized ``fn_vec`` on [lo, hi] as (x, fn_vec(x)): each
+    round evaluates 33 evenly spaced nodes in one call, keeps the best value
+    seen and narrows to the best node's neighbours (1/16 of the bracket), until
+    the bracket is no wider than ``rel_width * (hi - lo)`` or no longer shrinks."""
+    best_x, best, stop = float(lo), -math.inf, rel_width * (hi - lo)
+    while True:
+        xs = np.linspace(lo, hi, 33)
+        vals = np.asarray(fn_vec(xs), dtype=float)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best_x, best = float(xs[i]), float(vals[i])
+        a, b = xs[max(i - 1, 0)], xs[min(i + 1, 32)]
+        if b - a <= stop or b - a >= hi - lo:
+            return best_x, best
+        lo, hi = a, b
 
 
 def _scan_refine_max(fn_vec, xs: np.ndarray) -> float:
-    """max |fn_vec| on the increasing nodes ``xs``, refined by golden section
-    between the neighbours of the best node."""
+    """max |fn_vec| on the increasing nodes ``xs``, refined by ``_bracket_max``
+    between the neighbours of the best node to 2e-17 of their span."""
     vals = np.abs(np.asarray(fn_vec(xs), dtype=float))
     i = int(np.argmax(vals))
-    _, refined = _golden_max(
-        lambda x: abs(float(fn_vec(np.asarray([x]))[0])),
-        xs[max(i - 1, 0)],
-        xs[min(i + 1, xs.size - 1)],
-        iters=80,
-    )
+    _, refined = _bracket_max(lambda x: np.abs(fn_vec(x)), xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], 2e-17)
     return max(float(vals[i]), refined)
 
 
@@ -689,10 +682,10 @@ def combo_lp_norm(
     terms cancel; the interior scan nodes seed the partition with the
     terms' breakpoints, so no first panel is wider than 1/32 of the
     window, and the seed panels' nodes go to the terms in one call.
-    p = inf is the larger of the refined 1,025-node scan max and the
+    p = inf is the larger of the 1,025-node scan max, refined by 33-node
+    brackets (``_bracket_max``, one call of the terms per round), and the
     combination at the middle of each cell between breakpoints; the scan
-    skips the step terms' breakpoints, where closed steps add.
-    """
+    skips the step terms' breakpoints, where closed steps add."""
     p = float(p)
     if math.isnan(p) or p < 1.0:
         raise DomainError(f"norm exponent must lie in [1, inf], got {p}")

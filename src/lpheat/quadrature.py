@@ -17,8 +17,8 @@ meets the tolerance.  Only the evaluation is batched.  When the loop
 needs halves it has not got, one integrand call evaluates the halves of
 the popped panel and of every other panel it must still split before it
 can stop (its own error is above the stopping threshold and it is not
-at the width floor); later splits read them back.  Every panel is reduced with ``_gk15``'s own 1-D dot
-products, so values, errors, the panels split and the
+at the width floor); later splits read them back.  ``np.vecdot`` reduces
+each panel with ``_gk15``'s BLAS ddot, so values, errors, the panels split and the
 ``QuadratureAccuracyError`` raised are those of a loop that calls
 ``_gk15`` twice per split, bit for bit, for integrands evaluated node
 by node; only the number of integrand calls falls.  ``integrate``
@@ -127,7 +127,8 @@ def integrate(
     Raises :class:`QuadratureAccuracyError` when the tolerance cannot be
     met within ``cfg.max_subdivisions`` interval splits, unless the
     remaining error estimate is below 64 eps times the summed magnitudes
-    of the panel values, the rounding floor of the sum itself.
+    of the panel values, the rounding floor of the sum itself, or when a
+    panel at the width floor 64 eps max(|a|, |b|, 1) keeps an error above it.
     """
     return _integrate(f, a, b, cfg, points, _seed_each)
 
@@ -139,11 +140,11 @@ def _seed_each(f: Callable, lo: list[float], hi: list[float]) -> list[tuple[floa
 
 def _panels(f: Callable, lo: Sequence[float], hi: Sequence[float]) -> list[tuple[float, float]]:
     """``_gk15`` on every panel ``[lo[k], hi[k]]`` from one call of ``f`` per
-    block of at most ``_BLOCK_ENTRIES`` nodes.  Each panel is reduced with
-    ``_gk15``'s own 1-D dot products (a 2-D product goes through gemv, which
-    rounds differently), so every ``(value, error)`` equals ``_gk15``'s bit
-    for bit whenever ``f``'s value at a node does not depend on the other
-    nodes of the call."""
+    block of at most ``_BLOCK_ENTRIES`` nodes.  ``np.vecdot`` takes the BLAS
+    ddot of ``_gk15``'s 1-D products per row (a 2-D matmul takes gemv, which
+    rounds differently; the G7 copy is C-contiguous to stay on ddot), so every
+    ``(value, error)`` equals ``_gk15``'s bit for bit whenever ``f``'s value at
+    a node does not depend on the other nodes of the call."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
@@ -153,10 +154,9 @@ def _panels(f: Callable, lo: Sequence[float], hi: Sequence[float]) -> list[tuple
     for i in range(0, lo.size, step):
         h, m = half[i : i + step], mid[i : i + step]
         ys = np.asarray(f((m[:, None] + h[:, None] * _NODES).ravel()), dtype=float).reshape(h.size, -1)
-        for hk, y in zip(h.tolist(), ys):
-            kron = hk * float(y @ _WK)
-            gauss = hk * float(y[_G7_IDX] @ _WG)
-            out.append((kron, abs(kron - gauss)))
+        kron = h * np.vecdot(ys, _WK)
+        gauss = h * np.vecdot(np.ascontiguousarray(ys[:, _G7_IDX]), _WG)
+        out += zip(kron.tolist(), np.abs(kron - gauss).tolist())
     return out
 
 
@@ -222,7 +222,9 @@ def _integrate(
             )
         neg_err, key, lo, hi, val, err = heapq.heappop(heap)
         if hi - lo < width_floor:
-            # interval is at floating-point resolution; accept its value
+            # interval is at floating-point resolution; accept its value within tolerance
+            if err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+                raise QuadratureAccuracyError("unconverged panel at floating-point resolution", sign * total, total_err)
             total_err -= err
             continue
         mid = 0.5 * (lo + hi)

@@ -325,6 +325,17 @@ def test_quadrature_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("t", ["1e-300", "1e-40", "1e-30"])
+def test_unresolvable_time_exits_3(tmp_path, capsys, t):
+    # the kernel window is below floating-point resolution: no numbers are written
+    data = _write_element(tmp_path, {"primitive": _PRIMITIVES["samples"], "p": 2.0})
+    out_path = tmp_path / "v.csv"
+    code, out, err = run_cli(capsys, "evolve", "--data", data, "--t", t, "--grid=-1:1:5", "--out", str(out_path))
+    assert code == 3
+    assert "numerical failure" in err and "floating-point resolution" in err
+    assert out == "" and not out_path.exists()
+
+
 def test_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
     import lpheat.cli as cli_mod
 

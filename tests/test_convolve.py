@@ -18,6 +18,7 @@ from lpheat import (
     StepCombo,
     UnsupportedOrderError,
 )
+from lpheat import convolve
 from lpheat.convolve import Heated, convolve_values
 from lpheat.kernel import (
     MAX_DERIV_ORDER,
@@ -81,6 +82,19 @@ def test_translation_commutes():
 
 def test_far_window_returns_certified_zero():
     assert lh.convolve_point(Indicator(0.0, 1.0), 0, 0.01, 50.0) == 0.0
+
+
+_SEVEN_SAMPLES = lh.sample([0.0, 0.3, 1.0, -0.5, 0.2, 0.0, 0.7], -1.0, 0.25)
+
+
+@pytest.mark.parametrize("t", [1e-300, 1e-40, 1e-30])
+def test_unresolvable_time_raises_instead_of_garbage(t):
+    # the window x -+ kernel_width(t) rounds to x away from 0, and at x = 0
+    # it is one panel at the floating-point floor whose error stays large
+    with pytest.raises(lh.QuadratureAccuracyError):
+        convolve_values(_SEVEN_SAMPLES, 1, t, np.linspace(-1.0, 1.0, 5))
+    with pytest.raises(lh.QuadratureAccuracyError, match="floating-point resolution"):
+        lh.convolve_point(_SEVEN_SAMPLES, 1, t, -0.5 if t < 1e-30 else 0.0)
 
 
 def _commutation(F, t, n, x, h):
@@ -394,6 +408,24 @@ def test_convolution_norm_sup():
     # || theta_1 * theta_1 ||_inf = theta_2(0)
     got = lh.convolution_lp_norm([(1.0, GaussianPower(1.0, 1.0))], 0, 1.0, math.inf)
     assert got == pytest.approx(float(theta_values(0.0, 2.0)), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "F, n, t",
+    [(Indicator(0.0, 1.0), 1, 1.0), (GaussianPower(1.0, 1.0), 0, 0.5), (_SEVEN_SAMPLES, 0, 0.25)],
+    ids=["indicator", "gaussian", "samples"],
+)
+def test_sup_norm_of_a_flow_takes_few_calls(monkeypatch, F, n, t):
+    # the scan, the cell middles and one batched bracket round per
+    # sixteenfold narrowing, down to 2e-17 of two scan cells (84 calls
+    # when the refinement evaluated one point per call)
+    calls = []
+    monkeypatch.setattr(convolve, "convolve_values", lambda *a: calls.append(a) or convolve_values(*a))
+    got = lh.combo_lp_norm([(1.0, Heated(F, t, n, lh.DEFAULT_CONFIG))], math.inf)
+    assert 0 < len(calls) <= 20
+    xs = np.linspace(*Heated(F, t, n, lh.DEFAULT_CONFIG).effective_support(lh.DEFAULT_CONFIG), 10**5)
+    dense = np.max(np.abs(convolve_values(F, n, t, xs)))
+    assert got >= dense - 4 * np.spacing(dense)
 
 
 def test_grid_young_consistency():

@@ -127,6 +127,29 @@ def test_sign_change_witnesses():
     assert xp < 0.5 < xn  # positive near the source at 0, negative near the sink at 1
 
 
+@pytest.mark.parametrize(
+    "f, t",
+    [
+        (lh.dirac_difference(-1.0, 1.0, p=2.0), 1.0),
+        (lh.dirac_difference(0.0, 1.0, p=1.0), 1.0),
+        (lh.from_primitive(StepCombo(((1.0, 0.0, 1.0), (-2.0, 0.5, 2.0))), 1.0), 0.25),
+    ],
+    ids=["dirac(-1,1)", "dirac(0,1)", "step combo"],
+)
+def test_sign_change_witnesses_clear_the_threshold(f, t):
+    for threshold in (1e-10, 1e-3):
+        x_neg, x_pos = lh.sign_change(f, t, (-8.0, 8.0), threshold=threshold)
+        assert lh.solve_at(f, t, x_neg) < -threshold < threshold < lh.solve_at(f, t, x_pos)
+
+
+def test_sign_change_witnesses_of_a_symmetric_pair_are_mirror_images():
+    # v_1 of delta_{-1} - delta_1 is odd, v(-x) = -v(x), so one bracket search mirrors the other
+    f = lh.dirac_difference(-1.0, 1.0, p=2.0)
+    x_neg, x_pos = lh.sign_change(f, 1.0, (-8.0, 8.0))
+    assert x_neg == -x_pos
+    assert lh.solve_at(f, 1.0, x_neg) == -lh.solve_at(f, 1.0, x_pos)
+
+
 def test_sign_change_failure_on_zero_data():
     zero = lh.from_primitive(StepCombo(((0.0, 0.0, 1.0),)), 2.0)
     with pytest.raises(SearchFailureError):

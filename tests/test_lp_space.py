@@ -20,7 +20,7 @@ from lpheat import (
     TruncatedSine,
 )
 from lpheat.kernel import MAX_DERIV_ORDER
-from lpheat.lp_space import _erfc
+from lpheat.lp_space import _bracket_max, _erfc, _scan_refine_max
 from lpheat.quadrature import geometric_edges
 from lpheat.quadrature import integrate as gk_integrate
 
@@ -78,6 +78,81 @@ def test_erfc_fills_exact_tails_bitwise():
     got = _erfc(z.reshape(-1, 1))
     assert got.shape == (z.size, 1) and got.dtype == np.float64
     assert np.array_equal(got.ravel().view(np.int64), expected.view(np.int64))
+
+
+_ERFC_EDGES = [
+    v
+    for c in (-0.0, 0.0, -6.0, 28.0, 5e-324, -5e-324, 2.2250738585072014e-308)
+    for v in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf))
+] + [math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_ERFC_EDGES) | st.floats(), min_size=1, max_size=40))
+def test_erfc_equals_math_erfc_bit_for_bit(zs):
+    z = np.array(zs, dtype=float)
+    expected = np.array([math.erfc(v) for v in zs])
+    got = _erfc(z)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert _erfc(z[0]).view(np.int64) == expected[:1].view(np.int64)[0]  # 0-d input
+
+
+def _bumps(gauss, cosines, shift):
+    """sum of a exp(-((x - s) / w)^2) and b cos(c (x - s)): all terms peak at s."""
+
+    def f(x):
+        u = np.asarray(x, dtype=float) - shift
+        out = np.zeros_like(u)
+        for a, w in gauss:
+            out += a * np.exp(-((u / w) ** 2))
+        for b, c in cosines:
+            out += b * np.cos(c * u)
+        return out
+
+    return f
+
+
+_AMPLITUDES = st.floats(0.01, 10.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    gauss=st.lists(st.tuples(_AMPLITUDES, st.floats(0.05, 5.0)), min_size=1, max_size=3),
+    cosines=st.lists(st.tuples(_AMPLITUDES, st.floats(0.1, 5.0)), max_size=3),
+    shift=st.floats(-5.0, 5.0),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(lambda e: abs(e[0] - e[1]) > 1e-6),
+)
+def test_bracket_max_agrees_with_dense_reference(gauss, cosines, shift, ends):
+    # within half the fastest cosine's period of s every term rises toward s
+    # and falls after it, so the bracket holds one maximum, at s clipped to it
+    reach = math.pi / max([c for _, c in cosines], default=1.0)
+    lo, hi = sorted(shift - reach + 2.0 * reach * e for e in ends)
+    f = _bumps(gauss, cosines, shift)
+    x, best = _bracket_max(f, lo, hi, rel_width=2e-17)
+    assert lo <= x <= hi and best == f(np.array([x]))[0]
+    dense = float(np.max(f(np.linspace(lo, hi, 10**6))))
+    top = float(f(np.array([min(max(shift, lo), hi)]))[0])
+    ulp = np.spacing(max(abs(dense), abs(top)))
+    assert best >= dense - 4 * ulp
+    assert abs(best - top) <= 4 * ulp
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gauss=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(0.05, 5.0)), min_size=1, max_size=3),
+    cosines=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(0.1, 20.0)), max_size=3),
+    shifts=st.lists(st.floats(-5.0, 5.0), min_size=6, max_size=6),
+    lo=st.floats(-8.0, 8.0),
+    width=st.floats(1e-3, 16.0),
+)
+def test_scan_refine_max_is_never_below_the_scan(gauss, cosines, shifts, lo, width):
+    terms = [_bumps([g], [], s) for g, s in zip(gauss, shifts)] + [_bumps([], [c], s) for c, s in zip(cosines, shifts[3:])]
+
+    def f(x):
+        return sum(term(x) for term in terms)
+
+    xs = np.linspace(lo, lo + width, 257)
+    assert _scan_refine_max(f, xs) >= float(np.max(np.abs(f(xs))))
 
 
 def test_indicator_norms():

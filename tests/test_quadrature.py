@@ -72,6 +72,17 @@ def test_subdivision_budget_exhaustion():
     assert math.isfinite(exc.value.value)
 
 
+def test_unconverged_panel_at_the_width_floor_raises():
+    # bisection walks into the singularity (not passed as a point) until the
+    # panel is 64 eps wide, and that panel's error is still above tolerance;
+    # accepting it returned 2.5752060795604 with an error estimate of 2.2e-10,
+    # 1.4e-8 from the true 2 (sqrt(c) + sqrt(1 - c))
+    c = 0.123456789
+    with pytest.raises(QuadratureAccuracyError, match="floating-point resolution") as exc:
+        integrate(lambda x: 1.0 / np.sqrt(np.abs(np.asarray(x) - c)), 0.0, 1.0)
+    assert exc.value.value == pytest.approx(2.0 * (math.sqrt(c) + math.sqrt(1.0 - c)), rel=1e-7)
+
+
 def test_nonfinite_bounds_rejected():
     with pytest.raises(DomainError):
         integrate(lambda x: np.asarray(x), 0.0, math.inf)
@@ -190,6 +201,8 @@ def _reference_integrate(f, a, b, cfg=lh.DEFAULT_CONFIG, points=()):
             raise QuadratureAccuracyError("budget", value=sign * total, residual=total_err)
         _, _, lo, hi, val, err = heapq.heappop(heap)
         if hi - lo < width_floor:
+            if err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+                raise QuadratureAccuracyError("floor", value=sign * total, residual=total_err)
             total_err -= err
             continue
         mid = 0.5 * (lo + hi)

@@ -32,3 +32,46 @@ def test_only_lp_space_touches_the_window_norm():
             if used:
                 offenders[path.name] = sorted(used)
     assert offenders == {}
+
+
+def _per_element_python(tree):
+    """Calls of np.frompyfunc / np.vectorize, and golden-section helpers: a
+    function named for it, or the golden ratio as sqrt(5) or 0.618.../1.618..."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in ("frompyfunc", "vectorize"):
+                yield f"line {node.lineno}: {node.func.attr}"
+            elif node.func.attr == "sqrt" and [ast.literal_eval(a) for a in node.args if isinstance(a, ast.Constant)] == [5]:
+                yield f"line {node.lineno}: sqrt(5)"
+        elif isinstance(node, ast.FunctionDef) and "golden" in node.name.lower():
+            yield f"line {node.lineno}: def {node.name}"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            if any(abs(node.value - g) < 1e-3 for g in (0.6180339887, 1.6180339887)):
+                yield f"line {node.lineno}: golden ratio {node.value}"
+
+
+def test_no_per_element_python_on_the_vectorized_path():
+    # elementwise work goes through numpy or one map over a list, and a
+    # maximum search evaluates a batched bracket per call (lp_space._bracket_max),
+    # not one point per call
+    offenders = {}
+    for path in sorted(_PACKAGE.glob("*.py")):
+        found = list(_per_element_python(ast.parse(path.read_text())))
+        if found:
+            offenders[path.name] = found
+    assert offenders == {}
+
+
+def test_per_element_guard_sees_what_it_forbids():
+    source = """
+import math
+import numpy as np
+_F = np.frompyfunc(math.erfc, 1, 1)
+_G = np.vectorize(math.erf)
+def _golden_max(fn, lo, hi):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+def search(fn):
+    return 0.618034
+"""
+    found = sorted(f.split(": ", 1)[1] for f in _per_element_python(ast.parse(source)))
+    assert found == ["def _golden_max", "frompyfunc", "golden ratio 0.618034", "sqrt(5)", "vectorize"]
