@@ -32,9 +32,7 @@ from .heat_solver import (
     gaussian_test_function,
     ic_convergence,
     pde_residual,
-    plateau_test_function,
     solution_primitive_norm,
-    solve_at,
     solve_values,
     weak_ic_check,
 )
@@ -54,7 +52,6 @@ from .lp_space import (
     StepCombo,
     TailLog,
     TruncatedSine,
-    antiderivative,
     combo_lp_norm,
     lp_norm,
     primitive_from_json,
@@ -65,7 +62,6 @@ from .lprime import (
     StepApproximation,
     dirac_difference,
     element_from_json,
-    element_to_json,
     from_primitive,
     lprime_norm,
     pairing,

@@ -101,13 +101,16 @@ class Heated(PrimitiveFunction):
     values are ``convolve_values``, its window is F's support widened by
     the kernel width, and F's support edges and jumps seed quadrature
     partitions.  It has no sup_bound: ``combo_lp_norm`` scans the
-    combination."""
+    combination.  (t, n) are checked when the flow is built."""
 
     F: PrimitiveFunction
     t: float
     n: int
     cfg: QuadratureConfig
     kind = "heated"
+
+    def __post_init__(self):
+        _validate_conv_args(self.t, self.n)
 
     def values(self, x):
         return convolve_values(self.F, self.n, self.t, x, self.cfg)
@@ -135,5 +138,4 @@ def convolution_lp_norm(
     ``combo_lp_norm`` over ``Heated`` terms, so supported for data of
     moderate support (compact variants, Gaussian powers, sampled data).
     """
-    _validate_conv_args(t, psi_order)
     return combo_lp_norm([(c, Heated(F, t, psi_order, cfg)) for c, F in terms], r, cfg)

@@ -30,8 +30,8 @@ from .kernel import (
 )
 from .lp_space import GaussianPower, Indicator, TailLog, _bracket_max, combo_lp_norm, lp_norm
 from .lprime import LprimeElement, dirac_difference, from_primitive, lprime_norm
-from .heat_solver import solve_at, solve_values
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, geometric_edges, integrate
+from .heat_solver import solve_values
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 from .report import EstimateReport, make_report
 
 
@@ -99,8 +99,6 @@ def continuity_bound(
     """||(f - g) * theta_t||'_r against K_{p,q} ||f - g||'_p t^{-(1-1/q)/2}."""
     if abs(f.p - g.p) > 1e-12 or abs(f.p - tr.p) > 1e-12:
         raise DomainError("both elements and the triple must share the exponent p")
-    if not (t > 0 and math.isfinite(t)):
-        raise DomainError("time must be positive and finite")
     terms = [(1.0, f.primitive), (-1.0, g.primitive)]
     return _flow_bound("continuity_in_initial_data", terms, combo_lp_norm(terms, tr.p, cfg), tr, t, 0,
                        K_const(tr), cfg, tolerance)
@@ -241,20 +239,20 @@ def decay_bound_check(
     p = f.p
     norm = lprime_norm(f, cfg)
     mp = M_const(p)
-    worst = 0.0
-    for x in x_set:
+    xs = [float(x) for x in x_set]
+    bounds = []
+    for x in xs:
         ax = abs(x)
         if p == 1.0:
             if ax < R + math.sqrt(2.0 * t) - 1e-12:
                 raise DomainError(f"|x| = {ax} violates |x| >= R + sqrt(2t)")
-            bound = mp * norm * ax * math.exp(-((ax - R) ** 2) / (4.0 * t)) * t ** -1.5
+            bounds.append(mp * norm * ax * math.exp(-((ax - R) ** 2) / (4.0 * t)) * t ** -1.5)
         else:
             if ax < 2.0 * R - 1e-12:
                 raise DomainError(f"|x| = {ax} violates |x| >= 2R")
-            bound = mp * norm * ax ** (1.0 / p) * math.exp(-x * x / (16.0 * t)) * t ** (
-                -(0.5 + 1.0 / p)
-            )
-        value = abs(solve_at(f, t, x, cfg))
+            bounds.append(mp * norm * ax ** (1.0 / p) * math.exp(-x * x / (16.0 * t)) * t ** (-(0.5 + 1.0 / p)))
+    worst = 0.0
+    for value, bound in zip(np.abs(solve_values(f, t, xs, cfg)).tolist(), bounds):
         if bound > 0.0:
             worst = max(worst, value / bound)
         elif value > 0.0:
@@ -264,7 +262,7 @@ def decay_bound_check(
         measured=worst,
         bound=1.0,
         tolerance=tolerance,
-        params={"p": p, "R": R, "t": t, "points": len(list(x_set))},
+        params={"p": p, "R": R, "t": t, "points": len(xs)},
     )
 
 
@@ -335,7 +333,7 @@ def nonmembership_probe(
         return np.abs(convolve_values(F, 0, t, xs, cfg)) ** s
 
     for X in edges:
-        seg, _ = integrate(conv_power, prev, X, cfg, points=geometric_edges(prev, X))
+        seg, _ = integrate(conv_power, prev, X, cfg)
         running += seg
         partial.append(running)
         prev = X
@@ -468,7 +466,8 @@ def _decay_reports(cfg: QuadratureConfig, tol: float | None = None) -> list[Esti
             )
         )
         x_neg, x_pos = sign_change(f, 1.0, (-8.0, 8.0), cfg, threshold=witness_floor)
-        margin = min(-solve_at(f, 1.0, x_neg, cfg), solve_at(f, 1.0, x_pos, cfg))
+        v_neg, v_pos = solve_values(f, 1.0, [x_neg, x_pos], cfg).tolist()
+        margin = min(-v_neg, v_pos)
         reports.append(
             make_report(
                 "sign_change_witnesses",

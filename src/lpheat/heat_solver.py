@@ -1,20 +1,24 @@
 """The solution map v_t = f * theta_t for derivative-of-L^p initial data.
 
-Pointwise values come from the kernel-derivative convolution of the
-primitive, v_t(x) = (F * theta_t')(x), which is a closed form for step
-primitives (sum_i w_i theta_t(x - a_i) over the jumps) and Gaussian
-powers (c theta_{s+t}'), see ``PrimitiveFunction.heat_flow``.  Norms of
-v_t in the derivative space are L^r norms of its primitive F * theta_t,
-and the initial-data convergence is the L^p norm of F * theta_t - F:
-both are ``combo_lp_norm`` over ``convolve.Heated`` terms, the one norm
-path, scaled by the combination's own scanned peak.  For compact data
-and Gaussian powers F * theta_t is a closed form, so each of these norms
-costs one adaptive quadrature.
+Values come from the kernel-derivative convolution of the primitive,
+v_t(x) = (F * theta_t')(x), at a batch of points per call
+(``solve_values``): a closed form for step primitives
+(sum_i w_i theta_t(x - a_i) over the jumps) and Gaussian powers
+(c theta_{s+t}'), see ``PrimitiveFunction.heat_flow``, else one adaptive
+quadrature per point.  Either way a point's value does not depend on
+the other points of the call, so callers evaluate all their points at
+one time level in one call.  Norms of v_t in the derivative space are
+L^r norms of its primitive F * theta_t, and the initial-data
+convergence is the L^p norm of F * theta_t - F: both are
+``combo_lp_norm`` over ``convolve.Heated`` terms, the one norm path,
+scaled by the combination's own scanned peak.  For compact data and
+Gaussian powers F * theta_t is a closed form, so each of these norms
+costs one adaptive quadrature.  The flow arguments (t, order) are
+checked once, where the flow is built: ``convolve_values`` or ``Heated``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,18 +29,6 @@ from .exceptions import DomainError
 from .lp_space import combo_lp_norm
 from .lprime import LprimeElement
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
-
-
-def solve_at(
-    f: LprimeElement,
-    t: float,
-    x: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
-    """v_t(x) for initial data f."""
-    if not (t > 0 and math.isfinite(t)):
-        raise DomainError("time must be positive and finite")
-    return float(solve_values(f, t, x, cfg)[0])
 
 
 def solve_values(
@@ -72,9 +64,11 @@ def pde_residual(
         raise DomainError("stencil widths must be positive")
     if t - h_t <= 0:
         raise DomainError("time stencil would cross t = 0")
-    v = solve_at(f, t, x, cfg)
-    v_xx = (solve_at(f, t, x + h_x, cfg) - 2.0 * v + solve_at(f, t, x - h_x, cfg)) / (h_x * h_x)
-    v_t = (solve_at(f, t + h_t, x, cfg) - solve_at(f, t - h_t, x, cfg)) / (2.0 * h_t)
+    behind, v, ahead = solve_values(f, t, [x - h_x, x, x + h_x], cfg).tolist()
+    later = float(solve_values(f, t + h_t, [x], cfg)[0])
+    earlier = float(solve_values(f, t - h_t, [x], cfg)[0])
+    v_xx = (ahead - 2.0 * v + behind) / (h_x * h_x)
+    v_t = (later - earlier) / (2.0 * h_t)
     return v_xx - v_t
 
 
@@ -85,62 +79,24 @@ def ic_convergence(
 ) -> list[float]:
     """||v_t - f||'_p along the given times, via the primitive identity:
     the L^p norm of F * theta_t - F."""
-    for t in t_sequence:
-        if t <= 0:
-            raise DomainError("all times must be positive")
     F = f.primitive
     return [combo_lp_norm([(1.0, Heated(F, t, 0, cfg)), (-1.0, F)], f.p, cfg) for t in t_sequence]
 
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Smooth decaying test profile with a supplied derivative."""
+    """Smooth decaying test profile, given by its derivative and the window
+    outside which that derivative is negligible."""
 
-    name: str
-    value: Callable
     deriv: Callable
     window: tuple[float, float]
 
 
 def gaussian_test_function() -> TestFunction:
+    """phi(x) = exp(-x^2)."""
     return TestFunction(
-        name="exp(-x^2)",
-        value=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
         deriv=lambda x: -2.0 * np.asarray(x, dtype=float) * np.exp(-np.asarray(x, dtype=float) ** 2),
         window=(-9.0, 9.0),
-    )
-
-
-def _smooth_step(s: np.ndarray) -> np.ndarray:
-    """C-infinity ramp: 0 for s <= 0, 1 for s >= 1."""
-    s = np.clip(s, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = np.where(s > 0, np.exp(-1.0 / np.where(s > 0, s, 1.0)), 0.0)
-        b = np.where(s < 1, np.exp(-1.0 / np.where(s < 1, 1.0 - s, 1.0)), 0.0)
-    return a / (a + b)
-
-
-def _smooth_step_deriv(s: np.ndarray) -> np.ndarray:
-    h = 1e-6
-    return (_smooth_step(s + h) - _smooth_step(s - h)) / (2.0 * h)
-
-
-def plateau_test_function(flat_radius: float = 6.0, ramp: float = 2.0) -> TestFunction:
-    """Equals 1 on [-flat_radius, flat_radius], smoothly falls to 0 over ``ramp``."""
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        return _smooth_step((flat_radius + ramp - np.abs(x)) / ramp)
-
-    def deriv(x):
-        x = np.asarray(x, dtype=float)
-        return -np.sign(x) / ramp * _smooth_step_deriv((flat_radius + ramp - np.abs(x)) / ramp)
-
-    return TestFunction(
-        name=f"plateau({flat_radius},{ramp})",
-        value=value,
-        deriv=deriv,
-        window=(-(flat_radius + ramp + 1.0), flat_radius + ramp + 1.0),
     )
 
 
@@ -155,9 +111,6 @@ def weak_ic_check(
     lo, hi = test_fn.window
     out = []
     for t in t_sequence:
-        if t <= 0:
-            raise DomainError("all times must be positive")
-
         def integrand(xs, _t=t):
             return (convolve_values(F, 0, _t, xs, cfg) - F.values(xs)) * test_fn.deriv(xs)
 

@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import ApproximationError, DomainError, MembershipError
-from .kernel import theta_deriv_values
+from .kernel import _validate_exponent, theta_deriv_values
 from .quadrature import (
     _BLOCK_ENTRIES,
     DEFAULT_CONFIG,
@@ -119,9 +119,6 @@ class PrimitiveFunction:
 
     def is_compactly_supported(self) -> bool:
         return False
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
 
 
 class _Steps(PrimitiveFunction):
@@ -231,9 +228,6 @@ class Indicator(_Steps):
     def steps(self):
         return ((1.0, self.a, self.b),)
 
-    def to_json(self):
-        return {"type": "indicator", "a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
 class StepCombo(_Steps):
@@ -252,9 +246,6 @@ class StepCombo(_Steps):
             if a >= b:
                 raise DomainError("each step requires a < b")
         object.__setattr__(self, "steps", steps)
-
-    def to_json(self):
-        return {"type": "step_combo", "steps": [list(s) for s in self.steps]}
 
 
 @dataclass(frozen=True)
@@ -326,9 +317,6 @@ class GaussianPower(PrimitiveFunction):
     def admits(self, p):
         return True
 
-    def to_json(self):
-        return {"type": "gaussian_power", "t": self.t, "beta": self.beta}
-
 
 @dataclass(frozen=True)
 class TailLog(PrimitiveFunction):
@@ -393,9 +381,6 @@ class TailLog(PrimitiveFunction):
         if math.isinf(p):
             return True
         return p >= self.p0 - 1e-12
-
-    def to_json(self):
-        return {"type": "tail_log", "p": self.p0}
 
 
 _SINE_PANELS = 2048
@@ -462,9 +447,6 @@ class TruncatedSine(PrimitiveFunction):
         if math.isinf(p):
             return True
         return p > self.p0 + 1e-12
-
-    def to_json(self):
-        return {"type": "truncated_sine", "p": self.p0}
 
 
 @dataclass(frozen=True)
@@ -576,9 +558,6 @@ class Sampled(PrimitiveFunction):
     def is_compactly_supported(self):
         return True
 
-    def to_json(self):
-        return {"type": "samples", "x0": self.x0, "dx": self.dx, "values": list(self.samples)}
-
 
 def sample(values, x0: float, dx: float) -> Sampled:
     return Sampled(x0, dx, values)
@@ -656,9 +635,7 @@ def lp_norm(F: PrimitiveFunction, p: float, cfg: QuadratureConfig = DEFAULT_CONF
     Raises :class:`MembershipError` when F is outside L^p.  Each variant
     supplies its own rule through ``sup_bound`` and ``finite_lp_norm``.
     """
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise DomainError(f"norm exponent must lie in [1, inf], got {p}")
+    p = _validate_exponent(p)
     _require_membership(F, p)
     if math.isinf(p):
         return F.sup_bound()
@@ -686,9 +663,7 @@ def combo_lp_norm(
     brackets (``_bracket_max``, one call of the terms per round), and the
     combination at the middle of each cell between breakpoints; the scan
     skips the step terms' breakpoints, where closed steps add."""
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise DomainError(f"norm exponent must lie in [1, inf], got {p}")
+    p = _validate_exponent(p)
     if not terms:
         return 0.0
     for _, F in terms:
@@ -727,22 +702,6 @@ def combo_lp_norm(
     return s * val ** (1.0 / p)
 
 
-def antiderivative(g: PrimitiveFunction, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """integral of g from 0 to x (signed)."""
-    if not math.isfinite(x):
-        raise DomainError("antiderivative endpoint must be finite")
-    if x == 0.0:
-        return 0.0
-    lo, hi = g.effective_support(cfg)
-    a, b = (0.0, x) if x > 0 else (x, 0.0)
-    a = max(a, lo)
-    b = min(b, hi)
-    if a >= b:
-        return 0.0
-    val, _ = integrate(g.values, a, b, cfg, points=g.breakpoints())
-    return val if x > 0 else -val
-
-
 def _json_number(v) -> float:
     """A JSON number as a float.  TypeError for anything else, booleans
     and numeric strings included (``float`` reads True as 1.0 and "2" as 2.0)."""
@@ -752,7 +711,12 @@ def _json_number(v) -> float:
 
 
 def primitive_from_json(data: dict) -> PrimitiveFunction:
-    """Inverse of ``F.to_json()``; raises DomainError on bad input."""
+    """The catalog function a JSON descriptor names; DomainError on bad input.
+
+    A descriptor is an object with a ``type`` and that variant's numbers:
+    ``indicator`` (a, b), ``step_combo`` (steps, a list of [h, a, b]),
+    ``gaussian_power`` (t, beta), ``tail_log`` and ``truncated_sine`` (p),
+    ``samples`` (x0, dx, values)."""
     if not isinstance(data, dict) or "type" not in data:
         raise DomainError("primitive descriptor must be an object with a 'type' field")
     kind = data["type"]

@@ -169,16 +169,11 @@ def pairing(
     return -val
 
 
-def element_to_json(f: LprimeElement) -> dict:
-    out: dict = {"primitive": f.primitive.to_json(), "p": f.p}
-    if f.atoms is not None:
-        out["atoms"] = [[w, loc] for w, loc in f.atoms]
-    return out
-
-
 def element_from_json(data: dict) -> LprimeElement:
-    """Inverse of :func:`element_to_json`; optional ``atoms`` must match
-    the primitive's jumps and are then dropped (F determines them)."""
+    """The element a JSON descriptor names: ``primitive`` (see
+    ``primitive_from_json``) and ``p``.  Optional ``atoms``, a list of
+    [weight, location], must match the primitive's jumps and are then
+    dropped (F determines them)."""
     if not isinstance(data, dict) or "primitive" not in data or "p" not in data:
         raise DomainError("element descriptor needs 'primitive' and 'p' fields")
     primitive = primitive_from_json(data["primitive"])

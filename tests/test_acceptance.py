@@ -226,7 +226,8 @@ def test_criterion_8_structural_properties():
         z = abs(lh.zero_integral(f, t, ACFG))
         ok = ok and z < 1e-8
         x_neg, x_pos = lh.sign_change(f, t, (-8.0, 8.0), ACFG)
-        ok = ok and lh.solve_at(f, t, x_neg, ACFG) < 0 < lh.solve_at(f, t, x_pos, ACFG)
+        v_neg, v_pos = lh.solve_values(f, t, [x_neg, x_pos], ACFG)
+        ok = ok and v_neg < 0 < v_pos
         if f.p == 1.0:
             xs = [R + math.sqrt(2 * t) + d for d in (0.0, 0.5, 1.5)]
             xs += [-x for x in xs]

@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate as sci
 
 import lpheat as lh
+import lpheat.estimates as estimates
 from lpheat import DomainError, GaussianPower, Indicator, SearchFailureError, StepCombo
 from lpheat.estimates import SUITES, young_lattice_triples
 
@@ -118,8 +119,9 @@ def test_zero_integral():
 def test_sign_change_witnesses():
     f = lh.dirac_difference(-1.0, 1.0, p=2.0)
     x_neg, x_pos = lh.sign_change(f, 1.0, (-8.0, 8.0))
-    assert lh.solve_at(f, 1.0, x_neg) < -1e-10
-    assert lh.solve_at(f, 1.0, x_pos) > 1e-10
+    v_neg, v_pos = lh.solve_values(f, 1.0, [x_neg, x_pos])
+    assert v_neg < -1e-10
+    assert v_pos > 1e-10
     assert x_pos < 0 < x_neg  # mass flows from the left atom toward the right sink
 
     g = lh.dirac_difference(0.0, 1.0, p=2.0)
@@ -139,7 +141,8 @@ def test_sign_change_witnesses():
 def test_sign_change_witnesses_clear_the_threshold(f, t):
     for threshold in (1e-10, 1e-3):
         x_neg, x_pos = lh.sign_change(f, t, (-8.0, 8.0), threshold=threshold)
-        assert lh.solve_at(f, t, x_neg) < -threshold < threshold < lh.solve_at(f, t, x_pos)
+        v_neg, v_pos = lh.solve_values(f, t, [x_neg, x_pos])
+        assert v_neg < -threshold < threshold < v_pos
 
 
 def test_sign_change_witnesses_of_a_symmetric_pair_are_mirror_images():
@@ -147,7 +150,8 @@ def test_sign_change_witnesses_of_a_symmetric_pair_are_mirror_images():
     f = lh.dirac_difference(-1.0, 1.0, p=2.0)
     x_neg, x_pos = lh.sign_change(f, 1.0, (-8.0, 8.0))
     assert x_neg == -x_pos
-    assert lh.solve_at(f, 1.0, x_neg) == -lh.solve_at(f, 1.0, x_pos)
+    v_neg, v_pos = lh.solve_values(f, 1.0, [x_neg, x_pos])
+    assert v_neg == -v_pos
 
 
 def test_sign_change_failure_on_zero_data():
@@ -195,7 +199,7 @@ def test_decay_bound_spot_value():
     # p = 1 branch at x = 3, t = 1/4: explicit kernel arithmetic on both sides
     f = lh.dirac_difference(0.0, 1.0, p=1.0)
     t = 0.25
-    value = abs(lh.solve_at(f, t, 3.0))
+    value = abs(float(lh.solve_values(f, t, [3.0])[0]))
     assert value == pytest.approx(0.0102638661510727, rel=1e-10)
     bound = lh.M_const(1.0) * 1.0 * 3.0 * math.exp(-((3.0 - 1.0) ** 2) / (4 * t)) * t ** -1.5
     assert value <= bound
@@ -210,6 +214,47 @@ def test_decay_bound_preconditions():
     fg = lh.from_primitive(GaussianPower(1.0, 1.0), 2.0)
     with pytest.raises(DomainError):
         lh.decay_bound_check(fg, 1.0, 0.25, [3.0])  # not compactly supported
+
+
+@pytest.mark.parametrize(
+    "f, R, t, xs",
+    [
+        (lh.dirac_difference(-1.0, 1.0, p=1.0), 1.0, 0.25, [2.5, 3.0, 4.0, -3.5]),
+        (lh.dirac_difference(0.0, 1.0, p=2.0), 1.0, 0.25, [2.0, 3.0, 5.0, -2.5]),
+        (lh.from_primitive(lh.sample(np.exp(-np.linspace(-2.0, 2.0, 41) ** 2), -2.0, 0.1), 2.0), 2.0, 0.25,
+         [4.0, 5.0, -4.5]),
+    ],
+    ids=["p=1", "p=2", "sampled"],
+)
+def test_decay_bound_check_makes_one_call(record_solve_values, f, R, t, xs):
+    # the worst ratio over the set equals the worst of the one-point reports
+    # bit for bit: a point's value does not depend on the others in the call
+    per_point = max(lh.decay_bound_check(f, R, t, [x]).measured for x in xs)
+    calls = record_solve_values(estimates)
+    rep = lh.decay_bound_check(f, R, t, xs)
+    assert calls == [(t, xs)]
+    assert rep.measured == per_point
+    assert rep.params["points"] == len(xs)
+
+
+def test_decay_bound_check_reads_a_generator_once():
+    f = lh.dirac_difference(0.0, 1.0, p=2.0)
+    listed = lh.decay_bound_check(f, 1.0, 0.25, [2.0, 3.0, 5.0, -2.5])
+    rep = lh.decay_bound_check(f, 1.0, 0.25, (x for x in (2.0, 3.0, 5.0, -2.5)))
+    assert rep.params["points"] == 4
+    assert rep == listed
+
+
+def test_sign_change_margin_makes_one_call(record_solve_values):
+    calls = record_solve_values(estimates)
+    reports = [rep for rep in SUITES["decay"](lh.DEFAULT_CONFIG) if rep.name == "sign_change_witnesses"]
+    assert len(reports) == 2
+    assert all(len(xs) > 1 for _, xs in calls)
+    for rep, f in zip(reports, (lh.dirac_difference(-1.0, 1.0, p=1.0), lh.dirac_difference(0.0, 1.0, p=2.0))):
+        x_neg, x_pos = rep.params["x_neg"], rep.params["x_pos"]
+        assert calls.count((1.0, [x_neg, x_pos])) == 1
+        v_neg, v_pos = (float(lh.solve_values(f, 1.0, [x])[0]) for x in (x_neg, x_pos))
+        assert rep.measured == 1e-10 / max(min(-v_neg, v_pos), 1e-300)
 
 
 def test_variation_lower_bound_values():

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import lpheat as lh
+import lpheat.heat_solver as heat_solver
 from lpheat import DomainError, GaussianPower, Indicator, LprimeElement, StepCombo
 from lpheat.kernel import theta_deriv_values, theta_values
 
@@ -12,13 +14,22 @@ def dirac_pm1(p=2.0):
     return lh.dirac_difference(-1.0, 1.0, p=p)
 
 
+# a Gaussian bump sampled on [-2, 2]: its order-1 flow takes one quadrature per point
+SAMPLED_BUMP = lh.from_primitive(lh.sample(np.exp(-np.linspace(-2.0, 2.0, 41) ** 2), -2.0, 0.1), 2.0)
+
+
+def value_at(f, t, x, cfg=lh.DEFAULT_CONFIG):
+    """v_t(x) from a call of ``solve_values`` on the one point x."""
+    return float(lh.solve_values(f, t, [x], cfg)[0])
+
+
 def test_solve_at_symmetric_cancellation():
-    assert lh.solve_at(dirac_pm1(), 1.0, 0.0) == 0.0
+    assert value_at(dirac_pm1(), 1.0, 0.0) == 0.0
 
 
 def test_solve_at_closed_form_value():
     # theta_1(2) - theta_1(0) = (e^{-1} - 1) / (2 sqrt(pi))
-    got = lh.solve_at(dirac_pm1(), 1.0, 1.0)
+    got = value_at(dirac_pm1(), 1.0, 1.0)
     assert got == pytest.approx(-0.1783179174187295, rel=1e-13)
 
 
@@ -26,23 +37,51 @@ def test_solve_at_closed_form_value():
     "f",
     [
         lh.from_primitive(StepCombo(((1.0, -2.0, 0.5), (-0.7, 0.0, 1.5), (2.0, 1.0, 2.0))), 2.0),
+        SAMPLED_BUMP,
         LprimeElement(GaussianPower(1.0, 1.0), 2.0),
     ],
-    ids=["atoms", "quadrature"],
+    ids=["atoms", "quadrature", "gaussian_power"],
 )
-def test_solve_at_is_solve_values_on_one_point(f):
+def test_point_value_does_not_depend_on_the_other_points(f):
+    # callers put all their points at one time level in one call, so a
+    # point's value must be the same alone, reversed or among other points
     xs = np.linspace(-3.0, 3.0, 7)
-    grid = lh.solve_values(f, 0.3, xs)
-    assert [lh.solve_at(f, 0.3, float(x)) for x in xs] == list(grid)
+    grid = lh.solve_values(f, 0.3, xs).tolist()
+    assert [value_at(f, 0.3, x) for x in xs] == grid
+    assert lh.solve_values(f, 0.3, xs[::-1]).tolist() == grid[::-1]
+    mixed = lh.solve_values(f, 0.3, np.concatenate([xs[::2], [-7.5, 0.05], xs[1::2]])).tolist()
+    assert mixed[:4] + mixed[6:] == grid[::2] + grid[1::2]
+
+
+@pytest.mark.parametrize(
+    "f",
+    [dirac_pm1(), SAMPLED_BUMP],
+    ids=["closed form", "quadrature"],
+)
+def test_pde_residual_makes_one_call_per_time_level(record_solve_values, f):
+    x, t, h_x, h_t = 0.3, 0.5, 0.04, 0.02
+    v = {
+        (t, x - h_x): value_at(f, t, x - h_x),
+        (t, x): value_at(f, t, x),
+        (t, x + h_x): value_at(f, t, x + h_x),
+        (t + h_t, x): value_at(f, t + h_t, x),
+        (t - h_t, x): value_at(f, t - h_t, x),
+    }
+    calls = record_solve_values(heat_solver)
+    got = lh.pde_residual(f, x, t, h_x, h_t)
+    assert sorted(calls) == sorted([(t, [x - h_x, x, x + h_x]), (t + h_t, [x]), (t - h_t, [x])])
+    v_xx = (v[t, x + h_x] - 2.0 * v[t, x] + v[t, x - h_x]) / (h_x * h_x)
+    v_t = (v[t + h_t, x] - v[t - h_t, x]) / (2.0 * h_t)
+    assert got == v_xx - v_t
 
 
 def test_kernel_derivative_data_evolves_to_shifted_derivative():
     # data (theta_1)': the solution at time t is theta_{1+t}'
     f = lh.from_primitive(GaussianPower(1.0, 1.0), 2.0)
     for x in (0.7, -1.3):
-        got = lh.solve_at(f, 1.0, x)
+        got = value_at(f, 1.0, x)
         assert got == pytest.approx(float(theta_deriv_values(x, 2.0, 1)), rel=1e-10)
-    assert lh.solve_at(f, 1.0, 0.7) == pytest.approx(-0.032833530355232063, rel=1e-10)
+    assert value_at(f, 1.0, 0.7) == pytest.approx(-0.032833530355232063, rel=1e-10)
 
 
 def test_solve_values_on_grid():
@@ -54,7 +93,7 @@ def test_solve_values_on_grid():
 
 def test_time_validation():
     with pytest.raises(DomainError):
-        lh.solve_at(dirac_pm1(), -1.0, 0.0)
+        lh.solve_values(dirac_pm1(), -1.0, [0.0])
 
 
 def test_pde_residual_small_on_closed_form():
@@ -92,6 +131,22 @@ def test_ic_convergence_indicator():
     assert norms[2] == pytest.approx(0.1445763266, rel=1e-6)
     assert norms[0] > norms[1] > norms[2] > 0.0
     assert norms[-1] < 0.15
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+def test_flow_time_is_checked_before_any_work(capfd, t):
+    # the flow checks (t, n) where it is built, so a bad time raises with
+    # nothing computed: no numpy warning from a grid on an infinite window
+    f = lh.dirac_difference(0.0, 1.0, p=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="kernel time must be positive and finite"):
+            lh.ic_convergence(f, [0.1, t])
+        with pytest.raises(DomainError, match="kernel time must be positive and finite"):
+            lh.weak_ic_check(f, lh.gaussian_test_function(), [t])
+        with pytest.raises(DomainError, match="kernel time must be positive and finite"):
+            lh.continuity_bound(f, f, lh.r_from(2.0, 1.0), t)
+    assert capfd.readouterr().err == ""
 
 
 def test_ic_convergence_zero_data():
@@ -168,10 +223,31 @@ def test_weak_ic_pairing_tends_to_zero():
     assert all(b <= a + 1e-12 for a, b in zip(mags, mags[1:]))
 
 
+def _smooth_step(s):
+    """C-infinity ramp: 0 for s <= 0, 1 for s >= 1."""
+    s = np.clip(s, 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = np.where(s > 0, np.exp(-1.0 / np.where(s > 0, s, 1.0)), 0.0)
+        b = np.where(s < 1, np.exp(-1.0 / np.where(s < 1, 1.0 - s, 1.0)), 0.0)
+    return a / (a + b)
+
+
+def plateau_test_function(flat_radius=6.0, ramp=2.0):
+    """Equals 1 on [-flat_radius, flat_radius], smoothly falls to 0 over ``ramp``."""
+
+    def deriv(x):
+        x = np.asarray(x, dtype=float)
+        s = (flat_radius + ramp - np.abs(x)) / ramp
+        h = 1e-6
+        return -np.sign(x) / ramp * ((_smooth_step(s + h) - _smooth_step(s - h)) / (2.0 * h))
+
+    return lh.TestFunction(deriv=deriv, window=(-(flat_radius + ramp + 1.0), flat_radius + ramp + 1.0))
+
+
 def test_weak_ic_plateau_annihilates():
     # derivative of the plateau vanishes where the data lives
     f = lh.dirac_difference(-0.5, 0.5, p=2.0)
-    phi = lh.plateau_test_function(flat_radius=6.0, ramp=2.0)
+    phi = plateau_test_function(flat_radius=6.0, ramp=2.0)
     vals = lh.weak_ic_check(f, phi, [1.0, 0.1])
     assert all(abs(v) < 1e-7 for v in vals)
 
@@ -237,7 +313,7 @@ def test_time_shift_consistency():
     xs = np.linspace(-6.0, 7.0, 261)
     evolved = [lh.convolve_point(f.primitive, 0, t, x) for x in xs]
     f_evolved = LprimeElement(lh.sample(evolved, -6.0, xs[1] - xs[0]), 2.0)
-    for x in (-0.5, 0.4, 1.2):
-        direct = lh.solve_at(f, t + s, x)
-        staged = lh.solve_at(f_evolved, s, x)
-        assert staged == pytest.approx(direct, abs=5e-4)
+    xs = [-0.5, 0.4, 1.2]
+    direct = lh.solve_values(f, t + s, xs)
+    staged = lh.solve_values(f_evolved, s, xs)
+    assert staged == pytest.approx(direct, abs=5e-4)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy import integrate as sci
 from hypothesis import strategies as st
 
 import lpheat as lh
@@ -16,6 +17,7 @@ from lpheat import (
     MembershipError,
     StepCombo,
     TailLog,
+    TruncatedSine,
 )
 
 
@@ -140,13 +142,18 @@ def test_step_approximation_tail_log():
     assert res.achieved_error < 0.2
 
 
+def _atom_route(f, g):
+    """sum of weight * G(location) over f's atoms, G(x) = int_0^x g by scipy's quad."""
+    return sum(
+        w * sci.quad(lambda u: float(g.values(u)), 0.0, loc, epsabs=0.0, epsrel=1e-13)[0] for w, loc in f.atoms
+    )
+
+
 def test_pairing_dirac_example():
     f = lh.dirac_difference(0.0, 1.0, p=2.0)
     g = Indicator(0.0, 1.0)
     assert lh.pairing(f, g) == pytest.approx(-1.0, rel=1e-12)
-    # atom route: sum of weight * G(location) with G the antiderivative
-    atom_route = sum(w * lh.antiderivative(g, loc) for w, loc in f.atoms)
-    assert atom_route == pytest.approx(-1.0, rel=1e-12)
+    assert _atom_route(f, g) == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_pairing_zero_density():
@@ -159,10 +166,9 @@ def test_pairing_atom_consistency_with_gaussian_density():
     f = lh.dirac_difference(0.0, 1.0, p=2.0)
     g = GaussianPower(1.0, 1.0)
     direct = lh.pairing(f, g)
-    atom_route = sum(w * lh.antiderivative(g, loc) for w, loc in f.atoms)
     # -int_0^1 theta_1 = -erf(1/2)/2
     assert direct == pytest.approx(-0.2602499389065233, rel=1e-11)
-    assert direct == pytest.approx(atom_route, rel=1e-11)
+    assert direct == pytest.approx(_atom_route(f, g), rel=1e-11)
 
 
 def test_pairing_odd_symmetry():
@@ -181,13 +187,28 @@ def test_pairing_conjugacy_guard():
 
 
 def test_element_json_round_trip():
-    for f in (
-        lh.dirac_difference(-1.0, 1.0, p=2.0),
-        lh.from_primitive(GaussianPower(1.0, 1.0), 2.0),
-        lh.from_primitive(TailLog(2.0), 3.0),
-    ):
-        back = lh.element_from_json(lh.element_to_json(f))
-        assert back == f
+    # the descriptor format is defined by the reader; atoms are optional
+    # and must agree with the primitive's jumps
+    cases = [
+        ({"primitive": {"type": "indicator", "a": -1.0, "b": 1.0}, "p": 2.0, "atoms": [[1.0, -1.0], [-1.0, 1.0]]},
+         lh.dirac_difference(-1.0, 1.0, p=2.0)),
+        ({"primitive": {"type": "step_combo", "steps": [[2.0, 0.0, 1.0], [-0.5, 0.5, 3.0]]}, "p": 1.0,
+          "atoms": [[2.0, 0.0], [-0.5, 0.5], [-2.0, 1.0], [0.5, 3.0]]},
+         lh.from_primitive(StepCombo(((2.0, 0.0, 1.0), (-0.5, 0.5, 3.0))), 1.0)),
+        ({"primitive": {"type": "indicator", "a": 0, "b": 1}, "p": 3}, lh.dirac_difference(0.0, 1.0, p=3.0)),
+        ({"primitive": {"type": "gaussian_power", "t": 1.0, "beta": 1.0}, "p": 2.0},
+         lh.from_primitive(GaussianPower(1.0, 1.0), 2.0)),
+        ({"primitive": {"type": "tail_log", "p": 2.0}, "p": 3.0}, lh.from_primitive(TailLog(2.0), 3.0)),
+        ({"primitive": {"type": "truncated_sine", "p": 2.0}, "p": 3.0}, lh.from_primitive(TruncatedSine(2.0), 3.0)),
+        ({"primitive": {"type": "samples", "x0": -1.0, "dx": 0.5, "values": [0.0, 1.0, 0.0]}, "p": 2.0},
+         lh.from_primitive(lh.sample([0.0, 1.0, 0.0], -1.0, 0.5), 2.0)),
+    ]
+    for descriptor, f in cases:
+        assert lh.element_from_json(descriptor) == f
+    with pytest.raises(DomainError):
+        lh.element_from_json({"primitive": {"type": "indicator", "a": 0.0, "b": 1.0}, "p": 2.0, "atoms": [[1.0, 0.0]]})
+    with pytest.raises(DomainError):
+        lh.element_from_json({"primitive": {"type": "tail_log", "p": 2.0}, "p": 3.0, "atoms": [[1.0, 0.0]]})
     with pytest.raises(DomainError):
         lh.element_from_json({"p": 2.0})
     with pytest.raises(DomainError):

@@ -1,7 +1,10 @@
 """Guards on the shape of the source tree."""
 
 import ast
+import inspect
 from pathlib import Path
+
+import lpheat
 
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lpheat"
 _NORM_INTERNALS = {"_integrate", "_panels", "_scan_refine_max"}
@@ -75,3 +78,32 @@ def search(fn):
 """
     found = sorted(f.split(": ", 1)[1] for f in _per_element_python(ast.parse(source)))
     assert found == ["def _golden_max", "frompyfunc", "golden ratio 0.618034", "sqrt(5)", "vectorize"]
+
+
+# The names ``import lpheat`` offers, modules aside.  Adding or removing one
+# is a deliberate edit of this set, as with the suite row table in
+# test_estimates.py; a helper only tests reach belongs in tests/.
+_PUBLIC_SURFACE = {
+    "ApproximationError", "DomainError", "LpHeatError", "MembershipError", "QuadratureAccuracyError",
+    "SearchFailureError", "UnsupportedOrderError",
+    "ExponentTriple", "K_const", "L_const", "M_const", "beta_extremizer", "c_const", "conjugate", "r_from",
+    "young_constant",
+    "MAX_DERIV_ORDER", "alpha_coefficient", "delta_coefficient", "semigroup_residual", "theta_deriv_norm_closed",
+    "theta_norm_closed",
+    "DEFAULT_CONFIG", "QuadratureConfig", "integrate",
+    "GaussianPower", "Indicator", "PrimitiveFunction", "Sampled", "StepCombo", "TailLog", "TruncatedSine",
+    "combo_lp_norm", "lp_norm", "primitive_from_json", "sample",
+    "LprimeElement", "StepApproximation", "dirac_difference", "element_from_json", "from_primitive", "lprime_norm",
+    "pairing", "step_approximation",
+    "convolution_lp_norm", "convolve_point",
+    "TestFunction", "gaussian_test_function", "ic_convergence", "pde_residual", "solution_primitive_norm",
+    "solve_values", "weak_ic_check",
+    "EstimateReport", "NonmembershipEvidence", "continuity_bound", "decay_bound_check", "nonmembership_probe",
+    "rate_sharpness", "run_suite", "sign_change", "variation_lower_bound", "verify_lprime_bound", "verify_lr_bound",
+    "young_equality_gap", "zero_integral",
+}
+
+
+def test_public_surface_is_frozen():
+    public = {name for name, obj in vars(lpheat).items() if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public == _PUBLIC_SURFACE
