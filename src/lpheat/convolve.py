@@ -17,7 +17,9 @@ quadrature inside quadrature, except for the slow-tail profiles.
 ``Heated(F, t, n, cfg)`` is that flow as a catalog function, so every
 norm of a heat flow, or of a flow minus its data, is one
 ``combo_lp_norm``: ``convolution_lp_norm`` is that norm over ``Heated``
-terms.
+terms.  At p = 2 on step and sampled data that norm takes no quadrature:
+a flow hands ``combo_lp_norm`` its data's atoms of F'' at its own time
+and kernel order (``Heated._flow_atoms``).
 """
 
 from __future__ import annotations
@@ -101,7 +103,8 @@ class Heated(PrimitiveFunction):
     values are ``convolve_values``, its window is F's support widened by
     the kernel width, and F's support edges and jumps seed quadrature
     partitions.  It has no sup_bound: ``combo_lp_norm`` scans the
-    combination.  (t, n) are checked when the flow is built."""
+    combination.  Its atoms are F's, moved to time t and order + n.
+    (t, n) are checked when the flow is built."""
 
     F: PrimitiveFunction
     t: float
@@ -125,6 +128,12 @@ class Heated(PrimitiveFunction):
 
     def source(self):
         return self.F
+
+    def _flow_atoms(self):
+        rows = self.F._flow_atoms()
+        if rows is None:
+            return None
+        return tuple((t + self.t, n + self.n, o + self.n, locs, w) for t, n, o, locs, w in rows)
 
 
 def convolution_lp_norm(

@@ -13,8 +13,11 @@ convergence is the L^p norm of F * theta_t - F: both are
 ``combo_lp_norm`` over ``convolve.Heated`` terms, the one norm path,
 scaled by the combination's own scanned peak.  For compact data and
 Gaussian powers F * theta_t is a closed form, so each of these norms
-costs one adaptive quadrature.  The flow arguments (t, order) are
-checked once, where the flow is built: ``convolve_values`` or ``Heated``.
+costs one adaptive quadrature; at r = 2 (and p = 2 for the initial-data
+convergence) on step and sampled data it costs none, since the energy
+identity gives the norm as a double sum over the atoms of F''.  The
+flow arguments (t, order) are checked once, where the flow is built:
+``convolve_values`` or ``Heated``.
 """
 
 from __future__ import annotations

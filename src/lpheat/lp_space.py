@@ -20,7 +20,10 @@ have their exact norms (one closed form per cell or panel), Gaussian
 powers a closed form, and the two tail profiles substitution and
 period-panel treatments documented on their ``finite_lp_norm`` methods.
 ``combo_lp_norm`` is the one norm of a linear combination, heat flows
-(``convolve.Heated``) included.
+(``convolve.Heated``) included.  At p = 2 a combination of step data,
+sampled data and their heat flows is exact too: by Plancherel and the
+semigroup, a double sum over the atoms of F'' (``_flow_atoms``) against
+kernels in closed form (module ``_energy``).
 
 The compact variants and Gaussian powers also give their heat flow
 F * theta_t^(n) in closed form (``heat_flow(t, xs, order=n)``).  Step
@@ -87,6 +90,15 @@ class PrimitiveFunction:
         ``t`` is positive, ``xs`` a finite float array and ``order`` an
         integer in [0, MAX_DERIV_ORDER]; callers validate.
         """
+        return None
+
+    def _flow_atoms(self) -> tuple | None:
+        """F as rows (t, n, o, locs, weights), each the sum of
+        w theta_t^(o)(x - a) over its atoms (a, w), or None where F'' has no
+        finite set of atoms.  Negative orders are the kernel's antiderivatives
+        that vanish at -inf, at t = 0 the step H (o = -1) and the ramp x_+
+        (o = -2): a delta' atom of F'' sits at order n - 1, a delta atom at
+        n - 2.  Data has t = 0 and n = 0; a heat flow adds its (t, n)."""
         return None
 
     def sup_bound(self) -> float:
@@ -189,6 +201,11 @@ class _Steps(PrimitiveFunction):
         # blocks of 16,384 entries (128 KB): on 151 to 100,001 points the fastest
         # size measured; 65,536-entry temporaries ran 2-3x slower per element
         return _in_blocks(block, xs.size, len(locs), entries=1 << 14)
+
+    def _flow_atoms(self):
+        # F'' = sum_j w_j delta'_{a_j}
+        jumps = self.jumps()
+        return ((0.0, 0, -1, tuple(jumps), tuple(jumps.values())),)
 
     def effective_support(self, cfg):
         cuts = self.breakpoints()
@@ -552,6 +569,12 @@ class Sampled(PrimitiveFunction):
 
         return _in_blocks(block, xs.size, nodes.size)
 
+    def _flow_atoms(self):
+        # F'' = y_0 delta'_{x_0} - y_N delta'_{x_N} + sum_i k_i delta_{x_i}
+        y = self.samples
+        return ((0.0, 0, -1, (self.x0, self.x1), (y[0], -y[-1])),
+                (0.0, 0, -2, tuple(self.nodes().tolist()), tuple(self.kinks().tolist())))
+
     def admits(self, p):
         return True
 
@@ -653,7 +676,10 @@ def combo_lp_norm(
     Supported where the data behind every term has a support of moderate
     size (compact variants, Gaussian powers and their heat flows
     ``convolve.Heated``); a slowly decaying variant (support above 1e6)
-    raises DomainError.  Finite p is s (integral of |combo / s|^p)^(1/p)
+    raises DomainError.  At p = 2, where every term is step data, sampled
+    data or a heat flow of either, the norm is the energy identity's
+    double sum over the atoms of F'' (``_energy.energy_norm``), with no
+    quadrature.  Any other finite p is s (integral of |combo / s|^p)^(1/p)
     with s the combination's peak on a 33-node scan of the window (1 where
     the scan reads 0), so the tolerances act relatively even where the
     terms cancel; the interior scan nodes seed the partition with the
@@ -671,6 +697,12 @@ def combo_lp_norm(
         lo, hi = data.effective_support(cfg)
         if hi - lo > 1e6:
             raise DomainError(f"combination norms are not supported for slowly decaying variant {data.kind!r}")
+    if p == 2.0:
+        from ._energy import energy_norm  # compiled on first use, not at import
+
+        exact = energy_norm(terms, cfg)
+        if exact is not None:
+            return exact
     supports = [F.effective_support(cfg) for _, F in terms]
     lo, hi = min(a for a, _ in supports), max(b for _, b in supports)
 

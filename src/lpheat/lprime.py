@@ -124,12 +124,10 @@ def step_approximation(
         err = (max(inner_power, 0.0) + tail_power) ** (1.0 / p)
         best_err = min(best_err, err)
         if err < epsilon:
-            steps = tuple(
-                (float(h), float(a), float(b))
-                for h, a, b in zip(heights, edges[:-1], edges[1:])
-                if h != 0.0
-            )
-            if not steps:
+            if heights.any():
+                # a generator, so StepCombo.__post_init__ builds the only tuple
+                steps = ((h, a, b) for h, a, b in zip(heights, edges[:-1], edges[1:]) if h != 0.0)
+            else:
                 steps = ((0.0, lo, hi),)  # zero data approximated by a zero step
             element = from_primitive(StepCombo(steps), p)
             return StepApproximation(element, err, bins)

@@ -167,9 +167,11 @@ def test_criterion_5_initial_condition_convergence():
          f"strictly decreasing={decreasing}, weak pairing -> {weak[-1]:.2e}, final norm {final:.6f}")
     assert decreasing
     assert weak_ok
-    # closed-form cross-check of the final value: sqrt(2 sqrt(2t) (sqrt2 - 1)/sqrt(pi))
+    # closed-form cross-check of the final value: sqrt(2 sqrt(2t) (sqrt2 - 1)/sqrt(pi));
+    # the box's two edges interact only through terms below exp(-4096) at
+    # t = 2^-14, so this is the exact 0.071860825373235261648 to every digit
     predicted = math.sqrt(2.0 * math.sqrt(2.0 * ts[-1]) * (math.sqrt(2.0) - 1.0) / math.sqrt(math.pi))
-    assert final == pytest.approx(predicted, rel=1e-4)
+    assert final == pytest.approx(predicted, rel=1e-14)
     assert final < 0.05
 
 

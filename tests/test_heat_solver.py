@@ -178,11 +178,14 @@ def test_ic_convergence_gaussian_power_matches_exact():
 @pytest.mark.parametrize("t", [1e10, 1e12])
 def test_norms_at_large_t_judge_the_data_not_the_window(t):
     # the window of F * theta_t is wider than 1e6 here; the slow-tail rule
-    # looks at the data's own support, [0, 1]
+    # looks at the data's own support, [0, 1].  The exact values are
+    # sqrt(1 - B(2 sqrt t)), B(s) = erfc(1 / s sqrt 2) + s sqrt(2 / pi)
+    # (1 - exp(-1 / 2 s^2)), in 40-digit mpmath; at p = 2 the norm is the
+    # energy identity's jump sum, with no quadrature
     f = lh.dirac_difference(0.0, 1.0, p=2.0)
     norm = lh.solution_primitive_norm(f, t, 2.0)
-    if t == 1e10:
-        assert norm == 0.0014123425229005853
+    exact = {1e10: 0.0014123425229040608834, 1e12: 0.00044662192086899651339}[t]
+    assert norm == pytest.approx(exact, rel=1e-14)
     # the flow is nearly theta_t, and <F * theta_t, F> nearly theta_t(0)
     assert norm == pytest.approx(lh.theta_norm_closed(2.0, t), rel=1e-6)
     (dist,) = lh.ic_convergence(f, [t])

@@ -123,7 +123,9 @@ def test_step_approximation_resource_cap():
 def test_step_approximation_memory_at_the_bin_cap():
     # 65,536 bins: composite_gk15 evaluates the integrand in blocks of at
     # most 65,536 nodes, so the traced peak is the stored node values
-    # (15 per panel) and not a block of temporaries per node
+    # (15 per panel) and not a block of temporaries per node; the steps are
+    # built once, as the one tuple StepCombo makes (12.6 MB while it is
+    # built), so the peak is composite_gk15's, measured at 16.82 MB
     f = LprimeElement(lh.TruncatedSine(1.0), 2.0)
     tracemalloc.start()
     try:
@@ -133,7 +135,7 @@ def test_step_approximation_memory_at_the_bin_cap():
         tracemalloc.stop()
     assert res.bins == 65536
     assert res.achieved_error == 0.020321279468955143  # the value before blocking
-    assert peak < 20e6
+    assert peak < 18.5e6
 
 
 def test_step_approximation_tail_log():

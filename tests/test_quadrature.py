@@ -161,9 +161,10 @@ def test_batched_seeds_equal_integrate_bit_for_bit(name, points, p, scale):
 def test_combo_norm_of_sampled_flow_equals_integrate_bit_for_bit():
     # Sampled.heat_flow reduces each point's row on its own, so a point's
     # flow does not depend on the nodes batched with it: the norm is
-    # integrate's over the same scale and seeds, bit for bit
+    # integrate's over the same scale and seeds, bit for bit (p = 2 takes
+    # the energy identity and no quadrature, so the exponents avoid it)
     F = lh.sample(np.cos(np.linspace(-2, 2, 41)), -2.0, 0.1)
-    for t, p in ((0.05, 2.0), (0.2, 1.5), (1.0, 3.0)):
+    for t, p in ((0.05, 2.5), (0.2, 1.5), (1.0, 3.0)):
         H = Heated(F, t, 0, _NORM_CFG)
         lo, hi = H.effective_support(_NORM_CFG)
         scan = np.linspace(lo, hi, 33)
