@@ -1,11 +1,25 @@
-"""p = 2 norms of step data, sampled data and their heat flows by the
-energy identity, with no quadrature.
+"""Exact flow norms of step data, sampled data and their heat flows, with
+no quadrature: p = 2 by the energy identity, p = 1 of a flow that keeps
+one sign by contraction plus conservation.
 
-F'' of such data is a finite set of atoms (``PrimitiveFunction._flow_atoms``),
-and by Plancherel and the semigroup theta_s * theta_u = theta_{s+u} the
-squared L^2 norm of a combination of them and of their flows
-F * theta_t^(n) is a double sum over the atoms against pair kernels in
-closed form.  ``lp_space.combo_lp_norm`` imports this module on its first
+p = 2.  F'' of such data is a finite set of atoms
+(``PrimitiveFunction._flow_atoms``), and by Plancherel and the semigroup
+theta_s * theta_u = theta_{s+u} the squared L^2 norm of a combination of
+them and of their flows F * theta_t^(n) is a double sum over the atoms
+against pair kernels in closed form (``energy_norm``).  Where every atom
+location lies on one uniform grid x_0 + i dx (every ``Sampled`` datum,
+and step edges from ``np.linspace`` to a few ulps), the pair sum of two
+weight rows is the correlation sum_l K(l dx) (w * w')(l) over the grid
+lags, so each kernel is evaluated at the M distinct lags, not at the
+N^2 pairs, and memory stays O(M).  Elsewhere the (j, k) sums run in
+blocks of at most ``_BLOCK_ENTRIES`` entries.
+
+p = 1.  For data F that keeps one sign, the contraction
+||F * theta_t||_1 <= ||F||_1 and conservation of the integral,
+int F * theta_t = int F, pin ||F * theta_t||_1 = ||F||_1
+(``conserved_l1_norm``).
+
+``lp_space.combo_lp_norm`` imports this module on its first p = 1 or
 p = 2 call, so importing the package does not compile it.
 """
 
@@ -17,47 +31,161 @@ import numpy as np
 
 from .kernel import MAX_DERIV_ORDER, theta_deriv_values
 from .lp_space import _erfc, _exp_neg_square
-from .quadrature import QuadratureConfig
+from .quadrature import _BLOCK_ENTRIES, QuadratureConfig
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_EPS = 2.0 ** -52
 
 
-def _bare_kernel(d: np.ndarray, o: int) -> np.ndarray:
-    """K_0^(o)(d) for o = -1..-4: sgn(d) / 2, |d| / 2, d |d| / 4, |d|^3 / 12,
-    each the derivative of the next."""
+def _bare_kernel(at, o: int) -> np.ndarray:
+    """K_0^(o)(d) for o = -1..-4 on the offsets ``at`` (d with its sign,
+    |d| and d^2): sgn(d) / 2, |d| / 2, d |d| / 4, |d|^3 / 12, each the
+    derivative of the next."""
     if o == -1:
-        return np.sign(d) / 2.0
-    ad = np.abs(d)
-    return ad / 2.0 if o == -2 else d * ad / 4.0 if o == -3 else ad ** 3 / 12.0
+        return at.sign / 2.0
+    if o == -2:
+        return at.ad / 2.0
+    return at.d * at.ad / 4.0 if o == -3 else at.ad * at.d2 / 12.0
 
 
-def _smoothing(d: np.ndarray, tau: float, o: int) -> np.ndarray:
-    """K_tau^(o)(d) - K_0^(o)(d), with K_tau^(o) = K_0^(o) * theta_tau at
-    o < 0 (E sgn(X) / 2, E|X| / 2, E[X|X|] / 4, E|X|^3 / 12 for
-    X ~ N(d, sigma^2), sigma^2 = 2 tau) and theta_tau^(o) at o >= 0 (no
-    bare part).  In terms of erfc(|u|) and exp(-u^2), u = d / 2 sqrt(tau),
+def _smoothing(at, e: np.ndarray, g: np.ndarray, tau: float, o: int) -> np.ndarray:
+    """K_tau^(o)(d) - K_0^(o)(d) on the offsets ``at``, with
+    K_tau^(o) = K_0^(o) * theta_tau at o < 0 (E sgn(X) / 2, E|X| / 2,
+    E[X|X|] / 4, E|X|^3 / 12 for X ~ N(d, sigma^2), sigma^2 = 2 tau) and
+    theta_tau^(o) at o >= 0 (no bare part).  At o < 0 it is written in
+    e = erfc(|u|) and g = sigma sqrt(2 / pi) exp(-u^2), u = d / 2 sqrt(tau),
     so the parts that decay with |d| / sigma carry no K_0."""
     if o >= 0:
         # past 1e3 sqrt(tau) the kernel underflows to 0; the clip keeps d / 2 tau finite
         edge = 1e3 * math.sqrt(tau)
-        return theta_deriv_values(np.clip(d, -edge, edge), tau, o)
-    sigma = math.sqrt(2.0 * tau)
-    ad, s2 = np.abs(d), 2.0 * tau
-    u = d / (2.0 * math.sqrt(tau))
-    e = _erfc(np.abs(u))
-    g = sigma * _SQRT_2_OVER_PI * _exp_neg_square(u)
+        return theta_deriv_values(np.clip(at.d, -edge, edge), tau, o)
+    d, ad, d2, s2 = at.d, at.ad, at.d2, 2.0 * tau
     if o == -1:
-        return -np.sign(d) * e / 2.0
+        return -at.sign * e / 2.0
     if o == -2:
         return (g - ad * e) / 2.0
     if o == -3:
-        return np.sign(d) * (s2 - (d * d + s2) * e + ad * g) / 4.0
-    return (3.0 * ad * s2 - (ad ** 3 + 3.0 * ad * s2) * e + g * (d * d + 2.0 * s2)) / 12.0
+        return at.sign * (s2 - (d2 + s2) * e + ad * g) / 4.0
+    return (3.0 * s2 * ad - (d2 + 3.0 * s2) * ad * e + g * (d2 + 2.0 * s2)) / 12.0
+
+
+class _Offsets:
+    """Signed offsets d with |d|, sgn(d) and d^2; ``distinct`` holds the
+    values of |d| without repeats and ``spread`` (None for the identity)
+    maps them onto d."""
+
+    def __init__(self, d: np.ndarray, distinct: np.ndarray, spread):
+        self.d, self.distinct, self.spread = d, distinct, spread
+        self.ad, self.sign, self.d2 = np.abs(d), np.sign(d), d * d
+
+
+def _correlate(x, nx, y, ny) -> np.ndarray:
+    """c(l) = sum_k x[k + l] y[k] at index l + M - 1, for the lags
+    l = 1 - M .. M - 1 of two rows of M grid slots with nonzero slots nx
+    and ny.  A row with a few nonzero slots (the end atoms of sampled
+    data) is scattered instead."""
+    m = x.size
+    if min(nx.size, ny.size) > 8 or m <= 64:
+        return np.correlate(x, y, "full")
+    out = np.zeros(2 * m - 1)
+    if nx.size <= ny.size:
+        ry = y[::-1]
+        for j in nx.tolist():
+            out[j:j + m] += x[j] * ry
+    else:
+        for k in ny.tolist():
+            out[m - 1 - k:2 * m - 1 - k] += y[k] * x
+    return out
+
+
+class _Lags(_Offsets):
+    """The offsets of rows on one uniform grid of M slots: the lags l dx,
+    l = 1 - M .. M - 1, at the M distinct values |l| dx.  A pair of rows
+    meets a kernel K as sum_l K(l dx) c(l) over their correlation c."""
+
+    def __init__(self, m: int, dx: float):
+        lags = np.arange(1 - m, m)
+        d = lags * dx
+        super().__init__(d, d[m - 1:], np.abs(lags))
+
+    def pair(self, x, y, kernels) -> tuple[float, float]:
+        """sum over (coef, K, |K|) of coef x K y, and of |coef| |x| |K| |y|,
+        for rows given as (w, |w|, nonzero slots)."""
+        c, c_abs = _correlate(x[0], x[2], y[0], y[2]), _correlate(x[1], x[2], y[1], y[2])
+        return (sum(coef * float(K @ c) for coef, K, _ in kernels),
+                sum(abs(coef) * float(K_abs @ c_abs) for coef, _, K_abs in kernels))
+
+
+class _Block(_Offsets):
+    """The offsets a_j - a_k of the slots' locations, for j in one block
+    of rows; a pair of rows meets a kernel K as sum_jk x_j K(a_j - a_k) y_k."""
+
+    def __init__(self, places: np.ndarray, rows: slice):
+        self.rows = rows
+        d = places[rows, None] - places[None, :]
+        super().__init__(d, np.abs(d), None)
+
+    def pair(self, x, y, kernels) -> tuple[float, float]:
+        xj, xj_abs = x[0][self.rows], x[1][self.rows]
+        return (sum(coef * float(xj @ K @ y[0]) for coef, K, _ in kernels),
+                sum(abs(coef) * float(xj_abs @ K_abs @ y[1]) for coef, _, K_abs in kernels))
+
+
+def _kernel_table(offsets, needed) -> dict:
+    """(tau, o) -> (K, |K|) on the offsets for each needed pair: K_0^(o)
+    where tau is None, else K_tau^(o) - K_0^(o) (``_smoothing``), with one
+    erfc / exp pass over the distinct offsets for every tau at once."""
+    taus = sorted({tau for tau, o in needed if tau is not None and o < 0})
+    columns = {}
+    if taus:
+        u = np.divide.outer(offsets.distinct, [2.0 * math.sqrt(tau) for tau in taus])
+        e, g = _erfc(u), _exp_neg_square(u)
+        if offsets.spread is not None:
+            e, g = e[offsets.spread], g[offsets.spread]
+        columns = {tau: (e[..., i], math.sqrt(2.0 * tau) * _SQRT_2_OVER_PI * g[..., i]) for i, tau in enumerate(taus)}
+    table = {}
+    for tau, o in needed:
+        if tau is None:
+            K = _bare_kernel(offsets, o)
+        else:
+            K = _smoothing(offsets, *columns.get(tau, (None, None)), tau, o)
+        table[tau, o] = (K, np.abs(K))
+    return table
+
+
+def _layout(locs: np.ndarray):
+    """(slots, width, place, dx): the slot of each location in rows of
+    ``width`` slots, and ``place`` mapping slots to their locations.  On
+    one uniform grid (the sorted distinct locations are a_0 + i dx to
+    within a few ulps, on at most 4 slots per location) slot i is
+    a_0 + i dx; elsewhere the slots are the sorted distinct locations and
+    dx is None."""
+    ordered = np.sort(locs)
+    gaps = ordered[1:] - ordered[:-1]
+    a0, a1 = float(ordered[0]), float(ordered[-1])
+    if a1 == a0:
+        return np.zeros(locs.size, dtype=int), 1, lambda i: a0 + i, 1.0
+    positive = gaps > 0.0
+    dx = float(gaps.min(where=positive, initial=math.inf))
+    steps = (a1 - a0) / dx
+    tol = 8.0 * _EPS * max(abs(a0), abs(a1))
+    if steps <= 4 * (np.count_nonzero(positive) + 1) and tol < dx / 4.0:
+        steps = round(steps)
+        dx = (a1 - a0) / steps
+        at = (locs - a0) / dx
+        slots = np.rint(at)
+        if float(np.abs(at - slots).max()) * dx <= tol:
+            return slots.astype(int), steps + 1, lambda i: a0 + dx * i, dx
+    places, slots = np.unique(locs, return_inverse=True)
+    return slots, places.size, places.__getitem__, None
 
 
 _MOMENTS = 64
 _POWERS = np.arange(_MOMENTS)
-_INV_FACTORIAL = np.array([1.0 / math.factorial(p) for p in range(_MOMENTS)])
+# 1 / p! from p = 2 on: moments 0 and 1 vanish, so their terms are never formed
+_INV_FACTORIAL = np.array([0.0, 0.0] + [1.0 / math.factorial(p) for p in range(2, _MOMENTS)])
+_ALTERNATING = np.where(_POWERS % 2, -1.0, 1.0)
+_TAIL_POWERS = np.maximum(_POWERS - 2, 0)  # (half / sigma)^(p - 2), finite where moment p vanishes
 
 
 def _taylor_coefficients(count: int) -> np.ndarray:
@@ -76,48 +204,52 @@ _TAYLOR_C = _taylor_coefficients(_MOMENTS + 2 * MAX_DERIV_ORDER + 4)
 
 
 def _moments(rows, base: int, center: float, half: float) -> tuple[np.ndarray, np.ndarray]:
-    """The moments <nu, ((x - center) / half)^p>, p < _MOMENTS, of
-    nu = sum over the rows (o, locs, w) of w delta^(o - base)_a, with
+    """The moments <nu, ((x - center) / half)^p> / p!, 2 <= p < _MOMENTS,
+    of nu = sum over the rows (o, locs, w) of w delta^(o - base)_a, with
     <delta^(m)_a, f> = (-1)^m f^(m)(a); and the same sums of magnitudes,
-    the scale of their rounding."""
+    the scale of their rounding.  Moments 0 and 1 vanish (nu is F'' of
+    compact data, or derivatives of it) and are returned as 0."""
     mu, mu_abs = np.zeros(_MOMENTS), np.zeros(_MOMENTS)
     for o, locs, w in rows:
         m = o - base
         q = _POWERS[: _MOMENTS - m]
         powers = ((locs - center) / half)[:, None] ** q
-        factor = (-1.0 / half) ** m * np.prod([q + r for r in range(1, m + 1)], axis=0)
+        factor = (-1.0 / half) ** m
+        for r in range(1, m + 1):
+            factor = factor * (q + r)
         mu[m:] += factor * (w @ powers)
         mu_abs[m:] += np.abs(factor) * (np.abs(w) @ np.abs(powers))
-    return mu, mu_abs
+    return mu * _INV_FACTORIAL, mu_abs * _INV_FACTORIAL
 
 
-def _moment_series(g, h, tau: float, center: float, half: float) -> tuple[float, float]:
+def _moment_series(g, h, tau: float, half: float) -> tuple[float, float]:
     """<theta^(b_g) * nu_g, theta^(b_h) * nu_h> with tau the sum of the two
-    times, for groups g and h given as (rows, base order b) with nu the sum
-    of w delta^(o - b)_a over the rows: the Taylor series at 0 of the pair
-    kernel (-1)^(b_h) K_tau^(b_g + b_h)(y_h - y_g), taken in the moments
-    about center through
+    times, for groups g and h given as (moments, base order b) with nu the
+    sum of w delta^(o - b)_a over their rows and the moments about a
+    centre c in units of ``half`` (``_moments``): the Taylor series at 0
+    of the pair kernel (-1)^(b_h) K_tau^(b_g + b_h)(y_h - y_g), taken in
+    the moments through
     (y_h - y_g)^i = sum over p of C(i, p) (y_h - c)^(i - p) (c - y_g)^p.
-    Moments 0 and 1 of each nu vanish (it is F'' of compact data, or
-    derivatives of it), so the terms that would carry the kernel's
+    Since moments 0 and 1 vanish, the terms that would carry the kernel's
     constant and linear parts are never formed; with every |y - c| <=
-    half < sigma / 2 the terms fall at least as 2^-i.  Returns the value
-    and the scale of its rounding."""
-    (mu_g, abs_g), (mu_h, abs_h) = (_moments(*group, center, half) for group in (g, h))
-    b_g, b_h = g[1], h[1]
+    half < sigma / 2 the terms fall at least as 2^-i.  Term i carries
+    half^i sigma^(-b-1-i), taken as half^2 sigma^(-b-3) (half / sigma)^(i-2),
+    so no factor leaves the float range where the sum does not (sigma^-b
+    alone overflows near t = 4e153).  Returns the value and the scale of
+    its rounding."""
+    ((mu_g, abs_g), b_g), ((mu_h, abs_h), b_h) = g, h
     b, sigma = b_g + b_h, math.sqrt(2.0 * tau)
-    mu_g, abs_g, mu_h, abs_h = (np.where(_POWERS >= 2, v * _INV_FACTORIAL, 0.0) for v in (mu_g, abs_g, mu_h, abs_h))
-    conv = np.convolve(np.where(_POWERS % 2, -mu_g, mu_g), mu_h)[:_MOMENTS]
+    conv = np.convolve(_ALTERNATING * mu_g, mu_h)[:_MOMENTS]
     # to first order a moment's rounding meets the other group's moment itself
     rounding = (np.convolve(np.abs(mu_g), abs_h) + np.convolve(abs_g, np.abs(mu_h)))[:_MOMENTS]
-    weights = _TAYLOR_C[_POWERS + b + 4] * (half / sigma) ** _POWERS
-    scale = (-1.0) ** b_h * sigma ** -b / (2.0 * math.sqrt(math.pi * tau))
+    weights = _TAYLOR_C[b + 4:b + 4 + _MOMENTS] * (half / sigma) ** _TAIL_POWERS
+    scale = (-1.0) ** b_h * half * half * sigma ** (-b - 3) / math.sqrt(2.0 * math.pi)
     return scale * float(weights @ conv), abs(scale) * float(np.abs(weights) @ rounding)
 
 
 # the rounding of the energy sum, in units of the sum of its terms'
 # magnitudes: a few ulps of 2^-52 per kernel value and per product
-_ROUNDING = 4.0 * 2.0 ** -52
+_ROUNDING = 4.0 * _EPS
 
 
 def energy_norm(terms, cfg: QuadratureConfig) -> float | None:
@@ -128,69 +260,145 @@ def energy_norm(terms, cfg: QuadratureConfig) -> float | None:
     opposite signs), where quadrature of the pointwise difference is the
     better measurement.
 
-    The atoms are merged into one weight row W_g per (time, order), on one
-    location axis per order.  By Plancherel and theta_s * theta_u =
+    The atoms are merged into one weight row W_g per (time, order) on one
+    axis of locations.  By Plancherel and theta_s * theta_u =
     theta_{s+u}, the square is the sum over row pairs of
     (-1)^(o_g) W_g K^(o_g + o_h)_(t_g + t_h)(a_j - a_k) W_h, with
-    K^(o)_tau = K_0^(o) * theta_tau (``_smoothing``).  Two forms keep that
-    sum from cancelling.  A pair of times whose sigma = sqrt(2 tau)
-    exceeds the spread of their atoms' locations, where the kernel is
-    nearly its constant part, is one Taylor series in the moments of the
-    two times' atoms (``_moment_series``), which the constant and linear
-    parts never enter.  Every other pair is split as K_0 + (K_tau - K_0), and its
-    tau-free K_0 parts are summed over the weights pooled across those
-    pairs first, so that they cancel exactly where the rows do
-    (F * theta_t - F at small t)."""
-    rows: dict[tuple[float, int], dict[float, float]] = {}
-    least_n: dict[float, int] = {}
+    K^(o)_tau = K_0^(o) * theta_tau (``_smoothing``); each unordered pair
+    of rows is summed once, since K^(o)(-d) = (-1)^o K^(o)(d) makes the
+    two orders equal.  Two forms keep that sum from cancelling.  A pair of
+    times whose sigma = sqrt(2 tau) exceeds the spread of their atoms'
+    locations, where the kernel is nearly its constant part, is one Taylor
+    series in the moments of the two times' atoms (``_moment_series``),
+    which the constant and linear parts never enter.  Every other pair is
+    split as K_0 + (K_tau - K_0), and its tau-free K_0 parts are summed
+    over the weights pooled across the times each time pairs with first,
+    so that they cancel exactly where the rows do (F * theta_t - F at
+    small t).  The rows sit on the slots of ``_layout``: on a uniform
+    grid each kernel is evaluated at the distinct lags (``_Lags``), else
+    on blocks of (j, k) offsets (``_Block``), with one erfc / exp pass
+    over the distinct offsets for all time sums (``_kernel_table``)."""
+    parts, least_n = [], {}
     for c, F in terms:
         atoms = F._flow_atoms()
         if atoms is None:
             return None
         for t, n, o, locs, weights in atoms:
             least_n[t] = min(n, least_n.get(t, n))
-            row = rows.setdefault((t, o), {})
-            for a, w in zip(locs, weights):
-                row[a] = row.get(a, 0.0) + c * w
-    if 2 * max(o for _, o in rows) > MAX_DERIV_ORDER:
+            parts.append(((t, o), locs, c * np.asarray(weights, dtype=float)))
+    keys = sorted({key for key, _, _ in parts}, key=lambda key: (key[1], key[0]))
+    if 2 * max(o for _, o in keys) > MAX_DERIV_ORDER:
         return None
-    axes = {}
-    for (_, o), row in rows.items():
-        axes.setdefault(o, set()).update(a for a, w in row.items() if w != 0.0)
-    axes = {o: np.array(sorted(locs)) for o, locs in axes.items()}
-    W = {(t, o): np.array([row.get(a, 0.0) for a in axes[o].tolist()]) for (t, o), row in rows.items()}
-    W = {key: w for key, w in W.items() if w.any()}
-    if not W:
+    # one row per (time, order) on the slots, each location's weights
+    # added in the order of the terms (a row's own locations are distinct)
+    locs = np.concatenate([locs for _, locs, _ in parts])
+    if not locs.size:  # zero data
         return 0.0
+    slots, width, place, dx = _layout(locs)
+    merged, start = np.zeros((len(keys), width)), 0
+    for key, _, w in parts:
+        merged[keys.index(key), slots[start:start + w.size]] += w
+        start += w.size
     # weights scaled to a largest |w| of 1, so no product under- or overflows
-    peak = max(float(np.max(np.abs(w))) for w in W.values())
-    W = {key: w / peak for key, w in W.items()}
-    times = sorted({t for t, _ in W})
-    by_time = {t: [(o, axes[o], w) for (s, o), w in W.items() if s == t] for t in times}
-    reach = {t: [f(a[w != 0.0]) for _, a, w in by_time[t] for f in (np.min, np.max)] for t in times}
+    peak = float(np.abs(merged).max())
+    if peak == 0.0:
+        return 0.0
+    merged /= peak
+    vectors, by_time, reach = {}, {}, {}
+    for (t, o), v in zip(keys, merged):
+        nz = v.nonzero()[0]
+        if nz.size:
+            vectors[(t,), o] = (v, np.abs(v), nz)
+            by_time.setdefault(t, []).append((o, nz, v))
+            lo, hi = reach.get(t, (math.inf, -math.inf))
+            reach[t] = (min(lo, float(place(nz[0]))), max(hi, float(place(nz[-1]))))
+    times = sorted(by_time)
+
     total = size = 0.0
-    pooled: dict[tuple[tuple[float, int], int], np.ndarray] = {}
-    for tg in times:
-        for th in times:
-            tau, lo, hi = tg + th, min(reach[tg] + reach[th]), max(reach[tg] + reach[th])
+    jobs: dict[tuple, list] = {}  # (x key, y key) -> [(coefficient, tau or None for K_0, kernel order)]
+    partners: dict[float, list[float]] = {t: [] for t in times}
+    for i, tg in enumerate(times):
+        for th in times[i:]:
+            mult, tau = (1.0 if tg == th else 2.0), tg + th
+            lo, hi = min(reach[tg][0], reach[th][0]), max(reach[tg][1], reach[th][1])
             if 2.0 * tau > (hi - lo) ** 2:
                 # the flows at time t are theta_t^(n - 2) * nu_t for their least order n
-                g, h = ((by_time[s], least_n[s] - 2) for s in (tg, th))
-                value, scale = _moment_series(g, h, tau, 0.5 * (lo + hi), 0.5 * (hi - lo) or 1.0)
-                total, size = total + value, size + scale
+                center, half = 0.5 * (lo + hi), 0.5 * (hi - lo) or 1.0
+                g, h = ((_moments([(o, place(nz), v[nz]) for o, nz, v in by_time[s]], least_n[s] - 2, center, half),
+                         least_n[s] - 2) for s in (tg, th))
+                value, scale = _moment_series(g, h, tau, half)
+                total, size = total + mult * value, size + mult * scale
                 continue
-            for og, ag, wg in by_time[tg]:
-                for oh, ah, wh in by_time[th]:
-                    if og + oh < 0:
-                        pooled[(tg, og), oh] = pooled.get(((tg, og), oh), 0.0) + wh
-                    if tau > 0.0:
-                        K = _smoothing(ag[:, None] - ah[None, :], tau, og + oh)
-                        total += (-1.0) ** og * float(wg @ K @ wh)
-                        size += float(np.abs(wg) @ np.abs(K) @ np.abs(wh))
-    for ((tg, og), oh), P in pooled.items():
-        K = _bare_kernel(axes[og][:, None] - axes[oh][None, :], og + oh)
-        total += (-1.0) ** og * float(W[tg, og] @ K @ P)
-        size += float(np.abs(W[tg, og]) @ np.abs(K) @ np.abs(P))
+            partners[tg].append(th)
+            if th != tg:
+                partners[th].append(tg)
+            if tau == 0.0:
+                continue
+            for a, (og, _, _) in enumerate(by_time[tg]):
+                for b, (oh, _, _) in enumerate(by_time[th]):
+                    if tg != th or b >= a:
+                        coef = (1.0 if tg == th and a == b else 2.0) * (-1.0) ** og
+                        jobs.setdefault((((tg,), og), ((th,), oh)), []).append((coef, tau, og + oh))
+    # the K_0 parts: each time's rows against the weights pooled over the
+    # times it pairs with
+    orders = sorted({o for _, o in vectors})
+    for tg in times:
+        pool = tuple(partners[tg])
+        for o in orders:
+            if (pool, o) not in vectors:
+                v = sum((vectors[(t,), o][0] for t in pool if ((t,), o) in vectors), np.zeros(width))
+                vectors[pool, o] = (v, np.abs(v), v.nonzero()[0])
+        symmetric = pool == (tg,)
+        for a, og in enumerate(orders):
+            for b, oh in enumerate(orders):
+                x, y = ((tg,), og), (pool, oh)
+                if og + oh < 0 and (b >= a or not symmetric) and x in vectors and vectors[y][2].size:
+                    coef = (2.0 if symmetric and b > a else 1.0) * (-1.0) ** og
+                    jobs.setdefault((x, y), []).append((coef, None, og + oh))
+
+    if jobs:
+        needed = {(tau, o) for job in jobs.values() for _, tau, o in job}
+        if dx is not None:
+            sets = [_Lags(width, dx)]
+        else:
+            # blocks of rows whose offsets, at every tau, fill at most _BLOCK_ENTRIES entries
+            step = max(1, _BLOCK_ENTRIES // (width * max(1, len({tau for tau, _ in needed}))))
+            places = place(np.arange(width))
+            sets = (_Block(places, slice(i, i + step)) for i in range(0, width, step))
+        for offsets in sets:
+            table = _kernel_table(offsets, needed)
+            for (x, y), job in jobs.items():
+                value, scale = offsets.pair(vectors[x], vectors[y], [(coef, *table[tau, o]) for coef, tau, o in job])
+                total, size = total + value, size + scale
     if not total > _ROUNDING * size / cfg.rel_tol:  # also where a kernel overflowed to inf or nan
         return None
     return peak * math.sqrt(total)
+
+
+def conserved_l1_norm(terms, cfg: QuadratureConfig) -> float | None:
+    """||c F * theta_t||_1 = |c| ||F||_1 for one order-0 flow of step or
+    sampled data F that keeps one sign, or None (more terms, data, a
+    derivative order, data with no atoms, or |int F| below ||F||_1 by
+    more than ``cfg.rel_tol``, where quadrature measures the flow).
+
+    The contraction gives ||F * theta_t||_1 <= ||F||_1 and conservation
+    int F * theta_t = int F, so where |int F| = ||F||_1 the two pin the
+    value.  int F = <F'', (x - c)^2> / 2 over the atoms of F'' (a delta'
+    atom w at a gives -w (a - c), a delta atom w (a - c)^2 / 2), with c
+    the centre of the atoms' span; ||F||_1 is the datum's exact norm."""
+    if len(terms) != 1:
+        return None
+    c, flow = terms[0]
+    data, atoms = flow.source(), flow._flow_atoms()
+    if data is flow or atoms is None or any(n != 0 for _, n, _, _, _ in atoms):
+        return None
+    l1 = data.finite_lp_norm(1.0, cfg)
+    if l1 == 0.0:
+        return 0.0
+    locs = [a for *_, row, _ in atoms for a in row]
+    center = 0.5 * (min(locs) + max(locs))
+    integral = math.fsum(-w * (a - center) if o == -1 else 0.5 * w * (a - center) ** 2
+                         for _, _, o, row, weights in atoms for a, w in zip(row, weights))
+    if abs(abs(integral) - l1) > cfg.rel_tol * l1:
+        return None
+    return abs(c) * l1

@@ -1,16 +1,20 @@
-"""p = 2 norms of step and sampled data and their heat flows by the energy
-identity: a double sum over the atoms of F'', with no quadrature."""
+"""Exact flow norms with no quadrature: p = 2 norms of step and sampled data
+and their heat flows by the energy identity, a double sum over the atoms of
+F'', and p = 1 norms of their flows where the data keeps one sign."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sci
+from scipy import special
 
 import lpheat as lh
 from lpheat import lp_space, quadrature
+from lpheat._energy import energy_norm
 from lpheat.convolve import Heated
 
 _CFG = lh.QuadratureConfig(abs_tol=1e-13, rel_tol=1e-10)
@@ -291,3 +295,164 @@ def test_p2_norm_of_step_terms_is_the_merged_step_norm(first, second):
     terms = [(1.0, lh.StepCombo(first)), (-1.0, lh.StepCombo(second))]
     merged = lh.StepCombo(first + tuple((-h, a, b) for h, a, b in second))
     assert lh.combo_lp_norm(terms, 2.0) == pytest.approx(lh.lp_norm(merged, 2.0), rel=1e-15)
+
+
+# --- a plain per-pair reference for the energy sum: every pair of atom rows
+# of every pair of terms, the full kernel K_tau^(o) = K_0^(o) * theta_tau
+# (E sgn X / 2, E|X| / 2, E[X|X|] / 4, E|X|^3 / 12 for X ~ N(d, 2 tau) through
+# erf and exp, the bare powers at tau = 0, theta_tau^(o) at o >= 0), no
+# merging, no grid, no pooling, no moment series, summed exactly by fsum
+
+
+def _full_kernel(d, tau, o):
+    if o >= 0:
+        return lh.kernel.theta_deriv_values(d, tau, o)
+    if tau == 0.0:
+        ad = np.abs(d)
+        return {-1: np.sign(d) / 2.0, -2: ad / 2.0, -3: d * ad / 4.0, -4: ad ** 3 / 12.0}[o]
+    s2 = 2.0 * tau
+    erf = special.erf(d / (2.0 * math.sqrt(tau)))
+    g = math.sqrt(s2) * math.sqrt(2.0 / math.pi) * np.exp(-d * d / (4.0 * tau))
+    return {-1: erf / 2.0, -2: (d * erf + g) / 2.0, -3: ((d * d + s2) * erf + d * g) / 4.0,
+            -4: ((d ** 3 + 3.0 * d * s2) * erf + g * (d * d + 2.0 * s2)) / 12.0}[o]
+
+
+def _reference_energy(terms):
+    """(sum, size): the squared L^2 norm as the plain double sum, and the sum
+    of its terms' magnitudes."""
+    rows = [(t, o, np.asarray(locs, dtype=float), c * np.asarray(w, dtype=float))
+            for c, F in terms for t, _, o, locs, w in F._flow_atoms()]
+    products = []
+    for tg, og, ag, wg in rows:
+        for th, oh, ah, wh in rows:
+            K = _full_kernel(ag[:, None] - ah[None, :], tg + th, og + oh)
+            products.append(((-1.0) ** og * wg[:, None] * K * wh[None, :]).ravel())
+    products = np.concatenate(products)
+    return math.fsum(products.tolist()), math.fsum(np.abs(products).tolist())
+
+
+def _approximation(values, eps):
+    """The uniform-bin step approximation of a sampled datum: step edges from np.linspace."""
+    f = lh.from_primitive(lh.sample(values, -1.0, 2.0 / (len(values) - 1)), 2.0)
+    return lh.step_approximation(f, eps).element.primitive
+
+
+_wide_grids = st.builds(
+    lh.sample,
+    st.lists(st.floats(-2.0, 2.0, allow_subnormal=False), min_size=2, max_size=300),
+    st.floats(-3.0, 1.0),
+    st.floats(0.005, 0.5),
+)
+_approximations = st.builds(
+    _approximation,
+    st.lists(st.floats(-2.0, 2.0, allow_subnormal=False).filter(lambda v: abs(v) > 0.1), min_size=3, max_size=12),
+    st.sampled_from([0.3, 0.1, 0.03]),
+)
+_energy_data = _steps | _wide_grids | _approximations
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.lists(_energy_data, min_size=1, max_size=3),
+       times=st.lists(st.sampled_from([0.0, 1e-4, 1e-2, 0.3, 1.0, 30.0, 1e4]), min_size=1, max_size=3, unique=True),
+       n=st.sampled_from([0, 1, 2]), coefs=st.lists(st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 0.1), min_size=3, max_size=3))
+def test_energy_sum_matches_the_plain_per_pair_double_sum(data, times, n, coefs):
+    # terms on 1 to 3 times; the data's grids, step edges and mixtures put the
+    # rows on one grid of lags or on blocks of (j, k) offsets
+    terms = [(c, F if t == 0.0 else Heated(F, t, n, _CFG))
+             for c, F, t in zip(coefs, data, times + times[:1] * 3)]
+    got = energy_norm(terms, _CFG)
+    assume(got is not None)  # cancelling combinations hand over to quadrature
+    exact, size = _reference_energy(terms)
+    assert abs(got * got - exact) <= 8.0 * 2.0 ** -52 * size
+
+
+def _wide_bump(nodes):
+    xs = np.linspace(-3.0, 3.0, nodes)
+    return lh.sample(np.exp(-xs ** 2), -3.0, 6.0 / (nodes - 1))
+
+
+def test_grid_norm_evaluates_the_kernel_once_per_lag(monkeypatch):
+    # 2,001 nodes: the pair kernels of the three weight-row pairs take one
+    # erfc pass over the 2,001 distinct lags, not 2,001^2 pairs
+    import lpheat._energy as energy
+
+    counted = []
+    inner = energy._erfc
+
+    def counting(z):
+        counted.append(np.size(z))
+        return inner(z)
+
+    monkeypatch.setattr(energy, "_erfc", counting)
+    F = _wide_bump(2001)
+    assert lh.combo_lp_norm([(1.0, Heated(F, 0.01, 0, _CFG))], 2.0, _CFG) > 0.0
+    assert 0 < sum(counted) <= 8 * 2001
+
+
+@pytest.mark.parametrize("datum", ["sampled", "approximation"])
+def test_large_flow_norms_stay_in_bounded_memory(datum):
+    # a 2,001-node sampled flow, and the flow of a 1,024-bin step
+    # approximation: their dense (j, k) pair matrices take 329 MB and 76 MB
+    F = _wide_bump(2001)
+    if datum == "approximation":
+        approx = lh.step_approximation(lh.from_primitive(F, 2.0), 3e-3)
+        assert approx.bins == 1024
+        F = approx.element.primitive
+    tracemalloc.start()
+    try:
+        value = lh.combo_lp_norm([(1.0, Heated(F, 0.01, 0, _CFG))], 2.0, _CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value > 0.0
+    assert peak < 5e6
+
+
+# --- p = 1: a flow of data that keeps one sign has the data's norm
+
+
+_SIGN_DEFINITE = [
+    lh.Indicator(-1.0, 1.0),
+    lh.StepCombo(((1.0, 0.0, 1.0), (2.0, 0.5, 2.0), (0.5, -1.0, 0.25))),
+    lh.StepCombo(((-1.0, 0.0, 1.0), (-0.25, 3.0, 4.0))),
+    lh.sample(np.exp(-np.linspace(-2.0, 2.0, 41) ** 2), -2.0, 0.1),
+    lh.sample([0.0, -1.0, -3.0, -0.5, 0.0], 1.0, 0.25),
+]
+
+
+@pytest.mark.parametrize("F", _SIGN_DEFINITE)
+@pytest.mark.parametrize("t", [2.0 ** -14, 0.3, 1e4])
+def test_p1_flow_of_sign_definite_data_is_the_data_norm(F, t, quadrature_raises):
+    # ||F * theta_t||_1 <= ||F||_1 by the contraction and int F * theta_t =
+    # int F by conservation, which pin the value where F keeps one sign
+    assert lh.combo_lp_norm([(-2.0, Heated(F, t, 0, _CFG))], 1.0, _CFG) == 2.0 * lh.lp_norm(F, 1.0)
+
+
+@pytest.mark.parametrize("F", [lh.StepCombo(((0.0, 0.0, 1.0),)), lh.sample([0.0, 0.0, 0.0], 0.0, 0.5)])
+def test_p1_flow_of_zero_data_is_zero(F, quadrature_raises):
+    assert lh.combo_lp_norm([(1.0, Heated(F, 0.5, 0, _CFG))], 1.0, _CFG) == 0.0
+
+
+def test_p1_flow_of_a_dirac_difference_is_exactly_two():
+    f = lh.dirac_difference(-1.0, 1.0, p=1.0)
+    assert [lh.solution_primitive_norm(f, 2.0 ** -k, 1.0) for k in (0, 7, 14)] == [2.0, 2.0, 2.0]
+
+
+@pytest.mark.parametrize("terms", [
+    [(1.0, Heated(lh.StepCombo(_COMBO), 0.25, 0, _CFG))],
+    [(1.0, Heated(lh.sample([0.3, -1.0, 2.0, 0.5], -1.0, 0.4), 0.25, 0, _CFG))],
+    [(1.0, Heated(lh.Indicator(0.0, 1.0), 0.25, 1, _CFG))],
+    [(1.0, Heated(lh.Indicator(0.0, 1.0), 0.25, 0, _CFG)), (-1.0, lh.Indicator(0.0, 1.0))],
+    [(1.0, lh.Indicator(0.0, 1.0))],
+])
+def test_p1_other_combinations_keep_their_quadrature_bit_for_bit(terms, monkeypatch):
+    # sign changes, derivatives, differences and data take the quadrature as before
+    import lpheat._energy as energy
+
+    got = lh.combo_lp_norm(terms, 1.0, _CFG)
+    monkeypatch.setattr(energy, "conserved_l1_norm", lambda terms, cfg: None)
+    assert lh.combo_lp_norm(terms, 1.0, _CFG) == got
+    monkeypatch.setattr(quadrature, "_integrate", _boom)
+    monkeypatch.setattr(lp_space, "_integrate", _boom)
+    with pytest.raises(_Reached):
+        lh.combo_lp_norm(terms, 1.0, _CFG)

@@ -192,6 +192,29 @@ def test_norms_at_large_t_judge_the_data_not_the_window(t):
     assert dist == pytest.approx(math.sqrt(1.0 + norm ** 2 - 1.0 / math.sqrt(math.pi * t)), rel=1e-9)
 
 
+@pytest.mark.parametrize("t", [1e150, 4e153, 1e200, 1e300])
+def test_norms_at_huge_t_stay_in_the_float_range(t):
+    # sigma^4 alone overflows near t = 4e153; the exact values are
+    # sqrt(1 - B(2 sqrt t)) (above) in 400-digit mpmath, whose cancellation
+    # leaves more than 100 digits here
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 400
+    s = 2 * mp.sqrt(mp.mpf(t))
+    exact = mp.sqrt(1 - mp.erfc(1 / (s * mp.sqrt(2))) + s * mp.sqrt(2 / mp.pi) * mp.expm1(-1 / (2 * s * s)))
+    f = lh.dirac_difference(0.0, 1.0, p=2.0)
+    assert lh.solution_primitive_norm(f, t, 2.0) == pytest.approx(float(exact), rel=1e-13)
+    assert lh.ic_convergence(f, [t]) == pytest.approx([1.0], rel=1e-15)
+
+
+@pytest.mark.xfail(strict=True, reason="the p = 1 quadrature does not split at the flow's zero, 1.3e-4 right of "
+                                       "the jump at 0.5, and reads 4.3e-8 low (ROADMAP item 1)")
+def test_p1_step_combo_flow_norm_at_2_to_the_minus_8():
+    # 30-digit value of ||F * theta_t||_1 at t = 2^-8 for the contraction
+    # catalog's step combination; its flow changes sign at 0.500128957
+    f = lh.from_primitive(StepCombo(((1.0, 0.0, 1.0), (-2.0, 0.5, 2.0), (0.5, -1.0, 0.25))), 1.0)
+    assert lh.solution_primitive_norm(f, 2.0 ** -8, 1.0) == pytest.approx(3.4838916284975936937, rel=1e-12)
+
+
 def test_norm_limit_approaches_from_below():
     f = lh.dirac_difference(0.0, 1.0, p=2.0)
     ts = [0.5, 0.1, 0.02, 0.004]

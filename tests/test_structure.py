@@ -2,6 +2,8 @@
 
 import ast
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import lpheat
@@ -107,3 +109,13 @@ _PUBLIC_SURFACE = {
 def test_public_surface_is_frozen():
     public = {name for name, obj in vars(lpheat).items() if not name.startswith("_") and not inspect.ismodule(obj)}
     assert public == _PUBLIC_SURFACE
+
+
+def test_importing_the_package_and_cli_leaves_the_energy_module_unloaded():
+    # the exact-norm module is imported on the first p = 1 or p = 2 norm, so
+    # set-up (import lpheat, lpheat.cli) does not compile it
+    code = "import sys, lpheat, lpheat.cli; print('lpheat._energy' in sys.modules)"
+    env_path = str(_PACKAGE.parent)
+    out = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {env_path!r}); {code}"],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
