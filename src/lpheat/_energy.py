@@ -79,29 +79,11 @@ class _Offsets:
         self.ad, self.sign, self.d2 = np.abs(d), np.sign(d), d * d
 
 
-def _correlate(x, nx, y, ny) -> np.ndarray:
-    """c(l) = sum_k x[k + l] y[k] at index l + M - 1, for the lags
-    l = 1 - M .. M - 1 of two rows of M grid slots with nonzero slots nx
-    and ny.  A row with a few nonzero slots (the end atoms of sampled
-    data) is scattered instead."""
-    m = x.size
-    if min(nx.size, ny.size) > 8 or m <= 64:
-        return np.correlate(x, y, "full")
-    out = np.zeros(2 * m - 1)
-    if nx.size <= ny.size:
-        ry = y[::-1]
-        for j in nx.tolist():
-            out[j:j + m] += x[j] * ry
-    else:
-        for k in ny.tolist():
-            out[m - 1 - k:2 * m - 1 - k] += y[k] * x
-    return out
-
-
 class _Lags(_Offsets):
     """The offsets of rows on one uniform grid of M slots: the lags l dx,
     l = 1 - M .. M - 1, at the M distinct values |l| dx.  A pair of rows
-    meets a kernel K as sum_l K(l dx) c(l) over their correlation c."""
+    meets a kernel K as sum_l K(l dx) c(l) over their correlation
+    c(l) = sum_k x[k + l] y[k], np.correlate's full output at l + M - 1."""
 
     def __init__(self, m: int, dx: float):
         lags = np.arange(1 - m, m)
@@ -111,7 +93,7 @@ class _Lags(_Offsets):
     def pair(self, x, y, kernels) -> tuple[float, float]:
         """sum over (coef, K, |K|) of coef x K y, and of |coef| |x| |K| |y|,
         for rows given as (w, |w|, nonzero slots)."""
-        c, c_abs = _correlate(x[0], x[2], y[0], y[2]), _correlate(x[1], x[2], y[1], y[2])
+        c, c_abs = np.correlate(x[0], y[0], "full"), np.correlate(x[1], y[1], "full")
         return (sum(coef * float(K @ c) for coef, K, _ in kernels),
                 sum(abs(coef) * float(K_abs @ c_abs) for coef, _, K_abs in kernels))
 
@@ -153,13 +135,15 @@ def _kernel_table(offsets, needed) -> dict:
     return table
 
 
-def _layout(locs: np.ndarray):
+def _layout(locs: np.ndarray, rel_tol: float):
     """(slots, width, place, dx): the slot of each location in rows of
     ``width`` slots, and ``place`` mapping slots to their locations.  On
-    one uniform grid (the sorted distinct locations are a_0 + i dx to
-    within a few ulps, on at most 4 slots per location) slot i is
-    a_0 + i dx; elsewhere the slots are the sorted distinct locations and
-    dx is None."""
+    one uniform grid slot i is a_0 + i dx; elsewhere the slots are the
+    sorted distinct locations and dx is None.  The grid is taken where it
+    has at most 4 slots per location and moving each location onto it
+    only absorbs rounding: by at most 8 ulps of the largest |location|,
+    and by at most rel_tol / 16 of dx, so no gap changes its length by
+    more than rel_tol / 8 (a gap of 40 ulps is no grid step of 47)."""
     ordered = np.sort(locs)
     gaps = ordered[1:] - ordered[:-1]
     a0, a1 = float(ordered[0]), float(ordered[-1])
@@ -174,7 +158,8 @@ def _layout(locs: np.ndarray):
         dx = (a1 - a0) / steps
         at = (locs - a0) / dx
         slots = np.rint(at)
-        if float(np.abs(at - slots).max()) * dx <= tol:
+        shift = float(np.abs(at - slots).max())
+        if shift * dx <= tol and shift <= min(rel_tol, 1.0) / 16.0:
             return slots.astype(int), steps + 1, lambda i: a0 + dx * i, dx
     places, slots = np.unique(locs, return_inverse=True)
     return slots, places.size, places.__getitem__, None
@@ -294,7 +279,7 @@ def energy_norm(terms, cfg: QuadratureConfig) -> float | None:
     locs = np.concatenate([locs for _, locs, _ in parts])
     if not locs.size:  # zero data
         return 0.0
-    slots, width, place, dx = _layout(locs)
+    slots, width, place, dx = _layout(locs, cfg.rel_tol)
     merged, start = np.zeros((len(keys), width)), 0
     for key, _, w in parts:
         merged[keys.index(key), slots[start:start + w.size]] += w

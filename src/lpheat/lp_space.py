@@ -499,11 +499,7 @@ class Sampled(PrimitiveFunction):
 
     def kinks(self) -> np.ndarray:
         """Change of slope at each node, the end slopes against zero."""
-        y = np.asarray(self.samples)
-        slopes = (y[1:] - y[:-1]) / self.dx
-        out = np.empty(y.size)
-        out[0], out[1:-1], out[-1] = slopes[0], slopes[1:] - slopes[:-1], -slopes[-1]
-        return out
+        return np.diff(np.diff(self.samples) / self.dx, prepend=0.0, append=0.0)
 
     def values(self, x):
         x = np.asarray(x, dtype=float)
@@ -608,9 +604,9 @@ def _erfc(z) -> np.ndarray:
 def _exp_neg_square(w: np.ndarray) -> np.ndarray:
     """exp(-w^2) to a few ulp: w^2 is split as h^2 + (w - h)(w + h) with h
     the float32 rounding of w, so the large part of the exponent is exact."""
-    w = np.minimum(np.maximum(w, -40.0), 40.0)  # exp(-1600) underflows to 0 either way
+    w = np.clip(w, -40.0, 40.0)  # exp(-1600) underflows to 0 either way
     h = w.astype(np.float32).astype(float)
-    return np.exp(-h * h) * np.exp((h - w) * (w + h))
+    return np.exp(-h * h) * np.exp(-(w - h) * (w + h))
 
 
 def _in_blocks(block, n_points: int, n_nodes: int, entries: int = _BLOCK_ENTRIES) -> np.ndarray:

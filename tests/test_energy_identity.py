@@ -366,6 +366,19 @@ def test_energy_sum_matches_the_plain_per_pair_double_sum(data, times, n, coefs)
     assert abs(got * got - exact) <= 8.0 * 2.0 ** -52 * size
 
 
+@pytest.mark.parametrize("t", [0.0, 1e-30, 1e-28])
+def test_edges_a_few_ulps_apart_stay_off_the_grid(t):
+    # gaps of 40 and 54 ulps lie within 8 ulps of a grid step of 47, but
+    # moving the middle edge onto it would read the norm 4 % low
+    u = 2.0 ** -52
+    F = lh.StepCombo(((1.0, 1.0, 1.0 + 40 * u), (2.0, 1.0 + 40 * u, 1.0 + 94 * u)))
+    terms = [(1.0, F if t == 0.0 else Heated(F, t, 0, _CFG))]
+    exact, size = _reference_energy(terms)
+    assert abs(energy_norm(terms, _CFG) ** 2 - exact) <= 8.0 * 2.0 ** -52 * size
+    if t == 0.0:
+        assert lh.combo_lp_norm(terms, 2.0, _CFG) == pytest.approx(lh.lp_norm(F, 2.0), rel=1e-15)
+
+
 def _wide_bump(nodes):
     xs = np.linspace(-3.0, 3.0, nodes)
     return lh.sample(np.exp(-xs ** 2), -3.0, 6.0 / (nodes - 1))
