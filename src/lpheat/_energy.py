@@ -7,12 +7,13 @@ p = 2.  F'' of such data is a finite set of atoms
 theta_s * theta_u = theta_{s+u} the squared L^2 norm of a combination of
 them and of their flows F * theta_t^(n) is a double sum over the atoms
 against pair kernels in closed form (``energy_norm``).  Where every atom
-location lies on one uniform grid x_0 + i dx (every ``Sampled`` datum,
-and step edges from ``np.linspace`` to a few ulps), the pair sum of two
-weight rows is the correlation sum_l K(l dx) (w * w')(l) over the grid
-lags, so each kernel is evaluated at the M distinct lags, not at the
-N^2 pairs, and memory stays O(M).  Elsewhere the (j, k) sums run in
-blocks of at most ``_BLOCK_ENTRIES`` entries.
+location lies on one uniform grid x_0 + i dx to within its rounding
+(every ``Sampled`` datum, and step edges from ``np.linspace``;
+``_layout``), the pair sum of two weight rows is the correlation
+sum_l K(l dx) (w * w')(l) over the grid lags, so each kernel is
+evaluated at the M distinct lags, not at the N^2 pairs, and memory
+stays O(M).  Elsewhere the (j, k) sums run in blocks of at most
+``_BLOCK_ENTRIES`` entries.
 
 p = 1.  For data F that keeps one sign, the contraction
 ||F * theta_t||_1 <= ||F||_1 and conservation of the integral,
