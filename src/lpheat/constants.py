@@ -25,18 +25,11 @@ import math
 from dataclasses import dataclass
 
 from .exceptions import DomainError
-from .kernel import alpha_coefficient, delta_coefficient
+from .kernel import _validate_exponent, alpha_coefficient, delta_coefficient
 
 EXPONENT_TOL = 1e-12
 
 INF = math.inf
-
-
-def _validate(p: float, name: str = "exponent") -> float:
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise DomainError(f"{name} out of range: must lie in [1, inf], got {p}")
-    return p
 
 
 def _inv(p: float) -> float:
@@ -45,7 +38,7 @@ def _inv(p: float) -> float:
 
 def conjugate(p: float) -> float:
     """Conjugate exponent p' with 1/p + 1/p' = 1."""
-    p = _validate(p)
+    p = _validate_exponent(p)
     if p == 1.0:
         return INF
     if math.isinf(p):
@@ -67,7 +60,7 @@ class ExponentTriple:
 
     def __post_init__(self):
         for name in ("p", "q", "r"):
-            object.__setattr__(self, name, _validate(getattr(self, name), name))
+            object.__setattr__(self, name, _validate_exponent(getattr(self, name), name))
         defect = _inv(self.p) + _inv(self.q) - 1.0 - _inv(self.r)
         if abs(defect) > EXPONENT_TOL:
             raise DomainError(
@@ -80,8 +73,8 @@ class ExponentTriple:
 
 def r_from(p: float, q: float) -> ExponentTriple:
     """Complete (p, q) to an admissible triple; fails if 1/p + 1/q < 1."""
-    p = _validate(p, "p")
-    q = _validate(q, "q")
+    p = _validate_exponent(p, "p")
+    q = _validate_exponent(q, "q")
     s = _inv(p) + _inv(q) - 1.0
     if s < -EXPONENT_TOL:
         raise DomainError(f"no valid r: 1/p + 1/q = {1.0 + s} is below 1")
@@ -91,7 +84,7 @@ def r_from(p: float, q: float) -> ExponentTriple:
 
 def c_const(p: float) -> float:
     """c_p = p^{1/p} / p'^{1/p'}; equals 1 at both endpoints."""
-    p = _validate(p)
+    p = _validate_exponent(p)
     if p == 1.0 or math.isinf(p):
         return 1.0
     pp = conjugate(p)
@@ -115,7 +108,7 @@ def L_const(tr: ExponentTriple) -> float:
 
 def M_const(p: float) -> float:
     """Pointwise decay constant for compactly supported data, 1 <= p < inf."""
-    p = _validate(p)
+    p = _validate_exponent(p)
     if math.isinf(p):
         raise DomainError("decay constant is defined for finite p only")
     if p == 1.0:
@@ -135,8 +128,8 @@ def beta_extremizer(p: float, q: float) -> float:
     representative.
     """
     r_from(p, q)  # validates the pair
-    p = _validate(p, "p")
-    q = _validate(q, "q")
+    p = _validate_exponent(p, "p")
+    q = _validate_exponent(q, "q")
     if p == 1.0 and q == 1.0:
         return 1.0
     if p == 1.0:

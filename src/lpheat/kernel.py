@@ -58,10 +58,10 @@ def theta_deriv_values(x, t: float, n: int) -> np.ndarray:
     return cur
 
 
-def _validate_exponent(q: float) -> float:
+def _validate_exponent(q: float, name: str = "exponent") -> float:
     q = float(q)
     if math.isnan(q) or q < 1.0:
-        raise DomainError(f"Lebesgue exponent must lie in [1, inf], got {q}")
+        raise DomainError(f"{name} out of range: must lie in [1, inf], got {q}")
     return q
 
 

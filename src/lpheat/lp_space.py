@@ -150,14 +150,17 @@ class _Steps(PrimitiveFunction):
         return tuple(sorted({c for _, a, b in self.steps for c in (a, b)}))
 
     def levels(self) -> list[tuple[float, float, float]]:
-        """Constant pieces as (lo, hi, value) on the open cells between jumps."""
+        """Constant pieces as (lo, hi, value) on the open cells between jumps.
+        Each step adds its height to the cells between its edges, one step at
+        a time in step order, so a value is the sum of the heights covering
+        its cell in that order."""
         cuts = self.breakpoints()
-        out = []
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            mid = 0.5 * (lo + hi)
-            val = sum(h for h, a, b in self.steps if a <= mid <= b)
-            out.append((lo, hi, val))
-        return out
+        heights, starts, ends = zip(*self.steps)
+        first, last = np.searchsorted(cuts, (starts, ends)).tolist()
+        vals = np.zeros(len(cuts) - 1)
+        for h, i, j in zip(heights, first, last):
+            vals[i:j] += h
+        return list(zip(cuts[:-1], cuts[1:], vals.tolist()))
 
     def jumps(self) -> dict[float, float]:
         """Signed jump at each breakpoint (value after minus value before)."""
@@ -216,11 +219,12 @@ class _Steps(PrimitiveFunction):
 
     def finite_lp_norm(self, p, cfg):
         """Exact: peak (sum over the cells of |level / peak|^p length)^(1/p)
-        with peak = sup_bound(), so |level|^p neither under- nor overflows."""
-        peak = self.sup_bound()
+        with peak the largest |level|, so |level|^p neither under- nor overflows."""
+        levels = self.levels()
+        peak = max(abs(v) for _, _, v in levels)
         if peak == 0.0:
             return 0.0
-        return peak * math.fsum(abs(v / peak) ** p * (hi - lo) for lo, hi, v in self.levels()) ** (1.0 / p)
+        return peak * math.fsum(abs(v / peak) ** p * (hi - lo) for lo, hi, v in levels) ** (1.0 / p)
 
     def admits(self, p):
         return True

@@ -27,6 +27,7 @@ from .constants import conjugate
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, composite_gk15, integrate
 
 _ATOM_TOL = 1e-12
+_MAX_BINS = 65536  # step_approximation stops doubling past this bin count
 
 
 @dataclass(frozen=True)
@@ -87,14 +88,13 @@ def step_approximation(
     f: LprimeElement,
     epsilon: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    max_bins: int = 65536,
 ) -> StepApproximation:
     """Dirac-combination approximation g with ||f - g||' below epsilon.
 
     Builds midpoint-sampled uniform bins on an epsilon-certified window
-    and doubles the bin count until the quadrature-measured error drops
-    below the target.  Step-type inputs are already exact and are
-    returned unchanged.
+    and doubles the bin count, up to ``_MAX_BINS``, until the
+    quadrature-measured error drops below the target.  Step-type inputs
+    are already exact and are returned unchanged.
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise DomainError("approximation target must be positive")
@@ -109,7 +109,7 @@ def step_approximation(
 
     bins = 8
     best_err = math.inf
-    while bins <= max_bins:
+    while bins <= _MAX_BINS:
         edges = np.linspace(lo, hi, bins + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         heights = np.asarray(F.values(mids), dtype=float)
@@ -133,7 +133,7 @@ def step_approximation(
             return StepApproximation(element, err, bins)
         bins *= 2
     raise ApproximationError(
-        f"could not reach error {epsilon} within {max_bins} bins", best_error=best_err
+        f"could not reach error {epsilon} within {_MAX_BINS} bins", best_error=best_err
     )
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
@@ -23,15 +23,7 @@ class EstimateReport:
     tolerance: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "measured": self.measured,
-            "bound": self.bound,
-            "ratio": self.ratio,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "params": dict(self.params),
-        }
+        return asdict(self)
 
 
 def make_report(

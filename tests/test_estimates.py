@@ -332,6 +332,24 @@ def test_run_suite_tolerance_override_forces_failure():
     assert any(not rep.passed for rep in reports)
 
 
+# rows whose bound is a theorem's: ``tolerance`` is their slack over it
+_THEOREM_ROWS = {"derivative_space_bound", "value_space_bound", "compact_support_decay"}
+
+
+def test_tolerance_override_by_row_kind():
+    # a threshold row is measured against the override with no slack, a
+    # theorem row takes it as its slack, and the sign-change witnesses keep
+    # their floor; 0.0123 is no row's default threshold
+    x = 0.0123
+    for rep in lh.run_suite("all", tolerance=x):
+        if rep.name in _THEOREM_ROWS:
+            assert rep.tolerance == x, rep.name
+        elif rep.name == "sign_change_witnesses":
+            assert (rep.bound, rep.tolerance) == (1.0, 0.0), rep.name
+        else:
+            assert (rep.bound, rep.tolerance) == (x, 0.0), rep.name
+
+
 def test_suite_row_set_is_frozen():
     runs = {name: lh.run_suite(name) for name in SUITES}
     assert list(runs) == list(_SUITE_ROWS)

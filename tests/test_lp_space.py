@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sci
 from scipy import optimize as sopt
@@ -405,6 +405,50 @@ def test_step_norm_is_exact(name, p):
             power += abs(level) ** p * (hi - lo)
         want = float(power ** (1 / mp.mpf(p)))
     assert lh.lp_norm(F, p) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def _reference_levels(F):
+    # cell by cell: the heights of the steps that cover the cell's midpoint,
+    # added in step order
+    cuts = F.breakpoints()
+    out = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        out.append((lo, hi, float(sum(h for h, a, b in F.steps if a <= mid <= b))))
+    return out
+
+
+# shared edges on an inexact grid, and free ones
+_STEP_EDGES = st.integers(-40, 40).map(lambda k: k * 0.1) | st.floats(-5.0, 5.0, allow_subnormal=False)
+_STEP_HEIGHTS = st.sampled_from([1.0, -2.0, 0.1, 1e-300, 1e300]) | st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_STEP_HEIGHTS, _STEP_EDGES, _STEP_EDGES).filter(lambda s: s[1] < s[2]),
+                min_size=1, max_size=12))
+def test_step_levels_are_the_cell_by_cell_sums(steps):
+    # the one-pass build adds each step to the cells between its edges; a
+    # cell under two ulps wide can have a midpoint on its edge, where the
+    # midpoint test would count a step that only touches the cell
+    F = StepCombo(tuple(steps))
+    cuts = F.breakpoints()
+    assume(all(hi - lo > 2.0 * math.ulp(max(abs(lo), abs(hi))) for lo, hi in zip(cuts[:-1], cuts[1:])))
+    got = F.levels()
+    want = _reference_levels(F)
+    assert [(lo, hi) for lo, hi, _ in got] == [(lo, hi) for lo, hi, _ in want]
+    assert [v.hex() for _, _, v in got] == [v.hex() for _, _, v in want]
+
+
+def test_step_norm_of_16384_steps():
+    # 16,384 half-unit cells with heights cycling through 1, -2, 0.5 and 3,
+    # under one step across all of them that adds 0.25 last
+    n = 1 << 14
+    heights = [(1.0, -2.0, 0.5, 3.0)[i % 4] for i in range(n)]
+    F = StepCombo(tuple((h, 0.5 * i, 0.5 * (i + 1)) for i, h in enumerate(heights)) + ((0.25, 0.0, 0.5 * n),))
+    for p in (1.0, 2.0, 3.0):
+        want = 3.25 * math.fsum(abs((h + 0.25) / 3.25) ** p * 0.5 for h in heights) ** (1.0 / p)
+        assert lh.lp_norm(F, p) == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert lh.lp_norm(F, math.inf) == 3.25
 
 
 @pytest.mark.parametrize(

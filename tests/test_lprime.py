@@ -8,6 +8,7 @@ from scipy import integrate as sci
 from hypothesis import strategies as st
 
 import lpheat as lh
+from lpheat import lprime
 from lpheat import (
     ApproximationError,
     DomainError,
@@ -113,10 +114,11 @@ def test_step_approximation_refines_monotonically():
     assert half <= errs[-1] + 1e-12
 
 
-def test_step_approximation_resource_cap():
+def test_step_approximation_resource_cap(monkeypatch):
+    monkeypatch.setattr(lprime, "_MAX_BINS", 64)
     f = lh.from_primitive(GaussianPower(1.0, 1.0), 2.0)
     with pytest.raises(ApproximationError) as exc:
-        lh.step_approximation(f, 1e-9, max_bins=64)
+        lh.step_approximation(f, 1e-9)
     assert exc.value.best_error > 1e-9
 
 

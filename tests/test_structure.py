@@ -119,3 +119,42 @@ def test_importing_the_package_and_cli_leaves_the_energy_module_unloaded():
     out = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {env_path!r}); {code}"],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _report_constructions(tree):
+    """Lines that call ``EstimateReport(...)`` directly."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "EstimateReport":
+                yield node.lineno
+
+
+def test_reports_are_built_by_make_report():
+    # perfbench's tracer counts estimates.checks from calls of
+    # report.make_report, found through sys.modules["lpheat.report"]; a row
+    # constructed any other way drops out of that count
+    offenders = {}
+    for path in sorted(_PACKAGE.glob("*.py")):
+        if path.name != "report.py":
+            lines = list(_report_constructions(ast.parse(path.read_text())))
+            if lines:
+                offenders[path.name] = lines
+    assert offenders == {}
+    report = sys.modules["lpheat.report"]
+    assert inspect.ismodule(report) and report is lpheat.report
+    assert inspect.isfunction(report.make_report) and report.make_report.__module__ == "lpheat.report"
+    assert lpheat.estimates.make_report is report.make_report
+
+
+def test_report_guard_sees_what_it_forbids():
+    source = """
+from .report import EstimateReport
+from . import report
+def row(m):
+    return EstimateReport("x", m, 1.0, m, True)
+def other(m):
+    return report.EstimateReport("x", m, 1.0, m, True)
+"""
+    assert sorted(_report_constructions(ast.parse(source))) == [5, 7]
