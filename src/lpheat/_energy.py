@@ -1,18 +1,18 @@
-"""Exact flow norms of step data, sampled data and their heat flows, with
-no quadrature: p = 2 by the energy identity, p = 1 of a flow that keeps
-one sign by contraction plus conservation.
+"""Exact flow norms of piecewise-linear data (step data, sampled grids)
+and their heat flows, with no quadrature: p = 2 by the energy identity,
+p = 1 of a flow that keeps one sign by contraction plus conservation.
 
-p = 2.  F'' of such data is a finite set of atoms
-(``PrimitiveFunction._flow_atoms``), and by Plancherel and the semigroup
-theta_s * theta_u = theta_{s+u} the squared L^2 norm of a combination of
-them and of their flows F * theta_t^(n) is a double sum over the atoms
-against pair kernels in closed form (``energy_norm``).  Where every atom
-location lies on one uniform grid x_0 + i dx to within its rounding
-(every ``Sampled`` datum, and step edges from ``np.linspace``;
-``_layout``), the pair sum of two weight rows is the correlation
-sum_l K(l dx) (w * w')(l) over the grid lags, so each kernel is
-evaluated at the M distinct lags, not at the N^2 pairs, and memory
-stays O(M).  Elsewhere the (j, k) sums run in blocks of at most
+p = 2.  F'' of such data is a finite set of atoms, a delta' at each jump
+and a delta at each kink (``PrimitiveFunction._flow_atoms``), and by
+Plancherel and the semigroup theta_s * theta_u = theta_{s+u} the squared
+L^2 norm of a combination of them and of their flows F * theta_t^(n) is
+a double sum over the atoms against pair kernels in closed form
+(``energy_norm``).  Where every atom location lies on one uniform grid
+x_0 + i dx to within its rounding (every ``Sampled`` datum, and step
+edges from ``np.linspace``; ``_layout``), the pair sum of two weight
+rows is the correlation sum_l K(l dx) (w * w')(l) over the grid lags,
+so each kernel is evaluated at the M distinct lags, not at the N^2
+pairs, and memory stays O(M).  Elsewhere the (j, k) sums run in blocks of at most
 ``_BLOCK_ENTRIES`` entries.
 
 p = 1.  For data F that keeps one sign, the contraction
@@ -362,9 +362,9 @@ def energy_norm(terms, cfg: QuadratureConfig) -> float | None:
 
 
 def conserved_l1_norm(terms, cfg: QuadratureConfig) -> float | None:
-    """||c F * theta_t||_1 = |c| ||F||_1 for one order-0 flow of step or
-    sampled data F that keeps one sign, or None (more terms, data, a
-    derivative order, data with no atoms, or |int F| below ||F||_1 by
+    """||c F * theta_t||_1 = |c| ||F||_1 for one order-0 flow of
+    piecewise-linear data F that keeps one sign, or None (more terms, data,
+    a derivative order, data with no atoms, or |int F| below ||F||_1 by
     more than ``cfg.rel_tol``, where quadrature measures the flow).
 
     The contraction gives ||F * theta_t||_1 <= ||F||_1 and conservation

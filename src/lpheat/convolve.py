@@ -8,8 +8,9 @@ sup|F| times the kernel tail mass beyond ten standard deviations
 
 ``convolve_values`` is the one per-point path, one dispatch: the
 variant's closed form ``F.heat_flow(t, xs, order=n)`` where it has one
-(every order for indicators, step combinations and Gaussian powers,
-n = 0 for sampled data), else a loop of ``convolve_point``, which stays
+(every order for Gaussian powers and for piecewise-linear data without
+kinks, such as step data; n = 0 for piecewise-linear data with kinks,
+such as a sampled grid), else a loop of ``convolve_point``, which stays
 the oracle for every closed form.  So the norms of F * theta_t behind
 ||v_t||'_r are one adaptive quadrature over closed-form values, not
 quadrature inside quadrature, except for the slow-tail profiles.
@@ -17,7 +18,7 @@ quadrature inside quadrature, except for the slow-tail profiles.
 ``Heated(F, t, n, cfg)`` is that flow as a catalog function, so every
 norm of a heat flow, or of a flow minus its data, is one
 ``combo_lp_norm``: ``convolution_lp_norm`` is that norm over ``Heated``
-terms.  At p = 2 on step and sampled data that norm takes no quadrature:
+terms.  At p = 2 on piecewise-linear data that norm takes no quadrature:
 a flow hands ``combo_lp_norm`` its data's atoms of F'' at its own time
 and kernel order (``Heated._flow_atoms``).
 """

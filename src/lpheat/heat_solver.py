@@ -2,19 +2,21 @@
 
 Values come from the kernel-derivative convolution of the primitive,
 v_t(x) = (F * theta_t')(x), at a batch of points per call
-(``solve_values``): a closed form for step primitives
-(sum_i w_i theta_t(x - a_i) over the jumps) and Gaussian powers
-(c theta_{s+t}'), see ``PrimitiveFunction.heat_flow``, else one adaptive
-quadrature per point.  Either way a point's value does not depend on
-the other points of the call, so callers evaluate all their points at
-one time level in one call.  Norms of v_t in the derivative space are
-L^r norms of its primitive F * theta_t, and the initial-data
+(``solve_values``): a closed form for piecewise-linear primitives
+without kinks, such as step data (sum_i w_i theta_t(x - a_i) over the
+jumps), and Gaussian powers (c theta_{s+t}'), see
+``PrimitiveFunction.heat_flow``, else one adaptive quadrature per point
+(data with kinks, such as a sampled grid, and the slow tails).  Either
+way a point's value does not depend on the other points of the call, so
+callers evaluate all their points at one time level in one call.  Norms
+of v_t in the derivative space are L^r norms of its primitive
+F * theta_t, and the initial-data
 convergence is the L^p norm of F * theta_t - F: both are
 ``combo_lp_norm`` over ``convolve.Heated`` terms, the one norm path,
 scaled by the combination's own scanned peak.  For compact data and
 Gaussian powers F * theta_t is a closed form, so each of these norms
 costs one adaptive quadrature; at r = 2 (and p = 2 for the initial-data
-convergence) on step and sampled data it costs none, since the energy
+convergence) on piecewise-linear data it costs none, since the energy
 identity gives the norm as a double sum over the atoms of F''.  The
 flow arguments (t, order) are checked once, where the flow is built:
 ``convolve_values`` or ``Heated``.

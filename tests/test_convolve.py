@@ -185,21 +185,26 @@ def test_step_closed_form_matches_quadrature(F, nt, offsets):
 
 
 @st.composite
-def smooth_primitives(draw):
-    """A GaussianPower or a 2-41 node Sampled grid with values in [-2, 2]."""
-    if draw(st.booleans()):
+def closed_form_primitives(draw):
+    """A GaussianPower, a 2-41 node Sampled grid with values in [-2, 2], or
+    step data (``step_primitives``): every variant with an order-0 closed form."""
+    kind = draw(st.sampled_from(["gaussian", "sampled", "steps"]))
+    if kind == "gaussian":
         return GaussianPower(2.0 ** draw(st.floats(-6.0, 4.0)), 2.0 ** draw(st.floats(-6.0, 6.0)))
+    if kind == "steps":
+        return draw(step_primitives())
     vals = draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=41))
     return lh.sample(vals, draw(_coord), draw(st.floats(0.01, 0.5)))
 
 
-@given(F=smooth_primitives(), t=st.floats(-20.0, math.log2(1e2)).map(lambda e: 2.0 ** e),
+@given(F=closed_form_primitives(), t=st.floats(-20.0, math.log2(1e2)).map(lambda e: 2.0 ** e),
        fractions=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=4))
 @settings(max_examples=100, deadline=None)
 @example(F=lh.Sampled(x0=0.0, dx=0.5, samples=(0.0, 1e-300)), t=0.001953125, fractions=[0.0])
 def test_smooth_closed_form_matches_quadrature(F, t, fractions):
-    # Gaussian powers by the semigroup, sampled data by erfc and kernel terms
-    # per node; convolve_point is the oracle
+    # Gaussian powers by the semigroup, piecewise-linear data (step and
+    # sampled) by its level and erfc and ramp tails per knot; convolve_point
+    # is the oracle
     lo, hi = F.effective_support(lh.DEFAULT_CONFIG)
     xs = np.array([lo + f * (hi - lo) for f in fractions])
     scale = F.sup_bound()

@@ -76,7 +76,7 @@ def _flow(F, t, n):
     if t == 0.0:
         return lambda x: float(F.values(np.array([x]))[0])
     if isinstance(F, lh.Sampled):
-        xs, ys = F.nodes().tolist(), list(F.samples)
+        xs, ys = list(F.breakpoints()), list(F.samples)
         panels = [(xa, xb, ya, (yb - ya) / F.dx) for xa, xb, ya, yb in zip(xs, xs[1:], ys, ys[1:])]
     else:
         panels = [(a, b, h, 0.0) for h, a, b in F.steps]

@@ -433,10 +433,9 @@ def test_step_levels_are_the_cell_by_cell_sums(steps):
     F = StepCombo(tuple(steps))
     cuts = F.breakpoints()
     assume(all(hi - lo > 2.0 * math.ulp(max(abs(lo), abs(hi))) for lo, hi in zip(cuts[:-1], cuts[1:])))
-    got = F.levels()
-    want = _reference_levels(F)
-    assert [(lo, hi) for lo, hi, _ in got] == [(lo, hi) for lo, hi, _ in want]
-    assert [v.hex() for _, _, v in got] == [v.hex() for _, _, v in want]
+    right = F._knots.right  # the level right of each knot
+    assert [v.hex() for v in right[:-1]] == [v.hex() for _, _, v in _reference_levels(F)]
+    assert right[-1] == 0.0 and F._knots.left == [0.0] + right[:-1]
 
 
 def test_step_norm_of_16384_steps():

@@ -85,6 +85,20 @@ def test_from_primitive_attaches_atoms():
     assert g.atoms is None
 
 
+@pytest.mark.parametrize("values", [[0.0, 0.3, 1.0, -0.5, 0.0], [0.5, 0.5, 0.5]], ids=["kinked", "constant"])
+def test_sampled_data_is_not_step_type(values):
+    # jumps() signals step data; a sampled grid, even one without kinks whose
+    # flow is a pure jump sum, has none, so it takes no atoms and is binned
+    F = lh.sample(values, -1.0, 0.5)
+    assert F.jumps() is None and lh.from_primitive(F, 2.0).atoms is None
+    desc = {"type": "samples", "x0": -1.0, "dx": 0.5, "values": values}
+    ends = [[values[0], -1.0], [-values[-1], -1.0 + 0.5 * (len(values) - 1)]]
+    with pytest.raises(DomainError, match="step-type primitive"):
+        lh.element_from_json({"primitive": desc, "p": 2.0, "atoms": ends})
+    res = lh.step_approximation(lh.from_primitive(F, 2.0), 0.05)
+    assert isinstance(res.element.primitive, StepCombo) and res.bins >= 8 and res.achieved_error < 0.05
+
+
 def test_step_approximation_idempotent_on_steps():
     f = lh.from_primitive(StepCombo(((1.0, 0.0, 1.0),)), 2.0)
     res = lh.step_approximation(f, 0.1)

@@ -106,6 +106,17 @@ _PUBLIC_SURFACE = {
 }
 
 
+def test_piecewise_linear_constructors_only_supply_knots():
+    # step data and sampled grids are one model: the public constructors and
+    # the step knots between them define none of its methods
+    from lpheat.lp_space import _PiecewiseLinear
+
+    owned = ("heat_flow", "finite_lp_norm", "sup_bound", "_flow_atoms", "breakpoints", "effective_support")
+    for cls in (lpheat.Indicator, lpheat.StepCombo, lpheat.Sampled):
+        between = cls.__mro__[:cls.__mro__.index(_PiecewiseLinear)]
+        assert [(k.__name__, name) for k in between for name in owned if name in vars(k)] == []
+
+
 def test_public_surface_is_frozen():
     public = {name for name, obj in vars(lpheat).items() if not name.startswith("_") and not inspect.ismodule(obj)}
     assert public == _PUBLIC_SURFACE
