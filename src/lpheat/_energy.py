@@ -30,57 +30,13 @@ import math
 
 import numpy as np
 
-from .kernel import MAX_DERIV_ORDER, theta_deriv_values
-from .lp_space import _erfc, _exp_neg_square
+from .kernel import MAX_DERIV_ORDER, _bare_kernel, _smoothing, _tails
 from .quadrature import _BLOCK_ENTRIES, QuadratureConfig
 
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _EPS = 2.0 ** -52
 
 
-def _bare_kernel(at, o: int) -> np.ndarray:
-    """K_0^(o)(d) for o = -1..-4 on the offsets ``at`` (d with its sign,
-    |d| and d^2): sgn(d) / 2, |d| / 2, d |d| / 4, |d|^3 / 12, each the
-    derivative of the next."""
-    if o == -1:
-        return at.sign / 2.0
-    if o == -2:
-        return at.ad / 2.0
-    return at.d * at.ad / 4.0 if o == -3 else at.ad * at.d2 / 12.0
-
-
-def _smoothing(at, e: np.ndarray, g: np.ndarray, tau: float, o: int) -> np.ndarray:
-    """K_tau^(o)(d) - K_0^(o)(d) on the offsets ``at``, with
-    K_tau^(o) = K_0^(o) * theta_tau at o < 0 (E sgn(X) / 2, E|X| / 2,
-    E[X|X|] / 4, E|X|^3 / 12 for X ~ N(d, sigma^2), sigma^2 = 2 tau) and
-    theta_tau^(o) at o >= 0 (no bare part).  At o < 0 it is written in
-    e = erfc(|u|) and g = sigma sqrt(2 / pi) exp(-u^2), u = d / 2 sqrt(tau),
-    so the parts that decay with |d| / sigma carry no K_0."""
-    if o >= 0:
-        # past 1e3 sqrt(tau) the kernel underflows to 0; the clip keeps d / 2 tau finite
-        edge = 1e3 * math.sqrt(tau)
-        return theta_deriv_values(np.clip(at.d, -edge, edge), tau, o)
-    d, ad, d2, s2 = at.d, at.ad, at.d2, 2.0 * tau
-    if o == -1:
-        return -at.sign * e / 2.0
-    if o == -2:
-        return (g - ad * e) / 2.0
-    if o == -3:
-        return at.sign * (s2 - (d2 + s2) * e + ad * g) / 4.0
-    return (3.0 * s2 * ad - (d2 + 3.0 * s2) * ad * e + g * (d2 + 2.0 * s2)) / 12.0
-
-
-class _Offsets:
-    """Signed offsets d with |d|, sgn(d) and d^2; ``distinct`` holds the
-    values of |d| without repeats and ``spread`` (None for the identity)
-    maps them onto d."""
-
-    def __init__(self, d: np.ndarray, distinct: np.ndarray, spread):
-        self.d, self.distinct, self.spread = d, distinct, spread
-        self.ad, self.sign, self.d2 = np.abs(d), np.sign(d), d * d
-
-
-class _Lags(_Offsets):
+class _Lags:
     """The offsets of rows on one uniform grid of M slots: the lags l dx,
     l = 1 - M .. M - 1, at the M distinct values |l| dx.  A pair of rows
     meets a kernel K as sum_l K(l dx) c(l) over their correlation
@@ -88,8 +44,8 @@ class _Lags(_Offsets):
 
     def __init__(self, m: int, dx: float):
         lags = np.arange(1 - m, m)
-        d = lags * dx
-        super().__init__(d, d[m - 1:], np.abs(lags))
+        self.d = lags * dx
+        self.distinct, self.spread = self.d[m - 1:], np.abs(lags)
 
     def pair(self, x, y, kernels) -> tuple[float, float]:
         """sum over (coef, K, |K|) of coef x K y, and of |coef| |x| |K| |y|,
@@ -99,14 +55,13 @@ class _Lags(_Offsets):
                 sum(abs(coef) * float(K_abs @ c_abs) for coef, _, K_abs in kernels))
 
 
-class _Block(_Offsets):
+class _Block:
     """The offsets a_j - a_k of the slots' locations, for j in one block
     of rows; a pair of rows meets a kernel K as sum_jk x_j K(a_j - a_k) y_k."""
 
     def __init__(self, places: np.ndarray, rows: slice):
-        self.rows = rows
-        d = places[rows, None] - places[None, :]
-        super().__init__(d, np.abs(d), None)
+        self.d = places[rows, None] - places[None, :]
+        self.rows, self.distinct, self.spread = rows, np.abs(self.d), None
 
     def pair(self, x, y, kernels) -> tuple[float, float]:
         xj, xj_abs = x[0][self.rows], x[1][self.rows]
@@ -121,17 +76,16 @@ def _kernel_table(offsets, needed) -> dict:
     taus = sorted({tau for tau, o in needed if tau is not None and o < 0})
     columns = {}
     if taus:
-        u = np.divide.outer(offsets.distinct, [2.0 * math.sqrt(tau) for tau in taus])
-        e, g = _erfc(u), _exp_neg_square(u)
+        e, x = _tails(offsets.distinct, taus)
         if offsets.spread is not None:
-            e, g = e[offsets.spread], g[offsets.spread]
-        columns = {tau: (e[..., i], math.sqrt(2.0 * tau) * _SQRT_2_OVER_PI * g[..., i]) for i, tau in enumerate(taus)}
+            e, x = e[offsets.spread], x[offsets.spread]
+        columns = {tau: (e[..., i], x[..., i]) for i, tau in enumerate(taus)}
     table = {}
     for tau, o in needed:
         if tau is None:
-            K = _bare_kernel(offsets, o)
+            K = _bare_kernel(offsets.d, o)
         else:
-            K = _smoothing(offsets, *columns.get(tau, (None, None)), tau, o)
+            K = _smoothing(offsets.d, tau, o, *columns.get(tau, ()))
         table[tau, o] = (K, np.abs(K))
     return table
 

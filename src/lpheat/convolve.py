@@ -8,12 +8,14 @@ sup|F| times the kernel tail mass beyond ten standard deviations
 
 ``convolve_values`` is the one per-point path, one dispatch: the
 variant's closed form ``F.heat_flow(t, xs, order=n)`` where it has one
-(every order for Gaussian powers and for piecewise-linear data without
-kinks, such as step data; n = 0 for piecewise-linear data with kinks,
-such as a sampled grid), else a loop of ``convolve_point``, which stays
-the oracle for every closed form.  So the norms of F * theta_t behind
-||v_t||'_r are one adaptive quadrature over closed-form values, not
-quadrature inside quadrature, except for the slow-tail profiles.
+(a sum over the atoms of F'' through the atom kernel of
+``kernel._smoothing``: every order for Gaussian powers and for
+piecewise-linear data without kinks, such as step data; n = 0 for
+piecewise-linear data with kinks, such as a sampled grid), else a loop
+of ``convolve_point``, which stays the oracle for every closed form.  So
+the norms of F * theta_t behind ||v_t||'_r are one adaptive quadrature
+over closed-form values, not quadrature inside quadrature, except for
+the slow-tail profiles.
 
 ``Heated(F, t, n, cfg)`` is that flow as a catalog function, so every
 norm of a heat flow, or of a flow minus its data, is one

@@ -4,7 +4,8 @@ Values come from the kernel-derivative convolution of the primitive,
 v_t(x) = (F * theta_t')(x), at a batch of points per call
 (``solve_values``): a closed form for piecewise-linear primitives
 without kinks, such as step data (sum_i w_i theta_t(x - a_i) over the
-jumps), and Gaussian powers (c theta_{s+t}'), see
+jumps, each a delta' atom of F'' through the atom kernel of
+``kernel._smoothing``), and Gaussian powers (c theta_{s+t}'), see
 ``PrimitiveFunction.heat_flow``, else one adaptive quadrature per point
 (data with kinks, such as a sampled grid, and the slow tails).  Either
 way a point's value does not depend on the other points of the call, so

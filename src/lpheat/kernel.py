@@ -8,11 +8,13 @@ the Hermite-style recurrence
     theta^(n) = -(x / 2t) theta^(n-1) - ((n-1) / 2t) theta^(n-2),
 
 (the kernel solves the heat equation, so order 2 is also its time
-derivative), the closed-form Lebesgue norms of the kernel and its first
-derivative, and a quadrature check of the semigroup identity
-theta_t * theta_s = theta_{t+s} (all points in one batched
-``composite_gk15`` call, adaptive ``integrate`` where its error estimate
-is over tolerance).
+derivative), the atom kernel K_tau^(o) = K_0^(o) * theta_tau, o = -4..8,
+that every closed-form flow of piecewise-linear data and every
+energy-identity pair sum runs through (``_smoothing``), the closed-form
+Lebesgue norms of the kernel and its first derivative, and a quadrature
+check of the semigroup identity theta_t * theta_s = theta_{t+s} (all
+points in one batched ``composite_gk15`` call, adaptive ``integrate``
+where its error estimate is over tolerance).
 
 Closed norm forms, with 1/inf read as 0:
 
@@ -56,6 +58,78 @@ def theta_deriv_values(x, t: float, n: int) -> np.ndarray:
     for k in range(2, n + 1):
         prev, cur = cur, -(x / (2.0 * t)) * cur - ((k - 1) / (2.0 * t)) * prev
     return cur
+
+
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+
+def _erfc(z) -> np.ndarray:
+    """Elementwise ``math.erfc``, bit for bit (numpy has no erf).  At z <= -6
+    and z >= 28 the correctly rounded erfc is exactly 2.0 or 0.0 and is filled
+    in without the call; NaN and everything between go through one ``map``."""
+    z = np.asarray(z, dtype=float)
+    low = z <= -6.0
+    out = np.where(low, 2.0, 0.0)
+    mid = ~(low | (z >= 28.0))
+    out[mid] = np.fromiter(map(math.erfc, z[mid].tolist()), float, np.count_nonzero(mid))
+    return out
+
+
+def _exp_neg_square(w: np.ndarray) -> np.ndarray:
+    """exp(-w^2) to a few ulp: w^2 is split as h^2 + (w - h)(w + h) with h
+    the float32 rounding of w, so the large part of the exponent is exact."""
+    w = np.clip(w, -40.0, 40.0)  # exp(-1600) underflows to 0 either way
+    h = w.astype(np.float32).astype(float)
+    return np.exp(-h * h) * np.exp(-(w - h) * (w + h))
+
+
+def _bare_kernel(d: np.ndarray, o: int) -> np.ndarray:
+    """K_0^(o)(d) for o = -1..-4: sgn(d) / 2, |d| / 2, d |d| / 4, |d|^3 / 12,
+    each the derivative of the next; sgn(0) = 0, as pair sums need it."""
+    if o == -1:
+        return np.sign(d) / 2.0
+    ad = np.abs(d)
+    if o == -2:
+        return ad / 2.0
+    return d * ad / 4.0 if o == -3 else ad * (d * d) / 12.0
+
+
+def _tails(ad: np.ndarray, taus) -> tuple[np.ndarray, np.ndarray]:
+    """erfc(u) and exp(-u^2) at u = |d| / 2 sqrt(tau), one column per tau of
+    ``taus``, in one pass over the offsets |d| = ``ad`` for all of them."""
+    u = np.divide.outer(ad, [2.0 * math.sqrt(tau) for tau in taus])
+    return _erfc(u), _exp_neg_square(u)
+
+
+def _smoothing(d: np.ndarray, tau: float, o: int, e=None, x=None, right: bool = False) -> np.ndarray:
+    """K_tau^(o)(d) - K_0^(o)(d) for o = -4..8: at o < 0 E sgn(X) / 2, E|X| / 2,
+    E[X|X|] / 4, E|X|^3 / 12 for X ~ N(d, sigma^2), sigma^2 = 2 tau, less
+    their bare part, and theta_tau^(o) at o >= 0 (no bare part).  At o < 0 it
+    is written in e = erfc(|u|) and g = sigma sqrt(2 / pi) x, x = exp(-u^2),
+    u = d / 2 sqrt(tau), so the parts that decay with |d| / sigma carry no
+    K_0.  A caller may pass e and x (``_tails``), else they are computed
+    here, e where o < 0 and x where o < -1.  sgn(0) is 0 for pair sums and
+    +1 with ``right`` for a pointwise flow, whose level at a knot is the
+    right limit."""
+    if o >= 0:
+        # past 1e3 sqrt(tau) the kernel underflows to 0; the clip keeps d / 2 tau
+        # finite there, so the recurrence gives those zeros, not inf * 0
+        edge = 1e3 * math.sqrt(tau)
+        return theta_deriv_values(np.clip(d, -edge, edge), tau, o)
+    if e is None:
+        u = np.abs(d) / (2.0 * math.sqrt(tau))
+        e, x = _erfc(u), (_exp_neg_square(u) if o < -1 else None)
+    if o == -1:  # -sgn(d) e / 2
+        return (np.where(d >= 0.0, -0.5, 0.5) if right else -0.5 * np.sign(d)) * e
+    ad, s2 = np.abs(d), 2.0 * tau
+    g = math.sqrt(s2) * _SQRT_2_OVER_PI * x
+    if o == -2:
+        return (g - ad * e) / 2.0
+    d2 = d * d
+    if o == -3:
+        sign = np.where(d >= 0.0, 1.0, -1.0) if right else np.sign(d)
+        return sign * (s2 - (d2 + s2) * e + ad * g) / 4.0
+    return (3.0 * s2 * ad - (d2 + 3.0 * s2) * ad * e + g * (d2 + 2.0 * s2)) / 12.0
 
 
 def _validate_exponent(q: float, name: str = "exponent") -> float:

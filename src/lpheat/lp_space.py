@@ -33,14 +33,14 @@ and the semigroup, a double sum over the atoms of F'' (``_flow_atoms``)
 against kernels in closed form (module ``_energy``).
 
 The compact variants and Gaussian powers also give their heat flow
-F * theta_t^(n) in closed form (``heat_flow(t, xs, order=n)``).
-Piecewise-linear data is a sum over its atoms: at n = 0 the level plus
-erfc tails at the jumps and ramp tails at the kinks; above it
-sum_k w_k theta_t^(n-1)(x - a_k) over the jumps, up to
-``MAX_DERIV_ORDER``, for data without kinks (step data).  Kinked data
-(a sampled grid) has it at n = 0 only, for a reason given on
-``heat_flow``.  Gaussian powers give c theta_{s+t}^(n) by the
-semigroup; the slow-tail profiles have none.
+F * theta_t^(n) in closed form (``heat_flow(t, xs, order=n)``), through
+the atom kernel K_t^(o) of ``kernel._smoothing``, the one the energy
+identity's pair sums use.  Piecewise-linear data is the sum of
+w K_t^(o+n)(x - a) over its atoms (at n = 0 the level plus each atom's
+K_t^(o) - K_0^(o)), up to ``MAX_DERIV_ORDER`` for data without kinks
+(step data); kinked data (a sampled grid) has it at n = 0 only, for a
+reason given on ``heat_flow``.  Gaussian powers give c theta_{s+t}^(n)
+by the semigroup; the slow-tail profiles have none.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import ApproximationError, DomainError, MembershipError
-from .kernel import _validate_exponent, theta_deriv_values
+from .kernel import _smoothing, _validate_exponent
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -222,52 +222,37 @@ class _PiecewiseLinear(PrimitiveFunction):
         return peak * math.fsum(terms) ** (1.0 / p)
 
     def heat_flow(self, t, xs, order=0):
-        """A sum over the atoms of F'', the jumps added one at a time in knot
-        order.  n = 0: level(x) + sum_k w_k s_k e_k(x) + sum_k kappa_k rho(|x - a_k|),
-        with the level right-continuous (for steps the heights covering the
-        cell, so exactly 0 in a gap), e_k = erfc(|x - a_k| / 2 sqrt t) / 2,
-        s_k = -1 where a_k <= x, else +1, and rho(u) = sqrt t (exp(-w^2) /
-        sqrt pi - w erfc w), w = u / 2 sqrt t, the smoothing of a ramp; both
-        tails come from one erfc array and decay away from their knots.
-        n >= 1, for data without kinks: sum_k w_k theta_t^(n-1)(x - a_k), one
-        kernel call on the (point, knot) array.  Data with kinks has None
-        there and goes to ``convolve_point``: its kink terms
-        kappa_k theta_t^(n-2) would make sampled ``evolve`` about ten times
-        faster, and the benchmark, which keeps every op's output, would then
-        outgrow its memory bound (ROADMAP items 1 and 2)."""
-        jump, kink = self._knots.jump, self._knots.kink
-        kinked = any(kink)
-        if order > 0 and kinked:
+        """A sum over the atoms of F'' (``_flow_atoms``): at n = 0 the
+        right-continuous level (for steps the heights covering the cell, so
+        exactly 0 in a gap) plus w (K_t^(o) - K_0^(o))(x - a) per atom, above it
+        w K_t^(o+n)(x - a), through the atom kernel ``kernel._smoothing`` with
+        sgn(0) = +1, since the level at a knot is its right limit.  Each point
+        adds its atoms one at a time in row and knot order, so its value does
+        not depend on its batch.  Data with kinks has None above n = 0 and goes
+        to ``convolve_point``: its kink terms kappa_k theta_t^(n-2) would make
+        sampled ``evolve`` about ten times faster, and the benchmark, which
+        keeps every op's output, would then outgrow its memory bound (ROADMAP
+        items 1 and 2)."""
+        rows, atoms = self._atom_rows
+        if order > 0 and any(o == -2 for o, _, _ in rows):  # a row of kinks
             return None
-        at = self._cell_table[0]
-        jumped = [k for k, w in enumerate(jump) if w != 0.0]
-        root_t = math.sqrt(t)
-        # past 1e3 sqrt(t) the kernel factor underflows to 0; the clip keeps x / 2t
-        # finite there, so the recurrence gives those zeros, not inf * 0
-        edge = 1e3 * root_t
+        out = self._cells(xs)[2] if order == 0 else np.zeros(xs.size)
+        points = max(1, min(xs.size, max(_FLOW_POINTS, _FLOW_ENTRIES // atoms)))
+        span = max(1, _FLOW_ENTRIES // points)  # atoms per block
+        for i in range(0, xs.size, points):
+            x, part = xs[i:i + points, None], out[i:i + points]
+            for o, locs, w in rows:
+                for j in range(0, locs.size, span):
+                    K = _smoothing(x - locs[j:j + span], t, o + order, right=True)
+                    for k, wk in enumerate(w[j:j + span]):
+                        part += wk * K[:, k]
+        return out
 
-        def block(rows):
-            x = xs[rows, None]
-            if order > 0:
-                out = np.zeros(x.shape[0])
-                terms = theta_deriv_values(np.clip(x - at, -edge, edge), t, order - 1)
-            else:
-                out = self._cells(x[:, 0])[2]
-                w = np.abs(x - at) / (2.0 * root_t)
-                erfc_w = _erfc(w)
-                terms = np.where(x >= at, -0.5, 0.5) * erfc_w
-            for k in jumped:
-                out += jump[k] * terms[:, k]
-            if order == 0 and kinked:
-                # exp(-w^2) to a few ulp, since it cancels against w erfc(w) in the
-                # tail; a row-wise sum, so a point's value does not depend on its batch
-                out += (root_t * (_exp_neg_square(w) / _SQRT_PI - w * erfc_w) * np.array(kink)).sum(axis=1)
-            return out
-
-        step = max(1, _FLOW_ENTRIES // at.size)
-        if xs.size <= step:
-            return block(slice(None))
-        return np.concatenate([block(slice(i, i + step)) for i in range(0, xs.size, step)])
+    @cached_property
+    def _atom_rows(self) -> tuple[list, int]:
+        """``_flow_atoms`` as (kernel order, location array, weights) rows, and the atom count."""
+        rows = [(o, np.asarray(locs, dtype=float), w) for _, _, o, locs, w in self._flow_atoms()]
+        return rows, max(1, sum(locs.size for _, locs, _ in rows))
 
     def _flow_atoms(self):
         # F'' = sum_k w_k delta'_{a_k} + sum_k kappa_k delta_{a_k}, the jumps
@@ -391,11 +376,8 @@ class GaussianPower(PrimitiveFunction):
         s = self.t / self.beta
         if order == 0:
             return self.prefactor() * math.sqrt(s / (s + t)) * np.exp(-xs * xs / (4.0 * (s + t)))
-        # past 1e3 sqrt(s + t) the kernel factor underflows to 0; the clip keeps
-        # x / 2(s + t) finite there, so the recurrence gives those zeros, not inf * 0
-        edge = 1e3 * math.sqrt(s + t)
         c = self.prefactor() * 2.0 * math.sqrt(math.pi * s)
-        return c * theta_deriv_values(np.clip(xs, -edge, edge), s + t, order)
+        return c * _smoothing(xs, s + t, order)
 
     def truncation_window(self, p, eps, cfg):
         target = eps ** p
@@ -571,6 +553,9 @@ class Sampled(_PiecewiseLinear):
             finite = all(map(math.isfinite, self._knots.kink))
         if not finite:  # an infinite slope or change of slope would flow to inf - inf
             raise DomainError("grid slopes and their changes must be finite")
+        nodes = self._knots.at
+        if not all(a < b for a, b in zip(nodes, nodes[1:])):  # dx below the rounding of x0
+            raise DomainError("grid nodes x0 + i dx must strictly increase")
 
     def _knot_rows(self):
         # a node per knot; the data jumps from 0 to y_0 at x_0 and from y_N to
@@ -585,32 +570,12 @@ def sample(values, x0: float, dx: float) -> Sampled:
     return Sampled(x0, dx, values)
 
 
-_SQRT_PI = math.sqrt(math.pi)
-# flows run in blocks of 16,384 (point, knot) entries (128 KB per temporary):
-# timed on step data (3 and 16 steps, orders 0 to 2) and sampled data (31 and
-# 201 nodes, order 0) at 151 to 100,001 points, within 1.25x of the fastest of
-# 4,096 to 65,536 entries in every case; 65,536 ran up to 2x slower
+# flows run in blocks of at most 16,384 (point, atom) entries and at least 1,024
+# points, so the loop over the atoms runs once per 1,024 points: within 1.6x of
+# the fastest of 4,096 to 65,536 entries and 256 to 4,096 points in 25 timed cases
+# (3 to 4,096 steps at orders 0 to 2, 31 and 201 nodes at order 0, 151 to 100,001 points)
 _FLOW_ENTRIES = 1 << 14
-
-
-def _erfc(z) -> np.ndarray:
-    """Elementwise ``math.erfc``, bit for bit (numpy has no erf).  At z <= -6
-    and z >= 28 the correctly rounded erfc is exactly 2.0 or 0.0 and is filled
-    in without the call; NaN and everything between go through one ``map``."""
-    z = np.asarray(z, dtype=float)
-    low = z <= -6.0
-    out = np.where(low, 2.0, 0.0)
-    mid = ~(low | (z >= 28.0))
-    out[mid] = np.fromiter(map(math.erfc, z[mid].tolist()), float, np.count_nonzero(mid))
-    return out
-
-
-def _exp_neg_square(w: np.ndarray) -> np.ndarray:
-    """exp(-w^2) to a few ulp: w^2 is split as h^2 + (w - h)(w + h) with h
-    the float32 rounding of w, so the large part of the exponent is exact."""
-    w = np.clip(w, -40.0, 40.0)  # exp(-1600) underflows to 0 either way
-    h = w.astype(np.float32).astype(float)
-    return np.exp(-h * h) * np.exp(-(w - h) * (w + h))
+_FLOW_POINTS = 1 << 10
 
 
 def _require_membership(F: PrimitiveFunction, p: float):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -501,6 +502,44 @@ def test_evolve_bytes_match_reference(tmp_path, capsys, kind, out_format):
         assert out == _ref_solution_csv(xs, ts, columns)
 
 
+# sha256 of stdout, taken where the output last changed on purpose; an
+# intended numerical change updates its digest and says so in CHANGES.md
+_STDOUT_SHA256 = {
+    "constants csv": "80a7f3f3d6976994b5dfc5861338974665bca6d726221911dc43aaf942635cce",
+    "constants json": "b28b8b2430348bddd85061eeb703ec36c4c559053bf79fa8f6c2e73d4a3c20d4",
+    "evolve gaussian_power csv": "9223ae035215ce47eeeb259ac9e10a8887abbba95fe0831b8f2066edee12c11f",
+    "evolve gaussian_power json": "2876e8245e1659dc5ebf70e5960492cfcd30742a7c9ad6d6faa5264fcc0adcbd",
+    "evolve indicator csv": "9bcc260bf413fc497718b7406b8cd0b820b378d5cc0422a0414aa5865ffd1145",
+    "evolve indicator json": "25ee7129883954132e0ca25af18e44278814ffd784dbce14ea446074853a7d55",
+    "evolve samples csv": "d44eb8675491efbcf53b828addc9d33cfea56135ca21d14a5603397b57e22f03",
+    "evolve samples json": "fd7de57ca2395c74d44466a840df8c55794e66fd970287c809addbde1cce9ce5",
+    "evolve step_combo csv": "5a67509184504e22693c8a72b64698580006e23fcfe236ab9a35e84b9e3184a2",
+    "evolve step_combo json": "0ef0f73c69a97c94531a70a6edee6a1fe7fd1fdbd3e823b6777e83482dbc76b9",
+    "example-dirac csv": "44746ab5312eed0cc8f596e2a52101808be6ff69982bc5afa367561c95d78e43",
+    "example-dirac json": "bae2dfae072ddd8cb827384bac51c3c524831d5ceeb3ab4b65207ed0ae56f5c5",
+    "verify csv": "679739f4b5e1b45d832c0b4966add72b6fd30a41af53a54a65d666caede030a2",
+    "verify json": "81a602ca6766a54313bc4db7ddced98407522d9705fef6286b6d22faafd0191a",
+}
+
+
+def _pinned_argv(tmp_path, name):
+    command, *kind, out_format = name.split()
+    if command == "evolve":
+        data = _write_element(tmp_path, {"primitive": _PRIMITIVES[kind[0]], "p": 3.0})
+        args = ["--data", data, "--t", "0.01,0.5,3", "--grid=-3:8:23"]
+    else:
+        args = {"constants": ["--p", "1,1.5,2,inf", "--q", "1"], "example-dirac": ["--a", "0.5", "--t", "2,0.01"],
+                "verify": ["--suite", "all"]}[command]
+    return [command, *args, "--format", out_format]
+
+
+@pytest.mark.parametrize("name", sorted(_STDOUT_SHA256))
+def test_stdout_bytes_are_pinned(tmp_path, capsys, name):
+    code, out, err = run_cli(capsys, *_pinned_argv(tmp_path, name))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _STDOUT_SHA256[name]
+
+
 @pytest.mark.parametrize("out_format", ["csv", "json"])
 def test_example_dirac_bytes_match_reference(capsys, out_format):
     from lpheat import DEFAULT_CONFIG, dirac_difference, solve_values
@@ -731,3 +770,12 @@ def test_overflowing_descriptor_exits_2(tmp_path, capsys, primitive, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_grid_with_collapsing_nodes_exits_2(tmp_path, capsys):
+    # every node x0 + i dx rounds to 1e16; evolve used to print zero columns with exit 0
+    primitive = {"type": "samples", "x0": 1e16, "dx": 1e-3, "values": [0.0, 1.0, 0.0]}
+    data = _write_element(tmp_path, {"primitive": primitive, "p": 2.0})
+    code, out, err = run_cli(capsys, "evolve", "--data", data, "--t", "1", "--grid=-1:1:5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "strictly increase" in err

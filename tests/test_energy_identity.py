@@ -387,16 +387,16 @@ def _wide_bump(nodes):
 def test_grid_norm_evaluates_the_kernel_once_per_lag(monkeypatch):
     # 2,001 nodes: the pair kernels of the three weight-row pairs take one
     # erfc pass over the 2,001 distinct lags, not 2,001^2 pairs
-    import lpheat._energy as energy
+    import lpheat.kernel as kernel
 
     counted = []
-    inner = energy._erfc
+    inner = kernel._erfc
 
     def counting(z):
         counted.append(np.size(z))
         return inner(z)
 
-    monkeypatch.setattr(energy, "_erfc", counting)
+    monkeypatch.setattr(kernel, "_erfc", counting)
     F = _wide_bump(2001)
     assert lh.combo_lp_norm([(1.0, Heated(F, 0.01, 0, _CFG))], 2.0, _CFG) > 0.0
     assert 0 < sum(counted) <= 8 * 2001

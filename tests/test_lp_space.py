@@ -19,8 +19,8 @@ from lpheat import (
     TailLog,
     TruncatedSine,
 )
-from lpheat.kernel import MAX_DERIV_ORDER
-from lpheat.lp_space import _bracket_max, _erfc, _scan_refine_max
+from lpheat.kernel import MAX_DERIV_ORDER, _erfc
+from lpheat.lp_space import _bracket_max, _scan_refine_max
 from lpheat.quadrature import geometric_edges
 from lpheat.quadrature import integrate as gk_integrate
 
@@ -59,9 +59,17 @@ def test_variant_validation():
         lh.sample([1.5e308, -1.5e308, 1.5e308], 0.0, 1.0)
 
 
-def test_erfc_fills_exact_tails_bitwise():
-    from lpheat.lp_space import _erfc
+def test_grid_whose_nodes_collapse_is_rejected():
+    # x0 + i dx rounds to x0 at every i: the grid would store three nodes at
+    # 1e16 and read 0.0 as its L^2 norm
+    with pytest.raises(DomainError, match="strictly increase"):
+        lh.sample([0.0, 1.0, 0.0], 1e16, 1e-3)
+    with pytest.raises(DomainError, match="strictly increase"):
+        lh.sample([0.0, 1.0, 0.0, 1.0], 1.0, 1e-16)  # two of the four nodes round together
+    assert lh.sample([0.0, 1.0, 0.0], 1e16, 2.0).breakpoints() == (1e16, 1e16 + 2.0, 1e16 + 4.0)
 
+
+def test_erfc_fills_exact_tails_bitwise():
     # the correctly rounded erfc is exactly 2 at z <= -6 and exactly 0 at z >= 28
     assert math.erfc(-6.0) == 2.0 and math.erfc(28.0) == 0.0
     edges = [np.nextafter(c, d) for c in (-6.0, 28.0) for d in (-np.inf, np.inf)]

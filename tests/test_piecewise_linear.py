@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 import lpheat as lh
 from lpheat import Indicator, StepCombo
-from lpheat.kernel import MAX_DERIV_ORDER, theta_deriv_values
-from lpheat.lp_space import _SQRT_PI, _erfc, _exp_neg_square
+from lpheat.kernel import MAX_DERIV_ORDER, _erfc, _exp_neg_square, theta_deriv_values
 
 _EPS = 2.0 ** -52
+_SQRT_PI = math.sqrt(math.pi)
 
 
 def _levels(F):
@@ -156,3 +156,20 @@ def test_sampled_model_matches_the_mirrored_flow(F, t, fractions):
     assert rows[0] == (0.0, 0, -1, tuple(a for a, _ in ends), tuple(w for _, w in ends))
     assert [(r[3].tolist(), r[4].tolist()) for r in rows[1:]] == ([(list(F.breakpoints()), kinks.tolist())]
                                                                   if kinks.any() else [])
+
+
+def test_flow_of_4096_steps_is_the_jump_sum_bit_for_bit():
+    # 4,096 alternating unit steps: the flow runs in blocks of points and of
+    # atoms, and each point still adds its jumps one at a time in knot order
+    F = StepCombo(tuple(((-1.0) ** k, float(k), float(k + 1)) for k in range(4096)))
+    xs = np.linspace(-5.0, 4101.0, 2001)
+    few = [0, 1, 2, 1000, 1717, 1999, 2000]
+    for t in (0.3, 30.0):
+        for n in (0, 1, 2):
+            assert F.heat_flow(t, xs, n)[few].tolist() == _step_flow(F, t, xs[few], n).tolist()
+
+
+def test_flow_at_no_points_is_empty():
+    for F in (Indicator(0.0, 1.0), lh.sample([0.0, 1.0, 0.5], 0.0, 0.1)):
+        assert F.heat_flow(0.1, np.zeros(0), 0).tolist() == []
+    assert Indicator(0.0, 1.0).heat_flow(0.1, np.zeros(0), 1).tolist() == []

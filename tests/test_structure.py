@@ -39,6 +39,55 @@ def test_only_lp_space_touches_the_window_norm():
     assert offenders == {}
 
 
+def _atom_kernel_copies(tree, module):
+    """What only kernel.py may hold: the atom kernel's erfc and exp helpers
+    named, and its far-field clip ``1e3 * sqrt(...)`` built; in ``_energy``
+    also an import from lp_space."""
+    found = [f"names {name}" for name in sorted({"_erfc", "_exp_neg_square"} & set(_referenced_names(tree)))]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            sides = (node.left, node.right)
+            if any(isinstance(s, ast.Constant) and s.value == 1e3 for s in sides) and any(
+                    isinstance(s, ast.Call) and "sqrt" in (getattr(s.func, "attr", None), getattr(s.func, "id", None))
+                    for s in sides):
+                found.append(f"line {node.lineno}: 1e3 * sqrt")
+        elif module == "_energy" and isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+            if any(name.rsplit(".", 1)[-1] == "lp_space" for name in names):
+                found.append(f"line {node.lineno}: imports lp_space")
+    return found
+
+
+def test_only_kernel_holds_the_atom_kernel():
+    # one atom kernel: the flows of piecewise-linear data and Gaussian powers
+    # and the energy identity's pair sums all go through kernel._smoothing, so
+    # a second copy of its helpers or of its clip shows here
+    offenders = {}
+    for path in sorted(_PACKAGE.glob("*.py")):
+        found = _atom_kernel_copies(ast.parse(path.read_text()), path.stem)
+        if path.name == "kernel.py":
+            assert sorted(f.split(": ")[-1] for f in found) == ["1e3 * sqrt", "names _erfc", "names _exp_neg_square"]
+        elif found:
+            offenders[path.name] = found
+    assert offenders == {}
+
+
+def test_atom_kernel_guard_sees_what_it_forbids():
+    source = """
+import math
+from .lp_space import _erfc
+from . import lp_space
+def flow(x, t):
+    edge = 1e3 * math.sqrt(t)
+    return _exp_neg_square(x / edge) * (sqrt(t) * 1e3)
+"""
+    found = _atom_kernel_copies(ast.parse(source), "_energy")
+    assert sorted(found) == ["line 3: imports lp_space", "line 4: imports lp_space", "line 6: 1e3 * sqrt",
+                             "line 7: 1e3 * sqrt", "names _erfc", "names _exp_neg_square"]
+    assert sorted(_atom_kernel_copies(ast.parse(source), "lp_space")) == sorted(
+        f for f in found if not f.endswith("lp_space"))
+
+
 def _per_element_python(tree):
     """Calls of np.frompyfunc / np.vectorize, and golden-section helpers: a
     function named for it, or the golden ratio as sqrt(5) or 0.618.../1.618..."""
