@@ -150,7 +150,9 @@ def _parse_times(raw: str) -> list[float]:
     return ts
 
 
-def _parse_grid(raw: str) -> tuple[float, float, int]:
+def _parse_grid(raw: str) -> np.ndarray:
+    """The uniform grid a:b:n; DomainError where numpy cannot lay it out
+    (a span b - a that overflows, or more points than an array can hold)."""
     parts = raw.split(":")
     if len(parts) != 3:
         raise DomainError("grid must be a:b:n")
@@ -160,7 +162,12 @@ def _parse_grid(raw: str) -> tuple[float, float, int]:
         raise DomainError("grid must be a:b:n with numeric a, b and integer n") from None
     if n < 2 or not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("grid needs finite a < b and n >= 2")
-    return a, b, n
+    if not math.isfinite(b - a):
+        raise DomainError("grid span b - a overflows a float")
+    try:
+        return np.linspace(a, b, n)
+    except (ValueError, MemoryError):
+        raise DomainError(f"grid of {n} points is too large") from None
 
 
 def _constants_rows(
@@ -220,7 +227,7 @@ def _load_element(path: str):
 def cmd_evolve(args) -> int:
     f = _load_element(args.data)
     ts = _parse_times(args.t)
-    xs = np.linspace(*_parse_grid(args.grid))
+    xs = _parse_grid(args.grid)
     cfg = _config_from_args(args)
     columns = [solve_values(f, t, xs, cfg) for t in ts]
     if args.format == "json":
@@ -258,7 +265,7 @@ def cmd_example_dirac(args) -> int:
     if args.a <= 0:
         raise DomainError("offset a must be positive")
     ts = _parse_times(args.t)
-    xs = np.linspace(*_parse_grid(args.grid))
+    xs = _parse_grid(args.grid)
     cfg = _config_from_args(args)
     f = dirac_difference(-args.a, args.a, p=2.0)
     columns = [solve_values(f, t, xs, cfg) for t in ts]

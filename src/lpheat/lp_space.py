@@ -56,6 +56,7 @@ import numpy as np
 from .exceptions import ApproximationError, DomainError, MembershipError
 from .kernel import _smoothing, _validate_exponent
 from .quadrature import (
+    _BLOCK_ENTRIES,
     DEFAULT_CONFIG,
     QuadratureConfig,
     _integrate,
@@ -227,21 +228,21 @@ class _PiecewiseLinear(PrimitiveFunction):
         exactly 0 in a gap) plus w (K_t^(o) - K_0^(o))(x - a) per atom, above it
         w K_t^(o+n)(x - a), through the atom kernel ``kernel._smoothing`` with
         sgn(0) = +1, since the level at a knot is its right limit.  Each point
-        adds its atoms one at a time in row and knot order, so its value does
-        not depend on its batch.  Data with kinks has None above n = 0 and goes
+        adds its atoms one at a time in row and knot order, in blocks of at
+        most ``_BLOCK_ENTRIES`` (point, atom) entries, so its value does not
+        depend on its block.  Data with kinks has None above n = 0 and goes
         to ``convolve_point``: its kink terms kappa_k theta_t^(n-2) would make
         sampled ``evolve`` about ten times faster, and the benchmark, which
         keeps every op's output, would then outgrow its memory bound (ROADMAP
         items 1 and 2)."""
-        rows, atoms = self._atom_rows
-        if order > 0 and any(o == -2 for o, _, _ in rows):  # a row of kinks
+        if order > 0 and any(o == -2 for o, _, _ in self._atom_rows):  # a row of kinks
             return None
         out = self._cells(xs)[2] if order == 0 else np.zeros(xs.size)
-        points = max(1, min(xs.size, max(_FLOW_POINTS, _FLOW_ENTRIES // atoms)))
-        span = max(1, _FLOW_ENTRIES // points)  # atoms per block
+        points = max(1, min(xs.size, _BLOCK_ENTRIES))
+        span = _BLOCK_ENTRIES // points  # atoms per block
         for i in range(0, xs.size, points):
             x, part = xs[i:i + points, None], out[i:i + points]
-            for o, locs, w in rows:
+            for o, locs, w in self._atom_rows:
                 for j in range(0, locs.size, span):
                     K = _smoothing(x - locs[j:j + span], t, o + order, right=True)
                     for k, wk in enumerate(w[j:j + span]):
@@ -249,10 +250,9 @@ class _PiecewiseLinear(PrimitiveFunction):
         return out
 
     @cached_property
-    def _atom_rows(self) -> tuple[list, int]:
-        """``_flow_atoms`` as (kernel order, location array, weights) rows, and the atom count."""
-        rows = [(o, np.asarray(locs, dtype=float), w) for _, _, o, locs, w in self._flow_atoms()]
-        return rows, max(1, sum(locs.size for _, locs, _ in rows))
+    def _atom_rows(self) -> list:
+        """``_flow_atoms`` as (kernel order, location array, weights) rows."""
+        return [(o, np.asarray(locs, dtype=float), w) for _, _, o, locs, w in self._flow_atoms()]
 
     def _flow_atoms(self):
         # F'' = sum_k w_k delta'_{a_k} + sum_k kappa_k delta_{a_k}, the jumps
@@ -349,6 +349,8 @@ class GaussianPower(PrimitiveFunction):
             self.prefactor()
         except OverflowError:
             raise DomainError("gaussian power prefactor overflows a float") from None
+        if not math.isfinite(self.t / self.beta):  # the width of |F|, theta_{t / beta}
+            raise DomainError("gaussian power width t / beta overflows a float")
 
     def prefactor(self) -> float:
         return (2.0 * math.sqrt(math.pi * self.t)) ** (-self.beta)
@@ -420,9 +422,7 @@ class TailLog(PrimitiveFunction):
         return (_E,)
 
     def effective_support(self, cfg):
-        # Power-law decay: |F(x)| <= x^{-1/p0}; cut where that is tiny.
-        hi = (10.0 / cfg.abs_tol) ** self.p0
-        return (_E, min(hi, 1e300))
+        return (_E, _power_law_cut(self.p0, cfg))
 
     def sup_bound(self):
         return _E ** (-1.0 / self.p0)  # decreasing from x = e
@@ -464,6 +464,15 @@ class TailLog(PrimitiveFunction):
         return p >= self.p0 - 1e-12
 
 
+def _power_law_cut(p0: float, cfg: QuadratureConfig) -> float:
+    """Where the slow-tail envelope x^(-1/p0) falls to abs_tol / 10: the
+    window edge (10 / abs_tol)^p0, capped at 1e300 before the power would
+    overflow (at p0 >= 24 for the default abs_tol)."""
+    if p0 * math.log10(10.0 / cfg.abs_tol) >= 300.0:
+        return 1e300
+    return min((10.0 / cfg.abs_tol) ** p0, 1e300)
+
+
 _SINE_PANELS = 2048
 
 
@@ -488,8 +497,7 @@ class TruncatedSine(PrimitiveFunction):
         return (1.0,)
 
     def effective_support(self, cfg):
-        hi = (10.0 / cfg.abs_tol) ** self.p0
-        return (1.0, min(hi, 1e300))
+        return (1.0, _power_law_cut(self.p0, cfg))
 
     def sup_bound(self):
         # global maximum sits inside the first few arches of the envelope
@@ -570,14 +578,6 @@ def sample(values, x0: float, dx: float) -> Sampled:
     return Sampled(x0, dx, values)
 
 
-# flows run in blocks of at most 16,384 (point, atom) entries and at least 1,024
-# points, so the loop over the atoms runs once per 1,024 points: within 1.6x of
-# the fastest of 4,096 to 65,536 entries and 256 to 4,096 points in 25 timed cases
-# (3 to 4,096 steps at orders 0 to 2, 31 and 201 nodes at order 0, 151 to 100,001 points)
-_FLOW_ENTRIES = 1 << 14
-_FLOW_POINTS = 1 << 10
-
-
 def _require_membership(F: PrimitiveFunction, p: float):
     if not F.admits(p):
         raise MembershipError(
@@ -645,8 +645,9 @@ def combo_lp_norm(
     with s the combination's peak on a 33-node scan of the window (1 where
     the scan reads 0), so the tolerances act relatively even where the
     terms cancel; the interior scan nodes seed the partition with the
-    terms' breakpoints, so no first panel is wider than 1/32 of the
-    window, and the seed panels' nodes go to the terms in one call.
+    terms' breakpoints and window edges, so no first panel is wider than
+    1/32 of the window and no narrow term's window hides inside a panel,
+    and the seed panels' nodes go to the terms in one call.
     p = inf is the larger of the 1,025-node scan max, refined by 33-node
     brackets (``_bracket_max``, one call of the terms per round), and the
     combination at the middle of each cell between breakpoints; the scan
@@ -692,7 +693,7 @@ def combo_lp_norm(
     def integrand(x):
         return np.abs(combo(x) / s) ** p
 
-    val, _ = _integrate(integrand, lo, hi, cfg, pts + list(scan[1:-1]), _panels)
+    val, _ = _integrate(integrand, lo, hi, cfg, pts + [e for w in supports for e in w] + list(scan[1:-1]), _panels)
     return s * val ** (1.0 / p)
 
 

@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate as sci
 
+from lpheat import primitive_from_json
 from lpheat.cli import main
+from lpheat.kernel import theta_deriv_values
 
 
 def run_cli(capsys, *argv):
@@ -758,13 +761,15 @@ def test_constants_empty_exponent_list_exits_2(capsys, p, q):
     "primitive, message",
     [
         ({"type": "gaussian_power", "t": 1e-300, "beta": 5}, "prefactor overflows"),
+        ({"type": "gaussian_power", "t": 1e300, "beta": 1e-300}, "width t / beta overflows"),
         ({"type": "samples", "x0": 0, "dx": 1e-320, "values": [1, 2]}, "slopes"),
         ({"type": "samples", "x0": 0, "dx": 1.0, "values": [1.5e308, -1.5e308, 1.5e308]}, "slopes"),
     ],
-    ids=["gaussian-prefactor", "samples-slope", "samples-kink"],
+    ids=["gaussian-prefactor", "gaussian-width", "samples-slope", "samples-kink"],
 )
 def test_overflowing_descriptor_exits_2(tmp_path, capsys, primitive, message):
-    # the Gaussian power exited 4 (OverflowError), the sampled data wrote inf columns with exit 0
+    # the Gaussian prefactor exited 4 (OverflowError), its width printed nan
+    # columns with exit 0, the sampled data wrote inf columns with exit 0
     data = _write_element(tmp_path, {"primitive": primitive, "p": 2.0})
     code, out, err = run_cli(capsys, "evolve", "--data", data, "--t", "1", "--grid=-1:1:5")
     assert code == 2
@@ -779,3 +784,32 @@ def test_grid_with_collapsing_nodes_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "evolve", "--data", data, "--t", "1", "--grid=-1:1:5")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "strictly increase" in err
+
+
+@pytest.mark.parametrize("grid, message", [("-1e308:1e308:5", "span"), ("0:1:100000000000000000000", "too large")],
+                         ids=["overflowing-span", "too-many-points"])
+@pytest.mark.parametrize("command", ["evolve", "example-dirac"])
+def test_grid_numpy_cannot_lay_out_exits_2(tmp_path, capsys, command, grid, message):
+    # the span wrote a numpy RuntimeWarning and blamed the evaluation points;
+    # the count exited 4 ("Maximum allowed size exceeded"), refused before any allocation
+    data = _write_element(tmp_path, {"primitive": {"type": "indicator", "a": 0.0, "b": 1.0}, "p": 2.0})
+    argv = [command, "--t", "1", f"--grid={grid}"] + (["--data", data] if command == "evolve" else [])
+    code, out, err = _run_without_warnings(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: grid") and message in err
+
+
+@pytest.mark.parametrize("primitive", [{"type": "tail_log", "p": 30}, {"type": "truncated_sine", "p": 25}],
+                         ids=["tail_log", "truncated_sine"])
+def test_slow_tail_evolve_at_a_high_exponent(tmp_path, capsys, primitive):
+    # (10 / abs_tol)^p overflowed in the data's window and exited 4
+    data = _write_element(tmp_path, {"primitive": primitive, "p": primitive["p"] + 1})
+    code, out, err = run_cli(capsys, "evolve", "--data", data, "--t", "1", "--grid=0:10:3")
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    F = primitive_from_json(primitive)
+    for x, v in ((float(row[0]), float(row[1])) for row in rows):
+        cuts = [F.breakpoints()[0]] + [k * math.pi for k in range(1, 8) if k * math.pi < x + 15.0] + [x + 15.0]
+        f = lambda y: float(F.values(y)) * float(theta_deriv_values(x - y, 1.0, 1))
+        want = sum(sci.quad(f, a, b, epsabs=1e-14, epsrel=1e-12, limit=200)[0] for a, b in zip(cuts, cuts[1:]))
+        assert v == pytest.approx(want, rel=1e-9, abs=1e-12)

@@ -443,3 +443,36 @@ def test_grid_young_consistency():
         * lh.theta_norm_closed(2.0, 1.0)
     )
     assert norm <= bound
+
+
+def test_combo_norm_sees_a_narrow_flow_in_a_wide_window():
+    # the narrow flow's window [-0.53, 0.56] sits inside one of the 33-node
+    # scan's seed panels of the wide flow's window; with no seed at its edges
+    # the norm read 1.04e-4 low
+    cfg = lh.DEFAULT_CONFIG
+    wide = Heated(lh.sample([0.0, 1.0], 0.0, 0.5), 1e5, 0, cfg)
+    narrow = Heated(lh.sample([0.0, 1.0], 0.0, 0.0234375), 10 ** -1.5, 0, cfg)
+    (lo, hi), (nlo, nhi) = wide.effective_support(cfg), narrow.effective_support(cfg)
+
+    def power(x):
+        x = np.array([x])
+        return abs(float(wide.values(x)[0] - narrow.values(x)[0])) ** 3
+
+    cuts = sorted({*np.linspace(lo, hi, 9).tolist(), nlo, 0.0, 0.0234375, nhi})
+    want = sum(sci.quad(power, a, b, epsabs=0.0, epsrel=1e-10, limit=200)[0] for a, b in zip(cuts, cuts[1:]))
+    assert lh.combo_lp_norm([(1.0, wide), (-1.0, narrow)], 3.0) == pytest.approx(want ** (1.0 / 3.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("F", [lh.TailLog(30.0), lh.TruncatedSine(25.0)], ids=["tail_log", "truncated_sine"])
+def test_slow_tail_flow_at_a_high_exponent_matches_scipy(F):
+    # (10 / abs_tol)^p0 overflowed at p0 >= 24 before the window was capped at 1e300
+    cfg = lh.DEFAULT_CONFIG
+    assert F.effective_support(cfg)[1] == 1e300
+    xs = np.array([0.0, 3.0, 10.0])
+    got = convolve_values(F, 1, 1.0, xs)
+    lo, w = F.breakpoints()[0], cfg.kernel_width(1.0)
+    for x, v in zip(xs.tolist(), got.tolist()):
+        cuts = [lo] + [k * math.pi for k in range(1, 8) if k * math.pi < x + w] + [x + w]  # the sine's arches
+        f = lambda y: float(F.values(y)) * float(theta_deriv_values(x - y, 1.0, 1))
+        want = sum(sci.quad(f, a, b, epsabs=1e-14, epsrel=1e-12, limit=200)[0] for a, b in zip(cuts, cuts[1:]))
+        assert v == pytest.approx(want, rel=1e-9, abs=1e-12)

@@ -53,6 +53,8 @@ def test_variant_validation():
         lh.sample([1.0, math.nan], 0.0, 1.0)
     with pytest.raises(DomainError, match="prefactor overflows"):
         GaussianPower(1e-300, 5.0)
+    with pytest.raises(DomainError, match="width t / beta overflows"):
+        GaussianPower(1e300, 1e-300)  # its window was (-inf, inf) and its L^2 norm inf
     with pytest.raises(DomainError, match="slopes"):
         lh.sample([1.0, 2.0], 0.0, 1e-320)
     with pytest.raises(DomainError, match="slopes"):
@@ -221,6 +223,30 @@ def test_tail_log_norm_above_edge_scipy_oracle():
         1.0 / 3.0
     )
     assert lh.lp_norm(F, 3.0) == pytest.approx(ref, rel=1e-8)
+
+
+@pytest.mark.parametrize("cls", [TailLog, TruncatedSine])
+def test_slow_tail_window_is_capped_without_overflow(cls):
+    # (10 / abs_tol)^p0 overflowed at p0 >= 24: the window now stops at 1e300
+    # there, and below the cap it is the power, bit for bit
+    cfg = lh.DEFAULT_CONFIG
+    for p0 in (1.0, 2.5, 10.0, 23.0):
+        assert cls(p0).effective_support(cfg)[1] == min((10.0 / cfg.abs_tol) ** p0, 1e300)
+    for p0 in (24.0, 30.0, 1e6):
+        assert cls(p0).effective_support(cfg)[1] == 1e300
+    loose = lh.QuadratureConfig(abs_tol=1e-3)
+    assert cls(40.0).effective_support(loose)[1] == 1e160 and cls(75.0).effective_support(loose)[1] == 1e300
+
+
+def test_tail_log_norms_at_a_high_exponent():
+    F = TailLog(30.0)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = float((-(Decimal(59).ln() / Decimal(30))).exp())  # (2p - 1)^(-1/p) at p = p0
+    assert abs(lh.lp_norm(F, 30.0) - exact) <= math.ulp(exact)
+    ref = sci.quad(lambda u: math.exp(-u / 30.0) * u ** -62.0, 1.0, math.inf)[0] ** (1.0 / 31.0)
+    assert lh.lp_norm(F, 31.0) == pytest.approx(ref, rel=1e-9)
+    assert lh.lp_norm(F, math.inf) == math.e ** (-1.0 / 30.0)
 
 
 def test_truncated_sine_membership():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import lpheat as lh
 from lpheat import Indicator, StepCombo
-from lpheat.kernel import MAX_DERIV_ORDER, _erfc, _exp_neg_square, theta_deriv_values
+from lpheat.kernel import MAX_DERIV_ORDER, _erfc, _exp_neg_square, _smoothing, theta_deriv_values
+from lpheat.quadrature import _BLOCK_ENTRIES
 
 _EPS = 2.0 ** -52
 _SQRT_PI = math.sqrt(math.pi)
@@ -167,6 +168,35 @@ def test_flow_of_4096_steps_is_the_jump_sum_bit_for_bit():
     for t in (0.3, 30.0):
         for n in (0, 1, 2):
             assert F.heat_flow(t, xs, n)[few].tolist() == _step_flow(F, t, xs[few], n).tolist()
+
+
+def _per_atom_flow(F, t, xs, order):
+    """The flow with every atom added over all of ``xs`` at once, one atom at
+    a time in row and knot order, from the level at n = 0."""
+    out = F._cells(xs)[2] if order == 0 else np.zeros(xs.size)
+    for _, _, o, locs, w in F._flow_atoms():
+        for a, wk in zip(np.asarray(locs, dtype=float).tolist(), w):
+            out = out + wk * _smoothing(xs - a, t, o + order, right=True)
+    return out
+
+
+def test_flow_past_one_block_is_blocking_free():
+    # more points than one block holds: the flow runs in chunks of points
+    # (shuffled, so each chunk spans the data), and each point's value is the
+    # same as in any other split of the points
+    steps = StepCombo(tuple((0.1 * k - 1.0, 0.5 * k, 0.5 * k + 1.25) for k in range(30)))
+    grid = lh.sample(np.sin(np.linspace(0.0, 3.0, 41)) - 0.3, -1.0, 0.05)
+    for F, order, t in ((steps, 1, 0.07), (grid, 0, 0.003)):
+        lo, hi = F.effective_support(lh.DEFAULT_CONFIG)
+        xs = np.concatenate([np.linspace(lo - 1.0, hi + 1.0, 70001 - len(F.breakpoints())), F.breakpoints()])
+        xs = np.random.default_rng(7).permutation(xs)
+        assert xs.size == 70001 > _BLOCK_ENTRIES
+        flow = F.heat_flow(t, xs, order)
+        # 4,001 points take atoms in spans of 16, the other 66,000 a full chunk and 464 points
+        for want in (np.concatenate([F.heat_flow(t, xs[:4001], order), F.heat_flow(t, xs[4001:], order)]),
+                     _per_atom_flow(F, t, xs, order)):
+            assert flow.tolist() == want.tolist()
+            assert np.signbit(flow).tolist() == np.signbit(want).tolist()
 
 
 def test_flow_at_no_points_is_empty():

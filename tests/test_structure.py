@@ -88,6 +88,41 @@ def flow(x, t):
         f for f in found if not f.endswith("lp_space"))
 
 
+def _block_bounds(tree):
+    """Module-level names that end in ``_ENTRIES`` or ``_POINTS``: a bound on
+    the size of a batched temporary."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for name in ast.walk(node):
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store) and name.id.endswith(
+                        ("_ENTRIES", "_POINTS")):
+                    yield f"line {node.lineno}: {name.id}"
+
+
+def test_only_quadrature_bounds_a_block():
+    # one block bound: the quadrature, the semigroup rows, the energy sums
+    # and the piecewise-linear flows all size their batches from
+    # quadrature._BLOCK_ENTRIES, so a second bound shows here
+    found = {path.stem: list(_block_bounds(ast.parse(path.read_text()))) for path in sorted(_PACKAGE.glob("*.py"))}
+    assert [f.split(": ")[1] for f in found.pop("quadrature")] == ["_BLOCK_ENTRIES"]
+    assert {stem: lines for stem, lines in found.items() if lines} == {}
+
+
+def test_block_bound_guard_sees_what_it_forbids():
+    source = """
+_FLOW_ENTRIES = 1 << 14
+_FLOW_POINTS: int = 1 << 10
+_A, (_B_ENTRIES, _C) = 1, (2, _D_POINTS)
+def flow(xs):
+    _LOCAL_POINTS = 4
+    return xs
+class Flow:
+    _CLASS_ENTRIES = 5
+"""
+    assert list(_block_bounds(ast.parse(source))) == ["line 2: _FLOW_ENTRIES", "line 3: _FLOW_POINTS",
+                                                     "line 4: _B_ENTRIES"]
+
+
 def _per_element_python(tree):
     """Calls of np.frompyfunc / np.vectorize, and golden-section helpers: a
     function named for it, or the golden ratio as sqrt(5) or 0.618.../1.618..."""
