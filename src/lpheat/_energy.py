@@ -9,11 +9,12 @@ L^2 norm of a combination of them and of their flows F * theta_t^(n) is
 a double sum over the atoms against pair kernels in closed form
 (``energy_norm``).  Where every atom location lies on one uniform grid
 x_0 + i dx to within its rounding (every ``Sampled`` datum, and step
-edges from ``np.linspace``; ``_layout``), the pair sum of two weight
+edges from ``np.linspace``; ``_slots``), the pair sum of two weight
 rows is the correlation sum_l K(l dx) (w * w')(l) over the grid lags,
 so each kernel is evaluated at the M distinct lags, not at the N^2
 pairs, and memory stays O(M).  Elsewhere the (j, k) sums run in blocks of at most
-``_BLOCK_ENTRIES`` entries.
+``_BLOCK_ENTRIES`` entries.  Where every term comes from one datum, that
+layout is the datum's own, built once per datum (``_terms_layout``).
 
 p = 1.  For data F that keeps one sign, the contraction
 ||F * theta_t||_1 <= ||F||_1 and conservation of the integral,
@@ -27,6 +28,7 @@ p = 2 call, so importing the package does not compile it.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -45,7 +47,7 @@ class _Lags:
     def __init__(self, m: int, dx: float):
         lags = np.arange(1 - m, m)
         self.d = lags * dx
-        self.distinct, self.spread = self.d[m - 1:], np.abs(lags)
+        self.distinct, self.spread, self.bare = self.d[m - 1:], np.abs(lags), {}
 
     def pair(self, x, y, kernels) -> tuple[float, float]:
         """sum over (coef, K, |K|) of coef x K y, and of |coef| |x| |K| |y|,
@@ -61,7 +63,7 @@ class _Block:
 
     def __init__(self, places: np.ndarray, rows: slice):
         self.d = places[rows, None] - places[None, :]
-        self.rows, self.distinct, self.spread = rows, np.abs(self.d), None
+        self.rows, self.distinct, self.spread, self.bare = rows, np.abs(self.d), None, {}
 
     def pair(self, x, y, kernels) -> tuple[float, float]:
         xj, xj_abs = x[0][self.rows], x[1][self.rows]
@@ -71,8 +73,10 @@ class _Block:
 
 def _kernel_table(offsets, needed) -> dict:
     """(tau, o) -> (K, |K|) on the offsets for each needed pair: K_0^(o)
-    where tau is None, else K_tau^(o) - K_0^(o) (``_smoothing``), with one
-    erfc / exp pass over the distinct offsets for every tau at once."""
+    where tau is None, kept on the offsets (``bare``), which a datum's
+    layout keeps across calls, else K_tau^(o) - K_0^(o) (``_smoothing``),
+    with one erfc / exp pass over the distinct offsets for every tau at
+    once."""
     taus = sorted({tau for tau, o in needed if tau is not None and o < 0})
     columns = {}
     if taus:
@@ -82,28 +86,33 @@ def _kernel_table(offsets, needed) -> dict:
         columns = {tau: (e[..., i], x[..., i]) for i, tau in enumerate(taus)}
     table = {}
     for tau, o in needed:
-        if tau is None:
-            K = _bare_kernel(offsets.d, o)
-        else:
+        if tau is not None:
             K = _smoothing(offsets.d, tau, o, *columns.get(tau, ()))
-        table[tau, o] = (K, np.abs(K))
+            table[tau, o] = (K, np.abs(K))
+        elif o in offsets.bare:
+            table[tau, o] = offsets.bare[o]
+        else:
+            K = _bare_kernel(offsets.d, o)
+            table[tau, o] = offsets.bare[o] = (K, np.abs(K))
     return table
 
 
-def _layout(locs: np.ndarray, rel_tol: float):
-    """(slots, width, place, dx): the slot of each location in rows of
+def _slots(locs: np.ndarray, rel_tol: float):
+    """(slots, width, place, lags): the slot of each location in rows of
     ``width`` slots, and ``place`` mapping slots to their locations.  On
-    one uniform grid slot i is a_0 + i dx; elsewhere the slots are the
-    sorted distinct locations and dx is None.  The grid is taken where it
-    has at most 4 slots per location and moving each location onto it
-    only absorbs rounding: by at most 8 ulps of the largest |location|,
-    and by at most rel_tol / 16 of dx, so no gap changes its length by
-    more than rel_tol / 8 (a gap of 40 ulps is no grid step of 47)."""
+    one uniform grid slot i is a_0 + i dx and lags are its ``_Lags``;
+    elsewhere the slots are the sorted distinct locations and lags is None.
+    The grid is taken where it has at most 4 slots per location and moving
+    each location onto it only absorbs rounding: by at most 8 ulps of the
+    largest |location|, and by at most rel_tol / 16 of dx, so no gap
+    changes its length by more than rel_tol / 8 (a gap of 40 ulps is no
+    grid step of 47).  Only the distinct locations matter: a location
+    repeated takes the same slot."""
     ordered = np.sort(locs)
     gaps = ordered[1:] - ordered[:-1]
     a0, a1 = float(ordered[0]), float(ordered[-1])
     if a1 == a0:
-        return np.zeros(locs.size, dtype=int), 1, lambda i: a0 + i, 1.0
+        return np.zeros(locs.size, dtype=int), 1, lambda i: a0 + i, _Lags(1, 1.0)
     positive = gaps > 0.0
     dx = float(gaps.min(where=positive, initial=math.inf))
     steps = (a1 - a0) / dx
@@ -115,9 +124,35 @@ def _layout(locs: np.ndarray, rel_tol: float):
         slots = np.rint(at)
         shift = float(np.abs(at - slots).max())
         if shift * dx <= tol and shift <= min(rel_tol, 1.0) / 16.0:
-            return slots.astype(int), steps + 1, lambda i: a0 + dx * i, dx
+            return slots.astype(int), steps + 1, lambda i: a0 + dx * i, _Lags(steps + 1, dx)
     places, slots = np.unique(locs, return_inverse=True)
     return slots, places.size, places.__getitem__, None
+
+
+def _layout(rows, rel_tol: float):
+    """``_slots`` of rows of atom locations, the slots split back into one
+    array per row, or None where there are no locations."""
+    locs = np.concatenate(rows)
+    if not locs.size:
+        return None
+    slots, width, place, lags = _slots(locs, rel_tol)
+    ends = list(accumulate(map(len, rows)))
+    return [slots[i:j] for i, j in zip([0] + ends, ends)], width, place, lags
+
+
+def _terms_layout(terms, rows, rel_tol: float):
+    """``_layout`` of the terms' atom rows.  Where every term comes from one
+    datum with a layout cache (``_layouts`` of piecewise-linear data), the
+    rows hold that datum's locations once per term, so the layout is the
+    datum's own, built once per datum and rel_tol, its slots repeated."""
+    datum = terms[0][1].source()
+    cache = getattr(datum, "_layouts", None)
+    if cache is None or any(F.source() is not datum for _, F in terms):
+        return _layout(rows, rel_tol)
+    if rel_tol not in cache:
+        cache[rel_tol] = _layout([locs for *_, locs, _ in datum._flow_atoms()], rel_tol)
+    own = cache[rel_tol]
+    return None if own is None else (own[0] * len(terms), *own[1:])
 
 
 _MOMENTS = 64
@@ -214,7 +249,7 @@ def energy_norm(terms, cfg: QuadratureConfig) -> float | None:
     split as K_0 + (K_tau - K_0), and its tau-free K_0 parts are summed
     over the weights pooled across the times each time pairs with first,
     so that they cancel exactly where the rows do (F * theta_t - F at
-    small t).  The rows sit on the slots of ``_layout``: on a uniform
+    small t).  The rows sit on the slots of ``_terms_layout``: on a uniform
     grid each kernel is evaluated at the distinct lags (``_Lags``), else
     on blocks of (j, k) offsets (``_Block``), with one erfc / exp pass
     over the distinct offsets for all time sums (``_kernel_table``)."""
@@ -225,33 +260,37 @@ def energy_norm(terms, cfg: QuadratureConfig) -> float | None:
             return None
         for t, n, o, locs, weights in atoms:
             least_n[t] = min(n, least_n.get(t, n))
-            parts.append(((t, o), locs, c * np.asarray(weights, dtype=float)))
+            parts.append(((t, o), locs, np.multiply(c, weights)))
     keys = sorted({key for key, _, _ in parts}, key=lambda key: (key[1], key[0]))
     if 2 * max(o for _, o in keys) > MAX_DERIV_ORDER:
         return None
+    layout = _terms_layout(terms, [locs for _, locs, _ in parts], cfg.rel_tol)
+    if layout is None:  # zero data
+        return 0.0
     # one row per (time, order) on the slots, each location's weights
     # added in the order of the terms (a row's own locations are distinct)
-    locs = np.concatenate([locs for _, locs, _ in parts])
-    if not locs.size:  # zero data
-        return 0.0
-    slots, width, place, dx = _layout(locs, cfg.rel_tol)
-    merged, start = np.zeros((len(keys), width)), 0
-    for key, _, w in parts:
-        merged[keys.index(key), slots[start:start + w.size]] += w
-        start += w.size
+    slots, width, place, lags = layout
+    index = {key: i for i, key in enumerate(keys)}
+    merged = np.zeros((len(keys), width))
+    for (key, _, w), row in zip(parts, slots):
+        merged[index[key], row] += w
     # weights scaled to a largest |w| of 1, so no product under- or overflows
-    peak = float(np.abs(merged).max())
+    magnitude = np.abs(merged)
+    peak = float(magnitude.max())
     if peak == 0.0:
         return 0.0
     merged /= peak
-    vectors, by_time, reach = {}, {}, {}
-    for (t, o), v in zip(keys, merged):
+    magnitude /= peak
+    vectors, by_time, ends = {}, {}, {}
+    for (t, o), v, v_abs in zip(keys, merged, magnitude):
         nz = v.nonzero()[0]
         if nz.size:
-            vectors[(t,), o] = (v, np.abs(v), nz)
+            vectors[(t,), o] = (v, v_abs, nz)
             by_time.setdefault(t, []).append((o, nz, v))
-            lo, hi = reach.get(t, (math.inf, -math.inf))
-            reach[t] = (min(lo, float(place(nz[0]))), max(hi, float(place(nz[-1]))))
+            first, last = ends.get(t, (width, 0))
+            ends[t] = (min(first, int(nz[0])), max(last, int(nz[-1])))
+    # the span of each time's atoms (places increase with the slot)
+    reach = {t: (float(place(first)), float(place(last))) for t, (first, last) in ends.items()}
     times = sorted(by_time)
 
     total = size = 0.0
@@ -298,8 +337,8 @@ def energy_norm(terms, cfg: QuadratureConfig) -> float | None:
 
     if jobs:
         needed = {(tau, o) for job in jobs.values() for _, tau, o in job}
-        if dx is not None:
-            sets = [_Lags(width, dx)]
+        if lags is not None:
+            sets = [lags]
         else:
             # blocks of rows whose offsets, at every tau, fill at most _BLOCK_ENTRIES entries
             step = max(1, _BLOCK_ENTRIES // (width * max(1, len({tau for tau, _ in needed}))))

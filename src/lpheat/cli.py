@@ -266,9 +266,8 @@ def cmd_example_dirac(args) -> int:
         raise DomainError("offset a must be positive")
     ts = _parse_times(args.t)
     xs = _parse_grid(args.grid)
-    cfg = _config_from_args(args)
     f = dirac_difference(-args.a, args.a, p=2.0)
-    columns = [solve_values(f, t, xs, cfg) for t in ts]
+    columns = [solve_values(f, t, xs) for t in ts]
     bounds = variation_lower_bound(args.a, ts)
     if args.format == "json":
         doc = {"a": args.a, "t": ts, "x": xs, "values": columns, "variation_lower_bound": bounds}
@@ -316,14 +315,9 @@ def _jsonable(obj):
 
 
 def _config_from_args(args) -> QuadratureConfig:
-    tol = getattr(args, "tol", None)
-    if tol is None:
+    if args.tol is None:
         return DEFAULT_CONFIG
-    return QuadratureConfig(
-        abs_tol=tol,
-        rel_tol=max(tol, 1e-14),
-        max_subdivisions=DEFAULT_CONFIG.max_subdivisions,
-    )
+    return QuadratureConfig(abs_tol=args.tol, rel_tol=max(args.tol, 1e-14))
 
 
 def tolerance(raw: str) -> float:
@@ -365,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--a", type=float, default=1.0)
     pd.add_argument("--t", default="1.0,0.1,0.01")
     pd.add_argument("--grid", default="-5:5:101")
-    pd.add_argument("--tol", type=tolerance, default=None)
     pd.add_argument("--out", default=None)
     pd.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -132,6 +132,11 @@ class Heated(PrimitiveFunction):
     def source(self):
         return self.F
 
+    def _kernel_multiple(self):
+        # c theta_s * theta_t = c theta_{s + t} at order 0
+        multiple = self.F._kernel_multiple() if self.n == 0 else None
+        return None if multiple is None else (multiple[0], multiple[1] + self.t)
+
     def _flow_atoms(self):
         rows = self.F._flow_atoms()
         if rows is None:

@@ -110,9 +110,10 @@ def young_equality_gap(
     Gaussian power extremizer.
 
     Interior exponents (p, q both > 1) use the closed-form optimal power
-    and the gap vanishes to quadrature accuracy.  For boundary exponents
-    pass an explicit surrogate ``beta`` (large for p = 1, small for
-    q = 1); there the gap is small but only vanishes in the limit.
+    and the gap vanishes to rounding: F * theta_t is again a multiple of
+    the kernel, so all three norms are closed forms.  For boundary
+    exponents pass an explicit surrogate ``beta`` (large for p = 1, small
+    for q = 1); there the gap is small but only vanishes in the limit.
     """
     tr = r_from(p, q)
     if beta is None:
@@ -142,7 +143,9 @@ def rate_sharpness(
 ) -> list[float]:
     """Normalized quantity ||f_t * theta_t||'_r t^{(1-1/q)/2} / ||f_t||'_p
     along the kernel-derivative family f_t; constant in t and positive,
-    so the decay rate in the bound cannot be improved."""
+    so the decay rate in the bound cannot be improved.  Both norms are
+    closed forms (theta_t * theta_t = theta_2t), so the values agree to
+    rounding."""
     out = []
     for t in t_sequence:
         F = GaussianPower(t, 1.0)

@@ -14,11 +14,13 @@ of v_t in the derivative space are L^r norms of its primitive
 F * theta_t, and the initial-data
 convergence is the L^p norm of F * theta_t - F: both are
 ``combo_lp_norm`` over ``convolve.Heated`` terms, the one norm path,
-scaled by the combination's own scanned peak.  For compact data and
-Gaussian powers F * theta_t is a closed form, so each of these norms
-costs one adaptive quadrature; at r = 2 (and p = 2 for the initial-data
-convergence) on piecewise-linear data it costs none, since the energy
-identity gives the norm as a double sum over the atoms of F''.  The
+scaled by the combination's own scanned peak.  For compact data
+F * theta_t is a closed form, so each of these norms costs one adaptive
+quadrature; at r = 2 (and p = 2 for the initial-data convergence) on
+piecewise-linear data it costs none, since the energy identity gives
+the norm as a double sum over the atoms of F''.  For a Gaussian power
+c theta_s, ||v_t||'_r costs none at any r either: F * theta_t is
+c theta_{s+t}, whose norm is closed form.  The
 flow arguments (t, order) are checked once, where the flow is built:
 ``convolve_values`` or ``Heated``.
 """

@@ -65,9 +65,13 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 def _erfc(z) -> np.ndarray:
     """Elementwise ``math.erfc``, bit for bit (numpy has no erf).  At z <= -6
-    and z >= 28 the correctly rounded erfc is exactly 2.0 or 0.0 and is filled
-    in without the call; NaN and everything between go through one ``map``."""
+    and z >= 28 the correctly rounded erfc, which ``math.erfc`` returns, is
+    exactly 2.0 or 0.0: past 64 values those are filled in without the call,
+    and NaN and everything between go through one ``map``; on 64 values or
+    fewer one ``map`` takes them all, for less than the masks cost."""
     z = np.asarray(z, dtype=float)
+    if z.size <= 64:
+        return np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
     low = z <= -6.0
     out = np.where(low, 2.0, 0.0)
     mid = ~(low | (z >= 28.0))
@@ -78,9 +82,9 @@ def _erfc(z) -> np.ndarray:
 def _exp_neg_square(w: np.ndarray) -> np.ndarray:
     """exp(-w^2) to a few ulp: w^2 is split as h^2 + (w - h)(w + h) with h
     the float32 rounding of w, so the large part of the exponent is exact."""
-    w = np.clip(w, -40.0, 40.0)  # exp(-1600) underflows to 0 either way
+    w = w.clip(-40.0, 40.0)  # exp(-1600) underflows to 0 either way
     h = w.astype(np.float32).astype(float)
-    return np.exp(-h * h) * np.exp(-(w - h) * (w + h))
+    return np.exp(-h * h) * np.exp((h - w) * (w + h))
 
 
 def _bare_kernel(d: np.ndarray, o: int) -> np.ndarray:

@@ -27,10 +27,13 @@ its exact norm (one closed form per cell), Gaussian powers a closed
 form, and the two tail profiles substitution and period-panel
 treatments documented on their ``finite_lp_norm`` methods.
 ``combo_lp_norm`` is the one norm of a linear combination, heat flows
-(``convolve.Heated``) included.  At p = 2 a combination of
-piecewise-linear data and their heat flows is exact too: by Plancherel
-and the semigroup, a double sum over the atoms of F'' (``_flow_atoms``)
-against kernels in closed form (module ``_energy``).
+(``convolve.Heated``) included.  A lone order-0 heat flow of a Gaussian
+power is exact at every p: c theta_s * theta_t = c theta_{s+t}, a
+multiple of the kernel (``_kernel_multiple``) with a closed-form norm.
+At p = 2 a combination of piecewise-linear data and their heat flows is
+exact too: by Plancherel and the semigroup, a double sum over the atoms
+of F'' (``_flow_atoms``) against kernels in closed form (module
+``_energy``).
 
 The compact variants and Gaussian powers also give their heat flow
 F * theta_t^(n) in closed form (``heat_flow(t, xs, order=n)``), through
@@ -54,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import ApproximationError, DomainError, MembershipError
-from .kernel import _smoothing, _validate_exponent
+from .kernel import _smoothing, _validate_exponent, theta_norm_closed
 from .quadrature import (
     _BLOCK_ENTRIES,
     DEFAULT_CONFIG,
@@ -100,6 +103,11 @@ class PrimitiveFunction:
         ``t`` is positive, ``xs`` a finite float array and ``order`` an
         integer in [0, MAX_DERIV_ORDER]; callers validate.
         """
+        return None
+
+    def _kernel_multiple(self) -> tuple[float, float] | None:
+        """(c, tau) with F = c theta_tau, or None where F is no multiple of
+        the kernel (a Gaussian power and its order-0 heat flows are)."""
         return None
 
     def _flow_atoms(self) -> tuple | None:
@@ -250,6 +258,11 @@ class _PiecewiseLinear(PrimitiveFunction):
         return out
 
     @cached_property
+    def _layouts(self) -> dict:
+        """``_energy``'s layout of the atom locations, by rel_tol, filled there."""
+        return {}
+
+    @cached_property
     def _atom_rows(self) -> list:
         """``_flow_atoms`` as (kernel order, location array, weights) rows."""
         return [(o, np.asarray(locs, dtype=float), w) for _, _, o, locs, w in self._flow_atoms()]
@@ -372,13 +385,16 @@ class GaussianPower(PrimitiveFunction):
         of A^p exp(-p beta x^2 / 4 t0) is A^p sqrt(4 pi t0 / (beta p))."""
         return self.prefactor() * (4.0 * math.pi * self.t / (self.beta * p)) ** (0.5 / p)
 
-    def heat_flow(self, t, xs, order=0):
-        # F = A exp(-x^2 / 4 s) with s = t0 / beta is c theta_s, c = A 2 sqrt(pi s),
-        # so by the semigroup F * theta_t^(n) = c theta_{s + t}^(n)
+    def _kernel_multiple(self):
+        # F = A exp(-x^2 / 4 s) with s = t0 / beta is c theta_s, c = A 2 sqrt(pi s)
         s = self.t / self.beta
+        return self.prefactor() * 2.0 * math.sqrt(math.pi * s), s
+
+    def heat_flow(self, t, xs, order=0):
+        # F = c theta_s, so by the semigroup F * theta_t^(n) = c theta_{s + t}^(n)
+        c, s = self._kernel_multiple()
         if order == 0:
             return self.prefactor() * math.sqrt(s / (s + t)) * np.exp(-xs * xs / (4.0 * (s + t)))
-        c = self.prefactor() * 2.0 * math.sqrt(math.pi * s)
         return c * _smoothing(xs, s + t, order)
 
     def truncation_window(self, p, eps, cfg):
@@ -636,7 +652,12 @@ def combo_lp_norm(
     Supported where the data behind every term has a support of moderate
     size (compact variants, Gaussian powers and their heat flows
     ``convolve.Heated``); a slowly decaying variant (support above 1e6)
-    raises DomainError.  At p = 2, where every term is step data, sampled
+    raises DomainError.  One order-0 heat flow of a Gaussian power,
+    c theta_s * theta_t = c theta_tau with tau = s + t
+    (``_kernel_multiple``), is |coef| c ||theta_tau||_p at every p, before
+    any other route; raw data and higher orders are refused, so the kernel
+    suite keeps measuring a raw Gaussian power and its order-1 flow by
+    quadrature.  At p = 2, where every term is step data, sampled
     data or a heat flow of either, the norm is the energy identity's
     double sum over the atoms of F'' (``_energy.energy_norm``), with no
     quadrature; at p = 1 so is one order-0 flow of such data that keeps
@@ -660,6 +681,10 @@ def combo_lp_norm(
         lo, hi = data.effective_support(cfg)
         if hi - lo > 1e6:
             raise DomainError(f"combination norms are not supported for slowly decaying variant {data.kind!r}")
+    c, flow = terms[0]
+    multiple = flow._kernel_multiple() if len(terms) == 1 and flow.source() is not flow else None
+    if multiple is not None:
+        return abs(c) * multiple[0] * theta_norm_closed(p, multiple[1])
     if p in (1.0, 2.0):
         from ._energy import conserved_l1_norm, energy_norm  # compiled on first use, not at import
 
@@ -699,10 +724,14 @@ def combo_lp_norm(
 
 def _json_number(v) -> float:
     """A JSON number as a float.  TypeError for anything else, booleans
-    and numeric strings included (``float`` reads True as 1.0 and "2" as 2.0)."""
+    and numeric strings included (``float`` reads True as 1.0 and "2" as 2.0),
+    ValueError for an integer past the float range."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError(f"expected a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError("an integer overflows a float") from None
 
 
 def primitive_from_json(data: dict) -> PrimitiveFunction:
@@ -729,6 +758,8 @@ def primitive_from_json(data: dict) -> PrimitiveFunction:
         if kind == "samples":
             values = [_json_number(v) for v in data["values"]]
             return sample(values, _json_number(data["x0"]), _json_number(data["dx"]))
+    except DomainError:  # a constructor's own message: the descriptor parsed
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed primitive descriptor: {exc}") from exc
     raise DomainError(f"unknown primitive type {kind!r}")

@@ -93,8 +93,8 @@ class QuadratureConfig:
     max_subdivisions: int = 512
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("quadrature tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise DomainError("quadrature tolerances must be positive and finite")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be at least 1")
 

@@ -520,8 +520,8 @@ _STDOUT_SHA256 = {
     "evolve step_combo json": "0ef0f73c69a97c94531a70a6edee6a1fe7fd1fdbd3e823b6777e83482dbc76b9",
     "example-dirac csv": "44746ab5312eed0cc8f596e2a52101808be6ff69982bc5afa367561c95d78e43",
     "example-dirac json": "bae2dfae072ddd8cb827384bac51c3c524831d5ceeb3ab4b65207ed0ae56f5c5",
-    "verify csv": "679739f4b5e1b45d832c0b4966add72b6fd30a41af53a54a65d666caede030a2",
-    "verify json": "81a602ca6766a54313bc4db7ddced98407522d9705fef6286b6d22faafd0191a",
+    "verify csv": "3535a374fa8a23e2989b2e125c15c9a19b3a580f696e02d5a76727963857abcd",
+    "verify json": "05f98ff3bc1dbaed22056f4c11e41b1d487e526a87c4f20e3ddf62c78faba037",
 }
 
 
@@ -760,21 +760,40 @@ def test_constants_empty_exponent_list_exits_2(capsys, p, q):
 @pytest.mark.parametrize(
     "primitive, message",
     [
-        ({"type": "gaussian_power", "t": 1e-300, "beta": 5}, "prefactor overflows"),
-        ({"type": "gaussian_power", "t": 1e300, "beta": 1e-300}, "width t / beta overflows"),
-        ({"type": "samples", "x0": 0, "dx": 1e-320, "values": [1, 2]}, "slopes"),
-        ({"type": "samples", "x0": 0, "dx": 1.0, "values": [1.5e308, -1.5e308, 1.5e308]}, "slopes"),
+        ({"type": "gaussian_power", "t": 1e-300, "beta": 5}, "gaussian power prefactor overflows a float"),
+        ({"type": "gaussian_power", "t": 1e300, "beta": 1e-300}, "gaussian power width t / beta overflows a float"),
+        ({"type": "samples", "x0": 0, "dx": 1e-320, "values": [1, 2]}, "grid slopes and their changes must be finite"),
+        ({"type": "samples", "x0": 0, "dx": 1.0, "values": [1.5e308, -1.5e308, 1.5e308]},
+         "grid slopes and their changes must be finite"),
     ],
     ids=["gaussian-prefactor", "gaussian-width", "samples-slope", "samples-kink"],
 )
 def test_overflowing_descriptor_exits_2(tmp_path, capsys, primitive, message):
     # the Gaussian prefactor exited 4 (OverflowError), its width printed nan
-    # columns with exit 0, the sampled data wrote inf columns with exit 0
+    # columns with exit 0, the sampled data wrote inf columns with exit 0;
+    # the constructor's own message reaches stderr, not "malformed
+    # primitive descriptor", since the descriptor itself parsed
     data = _write_element(tmp_path, {"primitive": primitive, "p": 2.0})
     code, out, err = run_cli(capsys, "evolve", "--data", data, "--t", "1", "--grid=-1:1:5")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and message in err
+    assert err == f"error: {message}\n"
+
+
+def test_integer_past_the_float_range_exits_2(tmp_path, capsys):
+    # float() of a 400-digit JSON integer raised OverflowError: exit 4 with a traceback
+    data = tmp_path / "f.json"
+    data.write_text('{"primitive": {"type": "indicator", "a": 0, "b": 1' + "0" * 400 + '}, "p": 2}')
+    code, out, err = run_cli(capsys, "evolve", "--data", str(data), "--t", "1", "--grid=-1:1:5")
+    assert (code, out) == (2, "")
+    assert err == "error: malformed primitive descriptor: an integer overflows a float\n"
+
+
+def test_example_dirac_takes_no_tolerance(capsys):
+    # its step data flows in closed form, so a tolerance never reached a quadrature
+    code, out, err = run_cli(capsys, "example-dirac", "--tol", "1e-9")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --tol 1e-9" in err
 
 
 def test_grid_with_collapsing_nodes_exits_2(tmp_path, capsys):

@@ -18,7 +18,7 @@ from lpheat import (
     StepCombo,
     UnsupportedOrderError,
 )
-from lpheat import convolve
+from lpheat import convolve, lp_space
 from lpheat.convolve import Heated, convolve_values
 from lpheat.kernel import (
     MAX_DERIV_ORDER,
@@ -417,7 +417,7 @@ def test_convolution_norm_sup():
 
 @pytest.mark.parametrize(
     "F, n, t",
-    [(Indicator(0.0, 1.0), 1, 1.0), (GaussianPower(1.0, 1.0), 0, 0.5), (_SEVEN_SAMPLES, 0, 0.25)],
+    [(Indicator(0.0, 1.0), 1, 1.0), (GaussianPower(1.0, 1.0), 1, 0.5), (_SEVEN_SAMPLES, 0, 0.25)],
     ids=["indicator", "gaussian", "samples"],
 )
 def test_sup_norm_of_a_flow_takes_few_calls(monkeypatch, F, n, t):
@@ -431,6 +431,82 @@ def test_sup_norm_of_a_flow_takes_few_calls(monkeypatch, F, n, t):
     xs = np.linspace(*Heated(F, t, n, lh.DEFAULT_CONFIG).effective_support(lh.DEFAULT_CONFIG), 10**5)
     dense = np.max(np.abs(convolve_values(F, n, t, xs)))
     assert got >= dense - 4 * np.spacing(dense)
+
+
+def test_sup_norm_of_an_order_0_gaussian_flow_takes_no_call(monkeypatch):
+    # c theta_s * theta_t = c theta_{s+t} peaks at 0: a closed form, no scan
+    calls = []
+    monkeypatch.setattr(convolve, "convolve_values", lambda *a: calls.append(a) or convolve_values(*a))
+    F = GaussianPower(1.0, 1.0)
+    got = lh.combo_lp_norm([(1.0, Heated(F, 0.5, 0, lh.DEFAULT_CONFIG))], math.inf)
+    assert calls == []
+    c, s = F.prefactor() * 2.0 * math.sqrt(math.pi * F.t / F.beta), F.t / F.beta
+    want = c * float(theta_values(0.0, s + 0.5))
+    assert abs(got - want) <= np.spacing(want)
+
+
+_GAUSSIAN_EXPONENTS = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, math.inf)
+
+
+@st.composite
+def gaussian_flows(draw):
+    """(GaussianPower, t): t0 and beta in [1/64, 64], or the normalized
+    representatives ``young_equality_gap`` builds for beta = 1e4 and 1e-4
+    at t = 1, and a flow time t in [2^-20, 1e4]."""
+    if draw(st.booleans()):
+        F = GaussianPower(2.0 ** draw(st.floats(-6.0, 6.0)), 2.0 ** draw(st.floats(-6.0, 6.0)))
+    else:
+        F = GaussianPower(1.0 / draw(st.sampled_from([1e4, 1e-4])), 1.0)
+    return F, 2.0 ** draw(st.floats(-20.0, math.log2(1e4)))
+
+
+@given(Ft=gaussian_flows(), p=st.sampled_from(_GAUSSIAN_EXPONENTS), c=st.floats(0.1, 3.0) | st.floats(-3.0, -0.1))
+@settings(max_examples=80, deadline=None)
+def test_gaussian_flow_norm_is_the_closed_form_against_mpmath(Ft, p, c):
+    # F * theta_t = c_F theta_tau with tau = t0 / beta + t; the oracle
+    # integrates |c_F theta_tau|^p in 30 digits over its peak's p-th power,
+    # so the integrand peaks at 1 (mpmath's quad stops early on an integrand
+    # of size 1e-27), split at 0 and one kernel width each side; at p = inf
+    # it is the flow's sup, its value at 0
+    mp = pytest.importorskip("mpmath")
+    F, t = Ft
+    got = lh.combo_lp_norm([(c, Heated(F, t, 0, lh.DEFAULT_CONFIG))], p)
+    with mp.workdps(30):
+        t0, beta = mp.mpf(F.t), mp.mpf(F.beta)
+        s = t0 / beta
+        tau = s + mp.mpf(t)
+        peak = (2 * mp.sqrt(mp.pi * t0)) ** (-beta) * 2 * mp.sqrt(mp.pi * s) / (2 * mp.sqrt(mp.pi * tau))
+        want = abs(c) * peak
+        if not math.isinf(p):
+            w = mp.sqrt(2 * tau)
+            want *= mp.quad(lambda x: mp.exp(-p * x * x / (4 * tau)), [-mp.inf, -w, 0, w, mp.inf]) ** (1 / mp.mpf(p))
+        assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("p", _GAUSSIAN_EXPONENTS)
+@pytest.mark.parametrize("t", [2.0 ** -14, 0.5, 100.0])
+def test_gaussian_flow_norm_matches_the_quadrature_it_replaces(monkeypatch, p, t):
+    # without the kernel-multiple route combo_lp_norm measures the flow by its
+    # scan and quadrature, at rel_tol 1e-10
+    F = GaussianPower(0.5, 2.0)
+    terms = [(1.0, Heated(F, t, 0, lh.DEFAULT_CONFIG))]
+    got = lh.combo_lp_norm(terms, p)
+    monkeypatch.setattr(Heated, "_kernel_multiple", lambda self: None)
+    assert got == pytest.approx(lh.combo_lp_norm(terms, p), rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("flow", [lambda F: F, lambda F: Heated(F, 0.5, 1, lh.DEFAULT_CONFIG)],
+                         ids=["raw-data", "order-1-flow"])
+def test_raw_gaussian_data_and_order_1_flows_keep_their_quadrature(monkeypatch, flow, p):
+    # the kernel suite measures these two against closed forms on purpose:
+    # the closed-form route takes order-0 flows only
+    calls = []
+    for name in ("_integrate", "_scan_refine_max"):
+        inner = getattr(lp_space, name)
+        monkeypatch.setattr(lp_space, name, lambda *a, _name=name, _inner=inner: calls.append(_name) or _inner(*a))
+    lh.combo_lp_norm([(1.0, flow(GaussianPower(1.0, 1.0)))], p)
+    assert calls == ["_scan_refine_max" if math.isinf(p) else "_integrate"]
 
 
 def test_grid_young_consistency():

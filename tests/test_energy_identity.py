@@ -2,7 +2,10 @@
 and their heat flows by the energy identity, a double sum over the atoms of
 F'', and p = 1 norms of their flows where the data keeps one sign."""
 
+import dataclasses
+import hashlib
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -364,6 +367,80 @@ def test_energy_sum_matches_the_plain_per_pair_double_sum(data, times, n, coefs)
     assume(got is not None)  # cancelling combinations hand over to quadrature
     exact, size = _reference_energy(terms)
     assert abs(got * got - exact) <= 8.0 * 2.0 ** -52 * size
+
+
+def _energy_fuzz(seed, count):
+    """(terms, copies, cfg) for ``count`` seeded combinations of one to three
+    terms on one to three times: step data (edges from np.linspace, so on one
+    grid, or drawn freely) and sampled data, raw or flowed at orders 0 to 2,
+    every term from one datum (60 %) or each from its own.  The data come
+    from a pool of 40, so a datum meets several times, orders and
+    tolerances; ``copies`` holds a fresh equal datum in each term."""
+    rng = random.Random(seed)
+
+    def datum():
+        kind = rng.random()
+        if kind < 0.15:
+            a = rng.uniform(-2.0, 2.0)
+            return lh.Indicator(a, a + rng.uniform(0.01, 3.0))
+        if kind < 0.5:
+            if rng.random() < 0.5:
+                edges = np.linspace(rng.uniform(-2.0, 0.0), rng.uniform(0.1, 2.0), rng.randint(2, 8)).tolist()
+                steps = [(rng.uniform(-2.0, 2.0), *sorted(rng.sample(edges, 2))) for _ in range(rng.randint(1, 5))]
+            else:
+                starts = [rng.uniform(-2.0, 2.0) for _ in range(rng.randint(1, 5))]
+                steps = [(rng.uniform(-2.0, 2.0), a, a + rng.uniform(0.01, 2.0)) for a in starts]
+            return lh.StepCombo(tuple(steps))
+        values = [rng.choice([0.0, rng.uniform(-2.0, 2.0)]) for _ in range(rng.randint(2, 9))]
+        return lh.sample(values, rng.uniform(-2.0, 1.0), rng.choice([0.005, 0.1, rng.uniform(0.01, 0.5)]))
+
+    pool = [datum() for _ in range(40)]
+    configs = (_CFG, lh.QuadratureConfig(rel_tol=1e-6))
+    times = (0.0, 1e-6, 2.0 ** -14, 2.0 ** -7, 0.1, 0.3, 1.0, 30.0)
+    for _ in range(count):
+        cfg, shared, single = rng.choice(configs), rng.choice(pool), rng.random() < 0.6
+        terms, copies = [], []
+        for _ in range(rng.randint(1, 3)):
+            F = shared if single else rng.choice(pool)
+            c, t, n = rng.choice([1.0, -1.0, rng.uniform(-3.0, 3.0)]), rng.choice(times), rng.choice([0, 0, 1, 2])
+            for out, G in ((terms, F), (copies, dataclasses.replace(F))):
+                out.append((c, G if t == 0.0 else Heated(G, t, n, cfg)))
+        yield terms, copies, cfg
+
+
+# sha256 of the reprs of the 1,200 energy norms of _energy_fuzz(20251020, 1200),
+# one per line, as energy_norm gave them when it laid out the terms' atom
+# locations afresh on every call
+_ENERGY_FUZZ_SHA256 = "2f29660854952d2aa092427eb1a870269aa18f9968129180c32cceae2025d8f9"
+
+
+def test_energy_norms_stay_bit_for_bit_with_the_layout_kept_on_the_datum():
+    # terms from one datum reuse its layout; a fresh equal datum per term
+    # shares none, so its norm lays out the concatenated locations on the call
+    lines = []
+    for terms, copies, cfg in _energy_fuzz(20251020, 1200):
+        got = energy_norm(terms, cfg)
+        assert repr(energy_norm(copies, cfg)) == repr(got)
+        lines.append(repr(got))
+    assert sum(line not in ("None", "0.0") for line in lines) > 1000
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _ENERGY_FUZZ_SHA256
+
+
+def test_layout_kept_on_the_datum_follows_rel_tol():
+    # an edge 2 ulps off a grid of spacing 0.25 at 1e6 (4.7e-10 of the
+    # spacing) is snapped onto it at rel_tol 1e-6, not at 1e-10; the layout
+    # kept for one tolerance must not serve the other
+    edges = [1e6 + 0.25 * k for k in range(7)]
+    edges[3] = float(np.nextafter(np.nextafter(edges[3], 2e6), 2e6))
+    F = lh.StepCombo(tuple(((-1.0) ** k * (1 + k), a, b) for k, (a, b) in enumerate(zip(edges, edges[1:]))))
+    norms = {}
+    for rel_tol in (1e-6, 1e-10, 1e-6):
+        cfg = lh.QuadratureConfig(rel_tol=rel_tol)
+        fresh = [dataclasses.replace(F) for _ in range(2)]
+        got = energy_norm([(1.0, Heated(F, 1e-3, 0, cfg)), (-1.0, F)], cfg)
+        assert got == energy_norm([(1.0, Heated(fresh[0], 1e-3, 0, cfg)), (-1.0, fresh[1])], cfg)
+        norms[rel_tol] = got
+    assert norms[1e-6] != norms[1e-10]
 
 
 @pytest.mark.parametrize("t", [0.0, 1e-30, 1e-28])

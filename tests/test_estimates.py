@@ -93,6 +93,34 @@ def test_young_gap_interior_across_lattice_times():
     assert abs(lh.young_equality_gap(2.0, 2.0, 4.0)) < 1e-6
 
 
+def test_young_gaps_read_to_rounding():
+    # F * theta_t is a multiple of the kernel, so the measured norm and the
+    # bound are both closed forms: an interior gap is rounding, at most a
+    # few ulps of 1, and a boundary gap is 1 - ||theta_{s+1}||_r /
+    # (C ||theta_s||_p ||theta_1||_q) with s = 1 / beta, to rounding
+    for tr in young_lattice_triples():
+        for t in (0.25, 1.0, 4.0):
+            assert abs(lh.young_equality_gap(tr.p, tr.q, t)) <= 4 * 2.0 ** -52
+    for p, q, beta in ((1.0, 2.0, 1e4), (2.0, 1.0, 1e-4)):
+        tr = lh.r_from(p, q)
+        s = 1.0 / beta
+        bound = lh.young_constant(tr) * lh.theta_norm_closed(p, s) * lh.theta_norm_closed(q, 1.0)
+        exact = 1.0 - lh.theta_norm_closed(tr.r, s + 1.0) / bound
+        assert lh.young_equality_gap(p, q, 1.0, beta=beta) == pytest.approx(exact, abs=4 * 2.0 ** -52)
+
+
+def test_kernel_rows_still_measure_by_quadrature(monkeypatch):
+    # the kernel suite checks the closed forms against combo_lp_norm's
+    # quadrature of a raw Gaussian power and of its order-1 flow: 30 adaptive
+    # integrals (five finite exponents, three times, two rows) and 6 sup scans
+    calls = Counter()
+    for name in ("_integrate", "_scan_refine_max"):
+        inner = getattr(lh.lp_space, name)
+        monkeypatch.setattr(lh.lp_space, name, lambda *a, _name=name, _inner=inner: calls.update([_name]) or _inner(*a))
+    estimates._kernel_norm_reports(lh.DEFAULT_CONFIG)
+    assert calls == {"_integrate": 30, "_scan_refine_max": 6}
+
+
 def test_young_gap_boundary_protocols():
     with pytest.raises(DomainError):
         lh.young_equality_gap(1.0, 2.0, 1.0)

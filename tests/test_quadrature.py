@@ -305,3 +305,12 @@ def test_config_validation():
         QuadratureConfig(abs_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureConfig(max_subdivisions=0)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+def test_config_refuses_non_finite_tolerances(field, value):
+    # an infinite abs_tol made a slow tail's window a bare "math domain
+    # error" and let integrate stop after its seed panels
+    with pytest.raises(DomainError, match="positive and finite"):
+        QuadratureConfig(**{field: value})
