@@ -1,9 +1,10 @@
-"""Exact flow norms of piecewise-linear data (step data, sampled grids)
-and their heat flows, with no quadrature: p = 2 by the energy identity,
-p = 1 of a flow that keeps one sign by contraction plus conservation.
+"""Exact flow norms of piecewise-linear data, Gaussian powers and their
+heat flows, with no quadrature: p = 2 by the energy identity, p = 1 of a
+flow that keeps one sign by contraction plus conservation.
 
-p = 2.  F'' of such data is a finite set of atoms, a delta' at each jump
-and a delta at each kink (``PrimitiveFunction._flow_atoms``), and by
+p = 2.  Such data is a finite set of atoms (``PrimitiveFunction._flow_atoms``:
+a delta' of F'' at each jump and a delta at each kink of piecewise-linear
+data, one atom c theta_s of order 0 for a Gaussian power), and by
 Plancherel and the semigroup theta_s * theta_u = theta_{s+u} the squared
 L^2 norm of a combination of them and of their flows F * theta_t^(n) is
 a double sum over the atoms against pair kernels in closed form
@@ -16,7 +17,7 @@ pairs, and memory stays O(M).  Elsewhere the (j, k) sums run in blocks of at mos
 ``_BLOCK_ENTRIES`` entries.  Where every term comes from one datum, that
 layout is the datum's own, built once per datum (``_terms_layout``).
 
-p = 1.  For data F that keeps one sign, the contraction
+p = 1.  For piecewise-linear data F that keeps one sign, the contraction
 ||F * theta_t||_1 <= ||F||_1 and conservation of the integral,
 int F * theta_t = int F, pin ||F * theta_t||_1 = ||F||_1
 (``conserved_l1_norm``).
@@ -296,6 +297,7 @@ def energy_norm(terms, cfg: QuadratureConfig) -> float | None:
     total = size = 0.0
     jobs: dict[tuple, list] = {}  # (x key, y key) -> [(coefficient, tau or None for K_0, kernel order)]
     partners: dict[float, list[float]] = {t: [] for t in times}
+    groups = {}  # (time, center, half) -> (moments, base order), each formed once
     for i, tg in enumerate(times):
         for th in times[i:]:
             mult, tau = (1.0 if tg == th else 2.0), tg + th
@@ -303,9 +305,11 @@ def energy_norm(terms, cfg: QuadratureConfig) -> float | None:
             if 2.0 * tau > (hi - lo) ** 2:
                 # the flows at time t are theta_t^(n - 2) * nu_t for their least order n
                 center, half = 0.5 * (lo + hi), 0.5 * (hi - lo) or 1.0
-                g, h = ((_moments([(o, place(nz), v[nz]) for o, nz, v in by_time[s]], least_n[s] - 2, center, half),
-                         least_n[s] - 2) for s in (tg, th))
-                value, scale = _moment_series(g, h, tau, half)
+                for s in (tg, th):
+                    if (s, center, half) not in groups:
+                        rows = [(o, place(nz), v[nz]) for o, nz, v in by_time[s]]
+                        groups[s, center, half] = (_moments(rows, least_n[s] - 2, center, half), least_n[s] - 2)
+                value, scale = _moment_series(groups[tg, center, half], groups[th, center, half], tau, half)
                 total, size = total + mult * value, size + mult * scale
                 continue
             partners[tg].append(th)

@@ -8,7 +8,7 @@ sup|F| times the kernel tail mass beyond ten standard deviations
 
 ``convolve_values`` is the one per-point path, one dispatch: the
 variant's closed form ``F.heat_flow(t, xs, order=n)`` where it has one
-(a sum over the atoms of F'' through the atom kernel of
+(a sum over the atoms of F through the atom kernel of
 ``kernel._smoothing``: every order for Gaussian powers and for
 piecewise-linear data without kinks, such as step data; n = 0 for
 piecewise-linear data with kinks, such as a sampled grid), else a loop
@@ -20,9 +20,9 @@ the slow-tail profiles.
 ``Heated(F, t, n, cfg)`` is that flow as a catalog function, so every
 norm of a heat flow, or of a flow minus its data, is one
 ``combo_lp_norm``: ``convolution_lp_norm`` is that norm over ``Heated``
-terms.  At p = 2 on piecewise-linear data that norm takes no quadrature:
-a flow hands ``combo_lp_norm`` its data's atoms of F'' at its own time
-and kernel order (``Heated._flow_atoms``).
+terms.  At p = 2 on piecewise-linear data and Gaussian powers that norm
+takes no quadrature: a flow hands ``combo_lp_norm`` its data's atoms at
+its own time and kernel order (``Heated._flow_atoms``).
 """
 
 from __future__ import annotations
@@ -131,11 +131,6 @@ class Heated(PrimitiveFunction):
 
     def source(self):
         return self.F
-
-    def _kernel_multiple(self):
-        # c theta_s * theta_t = c theta_{s + t} at order 0
-        multiple = self.F._kernel_multiple() if self.n == 0 else None
-        return None if multiple is None else (multiple[0], multiple[1] + self.t)
 
     def _flow_atoms(self):
         rows = self.F._flow_atoms()

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import ExponentTriple, K_const, L_const, M_const, _inv, beta_extremizer, r_from, young_constant
-from .convolve import convolve_values, convolution_lp_norm
+from .convolve import Heated, convolve_values, convolution_lp_norm
 from .exceptions import DomainError, SearchFailureError
 from .kernel import (
     semigroup_residual,
@@ -28,7 +28,7 @@ from .kernel import (
     theta_norm_closed,
     theta_values,
 )
-from .lp_space import GaussianPower, Indicator, TailLog, _bracket_max, combo_lp_norm, lp_norm
+from .lp_space import GaussianPower, Indicator, TailLog, _bracket_max, _quadrature_lp_norm, combo_lp_norm, lp_norm
 from .lprime import LprimeElement, dirac_difference, from_primitive, lprime_norm
 from .heat_solver import solve_values
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
@@ -360,13 +360,14 @@ def _kernel_norm_reports(cfg: QuadratureConfig, tol: float | None = None) -> lis
     for q in _NORM_EXPONENTS:
         for t in _NORM_TIMES:
             closed = theta_norm_closed(q, t)
-            # quadrature on purpose: lp_norm of a Gaussian power is the closed form
-            measured = combo_lp_norm([(1.0, GaussianPower(t, 1.0))], q, cfg)
+            # quadrature on purpose: lp_norm of a Gaussian power and combo_lp_norm
+            # of its flows are closed forms or, at q = 2, the energy sum
+            measured = _quadrature_lp_norm([(1.0, GaussianPower(t, 1.0))], q, cfg)
             reports.append(_row("kernel_norm_closed_vs_quadrature", abs(measured - closed) / closed, 1e-8, tol,
                                 q=q, t=t))
             closed_d = theta_deriv_norm_closed(q, t)
             # theta_{t/2} * theta_{t/2}' = theta_t'
-            measured_d = convolution_lp_norm([(1.0, GaussianPower(t / 2.0, 1.0))], 1, t / 2.0, q, cfg)
+            measured_d = _quadrature_lp_norm([(1.0, Heated(GaussianPower(t / 2.0, 1.0), t / 2.0, 1, cfg))], q, cfg)
             reports.append(_row("kernel_deriv_norm_closed_vs_quadrature", abs(measured_d - closed_d) / closed_d,
                                 1e-8, tol, q=q, t=t))
     for (t, s) in ((1.0, 1.0), (0.5, 0.5), (2.0, 3.0)):

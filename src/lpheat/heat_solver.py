@@ -2,26 +2,25 @@
 
 Values come from the kernel-derivative convolution of the primitive,
 v_t(x) = (F * theta_t')(x), at a batch of points per call
-(``solve_values``): a closed form for piecewise-linear primitives
-without kinks, such as step data (sum_i w_i theta_t(x - a_i) over the
-jumps, each a delta' atom of F'' through the atom kernel of
-``kernel._smoothing``), and Gaussian powers (c theta_{s+t}'), see
-``PrimitiveFunction.heat_flow``, else one adaptive quadrature per point
-(data with kinks, such as a sampled grid, and the slow tails).  Either
-way a point's value does not depend on the other points of the call, so
+(``solve_values``): a closed form over the atoms of F through the atom
+kernel of ``kernel._smoothing`` (``PrimitiveFunction.heat_flow``) for
+piecewise-linear primitives without kinks, such as step data
+(sum_i w_i theta_t(x - a_i) over the jumps), and for Gaussian powers
+(c theta_{s+t}'), else one adaptive quadrature per point (data with
+kinks, such as a sampled grid, and the slow tails).  Either way a
+point's value does not depend on the other points of the call, so
 callers evaluate all their points at one time level in one call.  Norms
 of v_t in the derivative space are L^r norms of its primitive
-F * theta_t, and the initial-data
-convergence is the L^p norm of F * theta_t - F: both are
-``combo_lp_norm`` over ``convolve.Heated`` terms, the one norm path,
-scaled by the combination's own scanned peak.  For compact data
-F * theta_t is a closed form, so each of these norms costs one adaptive
-quadrature; at r = 2 (and p = 2 for the initial-data convergence) on
-piecewise-linear data it costs none, since the energy identity gives
-the norm as a double sum over the atoms of F''.  For a Gaussian power
-c theta_s, ||v_t||'_r costs none at any r either: F * theta_t is
-c theta_{s+t}, whose norm is closed form.  The
-flow arguments (t, order) are checked once, where the flow is built:
+F * theta_t, and the initial-data convergence is the L^p norm of
+F * theta_t - F: both are ``combo_lp_norm`` over ``convolve.Heated``
+terms, the one norm path, scaled by the combination's own scanned peak.
+For compact data F * theta_t is a closed form, so each of these norms
+costs one adaptive quadrature; at r = 2 (and p = 2 for the initial-data
+convergence) on piecewise-linear data and Gaussian powers it costs none
+where the energy identity's double sum over the atoms does not cancel
+past its rounding.  For a Gaussian power c theta_s, ||v_t||'_r costs
+none at any r: F * theta_t is c theta_{s+t}, whose norm is closed form.
+The flow arguments (t, order) are checked once, where the flow is built:
 ``convolve_values`` or ``Heated``.
 """
 
@@ -114,14 +113,18 @@ def weak_ic_check(
     t_sequence: Sequence[float],
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> list[float]:
-    """Distributional pairing <v_t - f, phi> = -int (F*theta_t - F) phi'."""
+    """Distributional pairing <v_t - f, phi> = -int (F*theta_t - F) phi',
+    seeded one kernel width each side of each breakpoint of F, where
+    F*theta_t - F lives (on wider panels K15 and G7 can both miss it)."""
     F = f.primitive
     lo, hi = test_fn.window
     out = []
     for t in t_sequence:
-        def integrand(xs, _t=t):
-            return (convolve_values(F, 0, _t, xs, cfg) - F.values(xs)) * test_fn.deriv(xs)
+        flow, width = Heated(F, t, 0, cfg), cfg.kernel_width(t)
 
-        val, _ = integrate(integrand, lo, hi, cfg, points=F.breakpoints())
+        def integrand(xs, _flow=flow):
+            return (_flow.values(xs) - F.values(xs)) * test_fn.deriv(xs)
+
+        val, _ = integrate(integrand, lo, hi, cfg, points=[b + m * width for b in F.breakpoints() for m in (-1, 0, 1)])
         out.append(-val)
     return out

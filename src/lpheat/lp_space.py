@@ -27,23 +27,23 @@ its exact norm (one closed form per cell), Gaussian powers a closed
 form, and the two tail profiles substitution and period-panel
 treatments documented on their ``finite_lp_norm`` methods.
 ``combo_lp_norm`` is the one norm of a linear combination, heat flows
-(``convolve.Heated``) included.  A lone order-0 heat flow of a Gaussian
-power is exact at every p: c theta_s * theta_t = c theta_{s+t}, a
-multiple of the kernel (``_kernel_multiple``) with a closed-form norm.
-At p = 2 a combination of piecewise-linear data and their heat flows is
-exact too: by Plancherel and the semigroup, a double sum over the atoms
-of F'' (``_flow_atoms``) against kernels in closed form (module
-``_energy``).
+(``convolve.Heated``) included.  Piecewise-linear data and Gaussian
+powers are one atom model (``_flow_atoms``): F is a sum of rows
+w theta_s^(o)(x - a), the atoms of F'' at s = 0 for piecewise-linear
+data, and one atom c theta_s of order 0 for a Gaussian power.  A lone
+heat flow of one order-0 atom is exact at every p: c theta_s * theta_t =
+c theta_{s+t}, a closed-form norm.  At p = 2 any combination of such
+data and their heat flows is exact too: by Plancherel and the
+semigroup, a double sum over the atoms against kernels in closed form
+(module ``_energy``).
 
-The compact variants and Gaussian powers also give their heat flow
-F * theta_t^(n) in closed form (``heat_flow(t, xs, order=n)``), through
-the atom kernel K_t^(o) of ``kernel._smoothing``, the one the energy
-identity's pair sums use.  Piecewise-linear data is the sum of
-w K_t^(o+n)(x - a) over its atoms (at n = 0 the level plus each atom's
-K_t^(o) - K_0^(o)), up to ``MAX_DERIV_ORDER`` for data without kinks
-(step data); kinked data (a sampled grid) has it at n = 0 only, for a
-reason given on ``heat_flow``.  Gaussian powers give c theta_{s+t}^(n)
-by the semigroup; the slow-tail profiles have none.
+The same rows give the heat flow F * theta_t^(n) in closed form
+(``heat_flow(t, xs, order=n)``), a sum of w K_{s+t}^(o+n)(x - a) through
+the atom kernel of ``kernel._smoothing``, the one the energy identity's
+pair sums use: c theta_{s+t}^(n) for a Gaussian power, every order for
+piecewise-linear data without kinks (step data), n = 0 only for kinked
+data (a sampled grid), for a reason given on ``heat_flow``.  The
+slow-tail profiles have none.
 """
 
 from __future__ import annotations
@@ -96,28 +96,53 @@ class PrimitiveFunction:
         """Signed jump at each breakpoint for step-type variants, else None."""
         return None
 
-    def heat_flow(self, t: float, xs: np.ndarray, order: int = 0) -> np.ndarray | None:
-        """(F * theta_t^(n))(xs) with n = ``order`` in closed form, or None
-        where the variant has none at that order.
-
-        ``t`` is positive, ``xs`` a finite float array and ``order`` an
-        integer in [0, MAX_DERIV_ORDER]; callers validate.
-        """
-        return None
-
-    def _kernel_multiple(self) -> tuple[float, float] | None:
-        """(c, tau) with F = c theta_tau, or None where F is no multiple of
-        the kernel (a Gaussian power and its order-0 heat flows are)."""
-        return None
-
     def _flow_atoms(self) -> tuple | None:
         """F as rows (t, n, o, locs, weights), each the sum of
-        w theta_t^(o)(x - a) over its atoms (a, w), or None where F'' has no
+        w theta_t^(o)(x - a) over its atoms (a, w), or None where F has no
         finite set of atoms.  Negative orders are the kernel's antiderivatives
         that vanish at -inf, at t = 0 the step H (o = -1) and the ramp x_+
         (o = -2): a delta' atom of F'' sits at order n - 1, a delta atom at
-        n - 2.  Data has t = 0 and n = 0; a heat flow adds its (t, n)."""
+        n - 2.  Piecewise-linear data has t = 0 and n = 0, a Gaussian power
+        c theta_s one atom of order 0 at time s; a heat flow adds its (t, n)."""
         return None
+
+    @cached_property
+    def _atom_rows(self) -> list | None:
+        """``_flow_atoms`` as (time, kernel order, location array, weights) rows."""
+        rows = self._flow_atoms()
+        return None if rows is None else [(s, o, np.asarray(locs, dtype=float), w) for s, _, o, locs, w in rows]
+
+    def heat_flow(self, t: float, xs: np.ndarray, order: int = 0) -> np.ndarray | None:
+        """(F * theta_t^(n))(xs) with n = ``order`` in closed form, or None
+        where the variant has none at that order: the sum over the rows of
+        ``_flow_atoms`` of w K_{s+t}^(o+n)(x - a) through the atom kernel
+        ``kernel._smoothing``, with sgn(0) = +1 (a knot reads its right
+        limit).  That kernel lacks its tau-free part K_0^(o+n) at o + n < 0,
+        so data rows (s = 0) start at n = 0 from the right-continuous level
+        (0 in a gap of steps), every other point from 0, and a flow's row at
+        o + n < 0 has None.  Each point adds its atoms one at a time in row
+        and knot order, in blocks of at most ``_BLOCK_ENTRIES`` (point, atom)
+        entries, so its value does not depend on its block.  Data with kinks
+        has None above n = 0 and goes to ``convolve_point``: its kink terms
+        would make sampled ``evolve`` about ten times faster, and the
+        benchmark, which keeps every op's output, would then outgrow its
+        memory bound (ROADMAP items 1 and 2).  ``t`` is positive, ``xs`` a
+        finite float array and ``order`` an integer in [0, MAX_DERIV_ORDER];
+        callers validate."""
+        rows = self._atom_rows
+        if rows is None or any(o + order < 0 if s > 0.0 else order > 0 and o == -2 for s, o, _, _ in rows):
+            return None
+        out = self._cells(xs)[2] if order == 0 and any(s == 0.0 for s, _, _, _ in rows) else np.zeros(xs.size)
+        points = max(1, min(xs.size, _BLOCK_ENTRIES))
+        span = _BLOCK_ENTRIES // points  # atoms per block
+        for i in range(0, xs.size, points):
+            x, part = xs[i:i + points, None], out[i:i + points]
+            for s, o, locs, w in rows:
+                for j in range(0, locs.size, span):
+                    K = _smoothing(x - locs[j:j + span], s + t, o + order, right=True)
+                    for k, wk in enumerate(w[j:j + span]):
+                        part += wk * K[:, k]
+        return out
 
     def sup_bound(self) -> float:
         """ess sup |F|: exact, or a scan refined by a batched bracket search
@@ -230,42 +255,10 @@ class _PiecewiseLinear(PrimitiveFunction):
             terms.append(mean * (hi - lo))
         return peak * math.fsum(terms) ** (1.0 / p)
 
-    def heat_flow(self, t, xs, order=0):
-        """A sum over the atoms of F'' (``_flow_atoms``): at n = 0 the
-        right-continuous level (for steps the heights covering the cell, so
-        exactly 0 in a gap) plus w (K_t^(o) - K_0^(o))(x - a) per atom, above it
-        w K_t^(o+n)(x - a), through the atom kernel ``kernel._smoothing`` with
-        sgn(0) = +1, since the level at a knot is its right limit.  Each point
-        adds its atoms one at a time in row and knot order, in blocks of at
-        most ``_BLOCK_ENTRIES`` (point, atom) entries, so its value does not
-        depend on its block.  Data with kinks has None above n = 0 and goes
-        to ``convolve_point``: its kink terms kappa_k theta_t^(n-2) would make
-        sampled ``evolve`` about ten times faster, and the benchmark, which
-        keeps every op's output, would then outgrow its memory bound (ROADMAP
-        items 1 and 2)."""
-        if order > 0 and any(o == -2 for o, _, _ in self._atom_rows):  # a row of kinks
-            return None
-        out = self._cells(xs)[2] if order == 0 else np.zeros(xs.size)
-        points = max(1, min(xs.size, _BLOCK_ENTRIES))
-        span = _BLOCK_ENTRIES // points  # atoms per block
-        for i in range(0, xs.size, points):
-            x, part = xs[i:i + points, None], out[i:i + points]
-            for o, locs, w in self._atom_rows:
-                for j in range(0, locs.size, span):
-                    K = _smoothing(x - locs[j:j + span], t, o + order, right=True)
-                    for k, wk in enumerate(w[j:j + span]):
-                        part += wk * K[:, k]
-        return out
-
     @cached_property
     def _layouts(self) -> dict:
         """``_energy``'s layout of the atom locations, by rel_tol, filled there."""
         return {}
-
-    @cached_property
-    def _atom_rows(self) -> list:
-        """``_flow_atoms`` as (kernel order, location array, weights) rows."""
-        return [(o, np.asarray(locs, dtype=float), w) for _, _, o, locs, w in self._flow_atoms()]
 
     def _flow_atoms(self):
         # F'' = sum_k w_k delta'_{a_k} + sum_k kappa_k delta_{a_k}, the jumps
@@ -385,17 +378,10 @@ class GaussianPower(PrimitiveFunction):
         of A^p exp(-p beta x^2 / 4 t0) is A^p sqrt(4 pi t0 / (beta p))."""
         return self.prefactor() * (4.0 * math.pi * self.t / (self.beta * p)) ** (0.5 / p)
 
-    def _kernel_multiple(self):
+    def _flow_atoms(self):
         # F = A exp(-x^2 / 4 s) with s = t0 / beta is c theta_s, c = A 2 sqrt(pi s)
         s = self.t / self.beta
-        return self.prefactor() * 2.0 * math.sqrt(math.pi * s), s
-
-    def heat_flow(self, t, xs, order=0):
-        # F = c theta_s, so by the semigroup F * theta_t^(n) = c theta_{s + t}^(n)
-        c, s = self._kernel_multiple()
-        if order == 0:
-            return self.prefactor() * math.sqrt(s / (s + t)) * np.exp(-xs * xs / (4.0 * (s + t)))
-        return c * _smoothing(xs, s + t, order)
+        return ((s, 0, 0, (0.0,), (self.prefactor() * 2.0 * math.sqrt(math.pi * s),)),)
 
     def truncation_window(self, p, eps, cfg):
         target = eps ** p
@@ -652,27 +638,16 @@ def combo_lp_norm(
     Supported where the data behind every term has a support of moderate
     size (compact variants, Gaussian powers and their heat flows
     ``convolve.Heated``); a slowly decaying variant (support above 1e6)
-    raises DomainError.  One order-0 heat flow of a Gaussian power,
-    c theta_s * theta_t = c theta_tau with tau = s + t
-    (``_kernel_multiple``), is |coef| c ||theta_tau||_p at every p, before
-    any other route; raw data and higher orders are refused, so the kernel
-    suite keeps measuring a raw Gaussian power and its order-1 flow by
-    quadrature.  At p = 2, where every term is step data, sampled
-    data or a heat flow of either, the norm is the energy identity's
-    double sum over the atoms of F'' (``_energy.energy_norm``), with no
-    quadrature; at p = 1 so is one order-0 flow of such data that keeps
-    one sign, whose norm is the data's (``_energy.conserved_l1_norm``).
-    Any other finite p is s (integral of |combo / s|^p)^(1/p)
-    with s the combination's peak on a 33-node scan of the window (1 where
-    the scan reads 0), so the tolerances act relatively even where the
-    terms cancel; the interior scan nodes seed the partition with the
-    terms' breakpoints and window edges, so no first panel is wider than
-    1/32 of the window and no narrow term's window hides inside a panel,
-    and the seed panels' nodes go to the terms in one call.
-    p = inf is the larger of the 1,025-node scan max, refined by 33-node
-    brackets (``_bracket_max``, one call of the terms per round), and the
-    combination at the middle of each cell between breakpoints; the scan
-    skips the step terms' breakpoints, where closed steps add."""
+    raises DomainError.  A lone heat flow whose atoms (``_flow_atoms``) are
+    one atom w theta_tau(x - a) of order 0, such as an order-0 flow of a
+    Gaussian power c theta_s (tau = s + t), is |coef w| ||theta_tau||_p at
+    every p, before any other route.  At p = 2, where every term has
+    atoms (piecewise-linear data, Gaussian powers, heat flows of either),
+    the norm is the energy identity's double sum over the atoms
+    (``_energy.energy_norm``), with no quadrature; at p = 1 so is one
+    order-0 flow of piecewise-linear data that keeps one sign, whose norm
+    is the data's (``_energy.conserved_l1_norm``).  Every other norm is
+    ``_quadrature_lp_norm``."""
     p = _validate_exponent(p)
     if not terms:
         return 0.0
@@ -682,15 +657,33 @@ def combo_lp_norm(
         if hi - lo > 1e6:
             raise DomainError(f"combination norms are not supported for slowly decaying variant {data.kind!r}")
     c, flow = terms[0]
-    multiple = flow._kernel_multiple() if len(terms) == 1 and flow.source() is not flow else None
-    if multiple is not None:
-        return abs(c) * multiple[0] * theta_norm_closed(p, multiple[1])
+    atoms = flow._flow_atoms() if len(terms) == 1 and flow.source() is not flow else None
+    if atoms is not None and len(atoms) == 1 and atoms[0][2] == 0 and len(atoms[0][3]) == 1:
+        tau, _, _, _, (w,) = atoms[0]
+        return abs(c * w) * theta_norm_closed(p, tau)
     if p in (1.0, 2.0):
         from ._energy import conserved_l1_norm, energy_norm  # compiled on first use, not at import
 
         exact = (energy_norm if p == 2.0 else conserved_l1_norm)(terms, cfg)
         if exact is not None:
             return exact
+    return _quadrature_lp_norm(terms, p, cfg)
+
+
+def _quadrature_lp_norm(terms: Sequence[tuple[float, PrimitiveFunction]], p: float, cfg: QuadratureConfig) -> float:
+    """``combo_lp_norm`` measured on the values of the terms, p in [1, inf].
+
+    A finite p is s (integral of |combo / s|^p)^(1/p) with s the
+    combination's peak on a 33-node scan of the window (1 where the scan
+    reads 0), so the tolerances act relatively even where the terms
+    cancel; the interior scan nodes seed the partition with the terms'
+    breakpoints and window edges, so no first panel is wider than 1/32 of
+    the window and no narrow term's window hides inside a panel, and the
+    seed panels' nodes go to the terms in one call.  p = inf is the larger
+    of the 1,025-node scan max, refined by 33-node brackets
+    (``_bracket_max``, one call of the terms per round), and the
+    combination at the middle of each cell between breakpoints; the scan
+    skips the step terms' breakpoints, where closed steps add."""
     supports = [F.effective_support(cfg) for _, F in terms]
     lo, hi = min(a for a, _ in supports), max(b for _, b in supports)
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -95,8 +96,11 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise DomainError("quadrature tolerances must be positive and finite")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be at least 1")
+        try:  # NaN, inf or 2.5 would never meet the budget test splits >= max_subdivisions
+            if operator.index(self.max_subdivisions) < 1:
+                raise DomainError("max_subdivisions must be at least 1")
+        except TypeError:
+            raise DomainError("max_subdivisions must be an integer") from None
 
     def kernel_width(self, t: float) -> float:
         """Half-width ``_TAIL_SIGMAS * sqrt(2 t)`` of the window kept around theta_t."""

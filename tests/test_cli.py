@@ -510,8 +510,8 @@ def test_evolve_bytes_match_reference(tmp_path, capsys, kind, out_format):
 _STDOUT_SHA256 = {
     "constants csv": "80a7f3f3d6976994b5dfc5861338974665bca6d726221911dc43aaf942635cce",
     "constants json": "b28b8b2430348bddd85061eeb703ec36c4c559053bf79fa8f6c2e73d4a3c20d4",
-    "evolve gaussian_power csv": "9223ae035215ce47eeeb259ac9e10a8887abbba95fe0831b8f2066edee12c11f",
-    "evolve gaussian_power json": "2876e8245e1659dc5ebf70e5960492cfcd30742a7c9ad6d6faa5264fcc0adcbd",
+    "evolve gaussian_power csv": "83c4f1bfb6cbf844d198e7cd340d60b4399c5530c2f22dada375ff2b7f1a5180",
+    "evolve gaussian_power json": "32aff232afb4c75dd7a9636da16101c7e126f7e91571e9df3a659f6f5d819178",
     "evolve indicator csv": "9bcc260bf413fc497718b7406b8cd0b820b378d5cc0422a0414aa5865ffd1145",
     "evolve indicator json": "25ee7129883954132e0ca25af18e44278814ffd784dbce14ea446074853a7d55",
     "evolve samples csv": "d44eb8675491efbcf53b828addc9d33cfea56135ca21d14a5603397b57e22f03",

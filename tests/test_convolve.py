@@ -485,28 +485,33 @@ def test_gaussian_flow_norm_is_the_closed_form_against_mpmath(Ft, p, c):
 
 @pytest.mark.parametrize("p", _GAUSSIAN_EXPONENTS)
 @pytest.mark.parametrize("t", [2.0 ** -14, 0.5, 100.0])
-def test_gaussian_flow_norm_matches_the_quadrature_it_replaces(monkeypatch, p, t):
-    # without the kernel-multiple route combo_lp_norm measures the flow by its
-    # scan and quadrature, at rel_tol 1e-10
+def test_gaussian_flow_norm_matches_the_quadrature_it_replaces(p, t):
+    # the flow is one kernel atom of order 0; the scan and quadrature behind
+    # combo_lp_norm measure it at rel_tol 1e-10
     F = GaussianPower(0.5, 2.0)
     terms = [(1.0, Heated(F, t, 0, lh.DEFAULT_CONFIG))]
-    got = lh.combo_lp_norm(terms, p)
-    monkeypatch.setattr(Heated, "_kernel_multiple", lambda self: None)
-    assert got == pytest.approx(lh.combo_lp_norm(terms, p), rel=1e-9)
+    assert lh.combo_lp_norm(terms, p) == pytest.approx(lp_space._quadrature_lp_norm(terms, p, lh.DEFAULT_CONFIG),
+                                                       rel=1e-9)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
 @pytest.mark.parametrize("flow", [lambda F: F, lambda F: Heated(F, 0.5, 1, lh.DEFAULT_CONFIG)],
                          ids=["raw-data", "order-1-flow"])
 def test_raw_gaussian_data_and_order_1_flows_keep_their_quadrature(monkeypatch, flow, p):
-    # the kernel suite measures these two against closed forms on purpose:
-    # the closed-form route takes order-0 flows only
+    # the closed-form route takes lone order-0 flows only; at p = 2 these two
+    # are kernel atoms and take the energy sum, so the kernel suite measures
+    # them by _quadrature_lp_norm on purpose
     calls = []
     for name in ("_integrate", "_scan_refine_max"):
         inner = getattr(lp_space, name)
         monkeypatch.setattr(lp_space, name, lambda *a, _name=name, _inner=inner: calls.append(_name) or _inner(*a))
-    lh.combo_lp_norm([(1.0, flow(GaussianPower(1.0, 1.0)))], p)
-    assert calls == ["_scan_refine_max" if math.isinf(p) else "_integrate"]
+    terms = [(1.0, flow(GaussianPower(1.0, 1.0)))]
+    got = lh.combo_lp_norm(terms, p)
+    if p == 2.0:
+        assert calls == []
+        assert got == pytest.approx(lp_space._quadrature_lp_norm(terms, p, lh.DEFAULT_CONFIG), rel=1e-9)
+    else:
+        assert calls == ["_scan_refine_max" if math.isinf(p) else "_integrate"]
 
 
 def test_grid_young_consistency():

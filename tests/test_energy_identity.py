@@ -1,6 +1,6 @@
-"""Exact flow norms with no quadrature: p = 2 norms of step and sampled data
-and their heat flows by the energy identity, a double sum over the atoms of
-F'', and p = 1 norms of their flows where the data keeps one sign."""
+"""Exact flow norms with no quadrature: p = 2 norms of step and sampled data,
+Gaussian powers and their heat flows by the energy identity, a double sum
+over the atoms, and p = 1 norms of their flows where the data keeps one sign."""
 
 import dataclasses
 import hashlib
@@ -179,12 +179,48 @@ def test_p2_step_and_sampled_norms_run_no_quadrature(terms, quadrature_raises):
 
 
 def test_other_data_still_reaches_quadrature(quadrature_raises):
+    # a Gaussian power is one kernel atom, so it, its flows and its mixtures
+    # with step data take the energy sum; a slow tail has no atoms
     for terms in ([(1.0, lh.GaussianPower(1.0, 1.0))], [(1.0, Heated(lh.GaussianPower(0.5, 2.0), 0.1, 1, _CFG))],
                   [(1.0, Heated(lh.Indicator(0.0, 1.0), 0.1, 0, _CFG)), (1.0, lh.GaussianPower(1.0, 1.0))]):
-        with pytest.raises(_Reached):
-            lh.combo_lp_norm(terms, 2.0, _CFG)
+        assert lh.combo_lp_norm(terms, 2.0, _CFG) > 0.0
     with pytest.raises(_Reached):
         lh.lp_norm(lh.TailLog(1.5), 2.0)
+
+
+_gaussians = st.builds(lh.GaussianPower, st.floats(-4.0, 3.0).map(lambda e: 2.0 ** e),
+                       st.floats(-3.0, 3.0).map(lambda e: 2.0 ** e))
+_gaussian_times = st.floats(-14.0, 7.0).map(lambda e: 2.0 ** e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(G=_gaussians, n=st.sampled_from([0, 1, 2, 3]), t=_gaussian_times, other=_data, t2=_gaussian_times,
+       shape=st.sampled_from(["data", "flow", "flow minus data", "mixture"]),
+       c=st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 0.1))
+def test_gaussian_energy_norms_match_their_quadrature(G, n, t, other, t2, shape, c):
+    # a Gaussian power c theta_s is one kernel atom of order 0 at time s: its
+    # data, its flows at orders 0 to 3, F * theta_t - F, and mixtures with
+    # step data (same order) or sampled data (order 0, the grid's closed form)
+    partner = Heated(other, t2, n if other.jumps() is not None else 0, _CFG)
+    terms = {"data": [(c, G)], "flow": [(c, Heated(G, t, n, _CFG))],
+             "flow minus data": [(1.0, Heated(G, t, 0, _CFG)), (-1.0, G)],
+             "mixture": [(1.0, Heated(G, t, n, _CFG)), (c, partner)]}[shape]
+    got = energy_norm(terms, _CFG)
+    assume(got is not None)  # a sum cancelling past its rounding hands over to quadrature
+    assert got == pytest.approx(lp_space._quadrature_lp_norm(terms, 2.0, _CFG), rel=1e-9)
+
+
+def test_each_time_forms_its_moments_once(monkeypatch):
+    # three step flows pair at six time sums, all by the moment series, which
+    # took each time's moments afresh for both sides of every pair (12 calls)
+    import lpheat._energy as energy
+
+    calls, inner = [], energy._moments
+    monkeypatch.setattr(energy, "_moments", lambda *a: calls.append(a) or inner(*a))
+    S = lh.StepCombo(_COMBO)
+    terms = [(1.0, Heated(S, 4.0, 0, _CFG)), (-0.5, Heated(S, 8.0, 1, _CFG)), (2.0, Heated(S, 16.0, 0, _CFG))]
+    assert energy_norm(terms, _CFG) == 1.0622662299365968  # as the 12 calls gave it
+    assert len(calls) == 3
 
 
 def test_flows_cancelling_below_rounding_take_quadrature(quadrature_raises):

@@ -270,6 +270,28 @@ def plateau_test_function(flat_radius=6.0, ramp=2.0):
     return lh.TestFunction(deriv=deriv, window=(-(flat_radius + ramp + 1.0), flat_radius + ramp + 1.0))
 
 
+@pytest.mark.parametrize("k", range(16, 31))
+def test_weak_pairing_resolves_the_jumps_at_small_times(k):
+    # seeded only at the window [-9, 9] and the jumps, K15 and G7 both read
+    # about 0 beside each jump from t = 2^-16 on, and the pairing was 0.37
+    # off at 2^-16, 54 at 2^-17 and 1.0 at 2^-24 (relative).  Exact: theta_t *
+    # phi = exp(-x^2 / g) / sqrt(g), g = 1 + 4t, so the pairing is
+    # (theta_t * phi - phi)(0) - (theta_t * phi - phi)(1), through expm1
+    t = 2.0 ** -k
+    g = 1.0 + 4.0 * t
+
+    def diff(x):
+        return math.exp(-x * x) * math.expm1(x * x * (4.0 * t / g) - 0.5 * math.log1p(4.0 * t))
+
+    want = diff(0.0) - diff(1.0)
+    cfg = lh.QuadratureConfig(abs_tol=1e-13, rel_tol=1e-10)
+    got = lh.weak_ic_check(lh.dirac_difference(0.0, 1.0, p=2.0), lh.gaussian_test_function(), [t], cfg)[0]
+    # the pairing is O(t), the integrand O(1) on a band sqrt(t) wide at x = 1
+    # whose nodes sit to ulp(1): so the error is absolute, at most 0.13 eps
+    # measured from 2^-6 to 2^-30 (relative 3.4e-9 at 2^-30)
+    assert abs(got - want) <= 1e-13 * abs(want) + 2.0 ** -52
+
+
 def test_weak_ic_plateau_annihilates():
     # derivative of the plateau vanishes where the data lives
     f = lh.dirac_difference(-0.5, 0.5, p=2.0)

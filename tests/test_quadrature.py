@@ -314,3 +314,12 @@ def test_config_refuses_non_finite_tolerances(field, value):
     # error" and let integrate stop after its seed panels
     with pytest.raises(DomainError, match="positive and finite"):
         QuadratureConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5], ids=["nan", "inf", "2.5"])
+def test_config_refuses_a_budget_that_is_no_integer(value):
+    # _integrate stops on splits >= max_subdivisions, which NaN never meets,
+    # so a hard integral would bisect to float width instead of raising
+    with pytest.raises(DomainError, match="max_subdivisions must be an integer"):
+        QuadratureConfig(max_subdivisions=value)
+    assert QuadratureConfig(max_subdivisions=np.int64(3)).max_subdivisions == 3

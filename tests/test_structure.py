@@ -88,6 +88,46 @@ def flow(x, t):
         f for f in found if not f.endswith("lp_space"))
 
 
+def _flow_special_cases(tree):
+    """Classes other than ``PrimitiveFunction`` that define ``heat_flow``, and
+    any ``_kernel_multiple`` defined or named."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name != "PrimitiveFunction":
+            if any(isinstance(f, ast.FunctionDef) and f.name == "heat_flow" for f in node.body):
+                yield f"line {node.lineno}: {node.name}.heat_flow"
+        elif isinstance(node, ast.FunctionDef) and node.name == "_kernel_multiple":
+            yield f"line {node.lineno}: def _kernel_multiple"
+    if "_kernel_multiple" in set(_referenced_names(tree)):
+        yield "names _kernel_multiple"
+
+
+def test_one_heat_flow_over_the_atoms():
+    # a Gaussian power is one kernel atom, so every closed-form flow is the
+    # base class's sum over _flow_atoms and no norm route asks for a multiple
+    # of the kernel
+    offenders = {}
+    for path in sorted(_PACKAGE.glob("*.py")):
+        found = list(_flow_special_cases(ast.parse(path.read_text())))
+        if found:
+            offenders[path.name] = found
+    assert offenders == {}
+
+
+def test_flow_guard_sees_what_it_forbids():
+    source = """
+class PrimitiveFunction:
+    def heat_flow(self, t, xs, order=0):
+        return None
+class GaussianPower(PrimitiveFunction):
+    def heat_flow(self, t, xs, order=0):
+        return self._kernel_multiple()
+    def _kernel_multiple(self):
+        return 1.0, self.t
+"""
+    assert list(_flow_special_cases(ast.parse(source))) == [
+        "line 5: GaussianPower.heat_flow", "line 8: def _kernel_multiple", "names _kernel_multiple"]
+
+
 def _block_bounds(tree):
     """Module-level names that end in ``_ENTRIES`` or ``_POINTS``: a bound on
     the size of a batched temporary."""
