@@ -14,8 +14,13 @@ edges from ``np.linspace``; ``_slots``), the pair sum of two weight
 rows is the correlation sum_l K(l dx) (w * w')(l) over the grid lags,
 so each kernel is evaluated at the M distinct lags, not at the N^2
 pairs, and memory stays O(M).  Elsewhere the (j, k) sums run in blocks of at most
-``_BLOCK_ENTRIES`` entries.  Where every term comes from one datum, that
-layout is the datum's own, built once per datum (``_terms_layout``).
+``_BLOCK_ENTRIES`` entries.  Everything but the times is a ``_Plan``: the
+layout, the merged weight rows, the span of each time's atoms and, for
+each pattern of time pairs taking the moment series, the pair jobs, the
+pooled K_0 rows, the grid correlations and the moments.  Where every term
+comes from one datum, the datum keeps its layout and one plan per shape
+of terms (``_plan``), so a sweep over times forms only what the times
+decide: the time sums, the kernels at them, the pair sums and the series.
 
 p = 1.  For piecewise-linear data F that keeps one sign, the contraction
 ||F * theta_t||_1 <= ||F||_1 and conservation of the integral,
@@ -50,10 +55,17 @@ class _Lags:
         self.d = lags * dx
         self.distinct, self.spread, self.bare = self.d[m - 1:], np.abs(lags), {}
 
-    def pair(self, x, y, kernels) -> tuple[float, float]:
+    @staticmethod
+    def operands(x, y) -> tuple[np.ndarray, np.ndarray]:
+        """The correlations of rows given as (w, |w|, nonzero slots) and of
+        their magnitudes: free of the times, so a plan keeps them."""
+        return np.correlate(x[0], y[0], "full"), np.correlate(x[1], y[1], "full")
+
+    @staticmethod
+    def pair(operands, kernels) -> tuple[float, float]:
         """sum over (coef, K, |K|) of coef x K y, and of |coef| |x| |K| |y|,
-        for rows given as (w, |w|, nonzero slots)."""
-        c, c_abs = np.correlate(x[0], y[0], "full"), np.correlate(x[1], y[1], "full")
+        for two rows given by their ``operands``."""
+        c, c_abs = operands
         return (sum(coef * float(K @ c) for coef, K, _ in kernels),
                 sum(abs(coef) * float(K_abs @ c_abs) for coef, _, K_abs in kernels))
 
@@ -66,7 +78,12 @@ class _Block:
         self.d = places[rows, None] - places[None, :]
         self.rows, self.distinct, self.spread, self.bare = rows, np.abs(self.d), None, {}
 
-    def pair(self, x, y, kernels) -> tuple[float, float]:
+    @staticmethod
+    def operands(x, y):
+        return x, y
+
+    def pair(self, operands, kernels) -> tuple[float, float]:
+        x, y = operands
         xj, xj_abs = x[0][self.rows], x[1][self.rows]
         return (sum(coef * float(xj @ K @ y[0]) for coef, K, _ in kernels),
                 sum(abs(coef) * float(xj_abs @ K_abs @ y[1]) for coef, _, K_abs in kernels))
@@ -141,19 +158,31 @@ def _layout(rows, rel_tol: float):
     return [slots[i:j] for i, j in zip([0] + ends, ends)], width, place, lags
 
 
-def _terms_layout(terms, rows, rel_tol: float):
-    """``_layout`` of the terms' atom rows.  Where every term comes from one
-    datum with a layout cache (``_layouts`` of piecewise-linear data), the
-    rows hold that datum's locations once per term, so the layout is the
-    datum's own, built once per datum and rel_tol, its slots repeated."""
+# plans kept on one datum for one rel_tol: a bound, since each coefficient is a shape
+_PLANS = 64
+
+
+def _plan(terms, atoms, times, rel_tol: float) -> _Plan:
+    """The ``_Plan`` of the terms.  Where every term comes from one datum
+    with a plan cache (``_plans`` of piecewise-linear data), the rows hold
+    that datum's locations once per term, so the layout is the datum's own,
+    built once per datum and rel_tol, its slots repeated, and the plan is
+    kept there by the terms' shape: each term's coefficient, time class and
+    order, and whether the first time is 0.  Elsewhere the plan serves this
+    call only."""
     datum = terms[0][1].source()
-    cache = getattr(datum, "_layouts", None)
-    if cache is None or any(F.source() is not datum for _, F in terms):
-        return _layout(rows, rel_tol)
+    cache = getattr(datum, "_plans", None)
+    if cache is None or any(F.source() is not datum or c != c for c, F in terms):
+        return _Plan(terms, atoms, times, _layout([locs for rows in atoms for *_, locs, _ in rows], rel_tol))
     if rel_tol not in cache:
-        cache[rel_tol] = _layout([locs for *_, locs, _ in datum._flow_atoms()], rel_tol)
-    own = cache[rel_tol]
-    return None if own is None else (own[0] * len(terms), *own[1:])
+        cache[rel_tol] = _layout([locs for *_, locs, _ in datum._flow_atoms()], rel_tol), {}
+    own, plans = cache[rel_tol]
+    shape = times[0] == 0.0, tuple((c, times.index(rows[0][0]), rows[0][1]) for (c, _), rows in zip(terms, atoms))
+    if shape not in plans:
+        if len(plans) == _PLANS:
+            plans.clear()
+        plans[shape] = _Plan(terms, atoms, times, None if own is None else (own[0] * len(terms), *own[1:]))
+    return plans[shape]
 
 
 _MOMENTS = 64
@@ -228,6 +257,145 @@ def _moment_series(g, h, tau: float, half: float) -> tuple[float, float]:
 _ROUNDING = 4.0 * _EPS
 
 
+class _Plan:
+    """The time-free part of one energy sum (``energy_norm``), built from
+    its terms' atom rows at their time classes (the distinct times in
+    increasing order) on a ``_layout``: the merged weight rows scaled to a
+    largest |w| of 1 and their nonzero slots, the span of each class's
+    atoms, and for each pattern of time pairs taking the moment series
+    (``_route``) the series groups' moments, the pair jobs with the
+    pooled K_0 vectors and, on a grid, the rows' correlations.  ``peak``
+    is the scale of the rows, or None where a pair kernel's order exceeds
+    MAX_DERIV_ORDER and 0.0 for zero data, whose sums are not formed."""
+
+    def __init__(self, terms, atoms, times, layout):
+        parts, self.least_n, index = [], {}, {t: i for i, t in enumerate(times)}
+        for (c, _), rows in zip(terms, atoms):
+            for t, n, o, locs, weights in rows:
+                i = index[t]
+                self.least_n[i] = min(n, self.least_n.get(i, n))
+                parts.append(((i, o), locs, np.multiply(c, weights)))
+        keys = sorted({key for key, _, _ in parts}, key=lambda key: (key[1], key[0]))
+        self.peak = None if 2 * max(o for _, o in keys) > MAX_DERIV_ORDER else 0.0
+        if self.peak is None or layout is None:  # orders past the kernel's, or zero data
+            return
+        # one row per (time, order) on the slots, each location's weights
+        # added in the order of the terms (a row's own locations are distinct)
+        slots, self.width, self.place, self.lags = layout
+        index = {key: i for i, key in enumerate(keys)}
+        merged = np.zeros((len(keys), self.width))
+        for (key, _, w), row in zip(parts, slots):
+            merged[index[key], row] += w
+        # weights scaled to a largest |w| of 1, so no product under- or overflows
+        magnitude = np.abs(merged)
+        self.peak = float(magnitude.max())
+        if self.peak == 0.0:
+            return
+        merged /= self.peak
+        magnitude /= self.peak
+        self.vectors, self.by_time, ends = {}, {}, {}
+        for (i, o), v, v_abs in zip(keys, merged, magnitude):
+            nz = v.nonzero()[0]
+            if nz.size:
+                self.vectors[(i,), o] = (v, v_abs, nz)
+                self.by_time.setdefault(i, []).append((o, nz, v))
+                first, last = ends.get(i, (self.width, 0))
+                ends[i] = (min(first, int(nz[0])), max(last, int(nz[-1])))
+        # the span of each time's atoms (places increase with the slot)
+        reach = {i: (float(self.place(first)), float(self.place(last))) for i, (first, last) in ends.items()}
+        self.classes = sorted(self.by_time)
+        self.orders = sorted({o for _, o in self.vectors})
+        self.zero = times[0] == 0.0
+        self.pairs = []  # (i, j, multiplicity, lo, hi, (hi - lo)^2) for time classes i <= j
+        for a, i in enumerate(self.classes):
+            for j in self.classes[a:]:
+                lo, hi = min(reach[i][0], reach[j][0]), max(reach[i][1], reach[j][1])
+                self.pairs.append((i, j, 1.0 if i == j else 2.0, lo, hi, (hi - lo) ** 2))
+        self.groups, self.routes = {}, {}  # (time, center, half) -> (moments, base order); pattern -> route
+        self.places = None if self.lags is not None else self.place(np.arange(self.width))
+
+    def _route(self, pattern):
+        """(series, jobs, needed) for the time pairs whose ``pattern`` entry
+        is true taking the moment series: series (k, multiplicity, group of
+        i, group of j, half) for the k-th pair (i, j), jobs (operands,
+        [(coefficient, k or -1 for K_0, kernel order)]) and the (k, order)
+        kernels they read."""
+        series, jobs, by_time = [], {}, self.by_time
+        partners = {i: [] for i in self.classes}
+        for k, ((i, j, mult, lo, hi, _), takes) in enumerate(zip(self.pairs, pattern)):
+            if takes:
+                # the flows at time t are theta_t^(n - 2) * nu_t for their least order n
+                center, half = 0.5 * (lo + hi), 0.5 * (hi - lo) or 1.0
+                for s in (i, j):
+                    if (s, center, half) not in self.groups:
+                        rows = [(o, self.place(nz), v[nz]) for o, nz, v in by_time[s]]
+                        base = self.least_n[s] - 2
+                        self.groups[s, center, half] = (_moments(rows, base, center, half), base)
+                series.append((k, mult, self.groups[i, center, half], self.groups[j, center, half], half))
+                continue
+            partners[i].append(j)
+            if j != i:
+                partners[j].append(i)
+            if i == j == 0 and self.zero:  # tau = 0: no smoothing
+                continue
+            for a, (og, _, _) in enumerate(by_time[i]):
+                for b, (oh, _, _) in enumerate(by_time[j]):
+                    if i != j or b >= a:
+                        coef = (1.0 if i == j and a == b else 2.0) * (-1.0) ** og
+                        jobs.setdefault((((i,), og), ((j,), oh)), []).append((coef, k, og + oh))
+        # the K_0 parts: each time's rows against the weights pooled over the
+        # times it pairs with
+        vectors = dict(self.vectors)
+        for i in self.classes:
+            pool = tuple(partners[i])
+            for o in self.orders:
+                if (pool, o) not in vectors:
+                    v = sum((vectors[(s,), o][0] for s in pool if ((s,), o) in vectors), np.zeros(self.width))
+                    vectors[pool, o] = (v, np.abs(v), v.nonzero()[0])
+            symmetric = pool == (i,)
+            for a, og in enumerate(self.orders):
+                for b, oh in enumerate(self.orders):
+                    x, y = ((i,), og), (pool, oh)
+                    if og + oh < 0 and (b >= a or not symmetric) and x in vectors and vectors[y][2].size:
+                        coef = (2.0 if symmetric and b > a else 1.0) * (-1.0) ** og
+                        jobs.setdefault((x, y), []).append((coef, -1, og + oh))
+        prepare = (self.lags or _Block).operands
+        needed = {(k, o) for job in jobs.values() for _, k, o in job}
+        self.routes[pattern] = route = (series, [(prepare(vectors[x], vectors[y]), job) for (x, y), job in jobs.items()], needed)
+        return route
+
+    def norm(self, times, rel_tol: float) -> float | None:
+        """The norm at these times, or None where the sum cancels past
+        its rounding (``energy_norm``): the time sums tau, the moment series,
+        the pair kernels at tau and the pair sums."""
+        if not self.peak:
+            return self.peak
+        tau = [times[i] + times[j] for i, j, *_ in self.pairs]
+        pattern = tuple(2.0 * t > spread for t, (*_, spread) in zip(tau, self.pairs))
+        series, jobs, needed = self.routes.get(pattern) or self._route(pattern)
+        total = size = 0.0
+        for k, mult, g, h, half in series:
+            value, scale = _moment_series(g, h, tau[k], half)
+            total, size = total + mult * value, size + mult * scale
+        if jobs:
+            tau.append(None)  # K_0
+            needed = {(tau[k], o) for k, o in needed}
+            if self.lags is not None:
+                sets = [self.lags]
+            else:
+                # blocks of rows whose offsets, at every tau, fill at most _BLOCK_ENTRIES entries
+                step = max(1, _BLOCK_ENTRIES // (self.width * max(1, len({t for t, _ in needed}))))
+                sets = (_Block(self.places, slice(i, i + step)) for i in range(0, self.width, step))
+            for offsets in sets:
+                table = _kernel_table(offsets, needed)
+                for operands, job in jobs:
+                    value, scale = offsets.pair(operands, [(coef, *table[tau[k], o]) for coef, k, o in job])
+                    total, size = total + value, size + scale
+        if not total > _ROUNDING * size / rel_tol:  # also where a kernel overflowed to inf or nan
+            return None
+        return self.peak * math.sqrt(total)
+
+
 def energy_norm(terms, cfg: QuadratureConfig) -> float | None:
     """||sum_i c_i F_i||_2 with no quadrature, or None where a term has no
     atoms (``_flow_atoms``), a pair kernel's order exceeds MAX_DERIV_ORDER,
@@ -250,112 +418,21 @@ def energy_norm(terms, cfg: QuadratureConfig) -> float | None:
     split as K_0 + (K_tau - K_0), and its tau-free K_0 parts are summed
     over the weights pooled across the times each time pairs with first,
     so that they cancel exactly where the rows do (F * theta_t - F at
-    small t).  The rows sit on the slots of ``_terms_layout``: on a uniform
-    grid each kernel is evaluated at the distinct lags (``_Lags``), else
-    on blocks of (j, k) offsets (``_Block``), with one erfc / exp pass
-    over the distinct offsets for all time sums (``_kernel_table``)."""
-    parts, least_n = [], {}
-    for c, F in terms:
-        atoms = F._flow_atoms()
-        if atoms is None:
-            return None
-        for t, n, o, locs, weights in atoms:
-            least_n[t] = min(n, least_n.get(t, n))
-            parts.append(((t, o), locs, np.multiply(c, weights)))
-    keys = sorted({key for key, _, _ in parts}, key=lambda key: (key[1], key[0]))
-    if 2 * max(o for _, o in keys) > MAX_DERIV_ORDER:
-        return None
-    layout = _terms_layout(terms, [locs for _, locs, _ in parts], cfg.rel_tol)
-    if layout is None:  # zero data
-        return 0.0
-    # one row per (time, order) on the slots, each location's weights
-    # added in the order of the terms (a row's own locations are distinct)
-    slots, width, place, lags = layout
-    index = {key: i for i, key in enumerate(keys)}
-    merged = np.zeros((len(keys), width))
-    for (key, _, w), row in zip(parts, slots):
-        merged[index[key], row] += w
-    # weights scaled to a largest |w| of 1, so no product under- or overflows
-    magnitude = np.abs(merged)
-    peak = float(magnitude.max())
-    if peak == 0.0:
-        return 0.0
-    merged /= peak
-    magnitude /= peak
-    vectors, by_time, ends = {}, {}, {}
-    for (t, o), v, v_abs in zip(keys, merged, magnitude):
-        nz = v.nonzero()[0]
-        if nz.size:
-            vectors[(t,), o] = (v, v_abs, nz)
-            by_time.setdefault(t, []).append((o, nz, v))
-            first, last = ends.get(t, (width, 0))
-            ends[t] = (min(first, int(nz[0])), max(last, int(nz[-1])))
-    # the span of each time's atoms (places increase with the slot)
-    reach = {t: (float(place(first)), float(place(last))) for t, (first, last) in ends.items()}
-    times = sorted(by_time)
+    small t).  The rows sit on the slots of ``_layout``: on a uniform grid
+    each kernel is evaluated at the distinct lags (``_Lags``), else on
+    blocks of (j, k) offsets (``_Block``), with one erfc / exp pass over
+    the distinct offsets for all time sums (``_kernel_table``).
 
-    total = size = 0.0
-    jobs: dict[tuple, list] = {}  # (x key, y key) -> [(coefficient, tau or None for K_0, kernel order)]
-    partners: dict[float, list[float]] = {t: [] for t in times}
-    groups = {}  # (time, center, half) -> (moments, base order), each formed once
-    for i, tg in enumerate(times):
-        for th in times[i:]:
-            mult, tau = (1.0 if tg == th else 2.0), tg + th
-            lo, hi = min(reach[tg][0], reach[th][0]), max(reach[tg][1], reach[th][1])
-            if 2.0 * tau > (hi - lo) ** 2:
-                # the flows at time t are theta_t^(n - 2) * nu_t for their least order n
-                center, half = 0.5 * (lo + hi), 0.5 * (hi - lo) or 1.0
-                for s in (tg, th):
-                    if (s, center, half) not in groups:
-                        rows = [(o, place(nz), v[nz]) for o, nz, v in by_time[s]]
-                        groups[s, center, half] = (_moments(rows, least_n[s] - 2, center, half), least_n[s] - 2)
-                value, scale = _moment_series(groups[tg, center, half], groups[th, center, half], tau, half)
-                total, size = total + mult * value, size + mult * scale
-                continue
-            partners[tg].append(th)
-            if th != tg:
-                partners[th].append(tg)
-            if tau == 0.0:
-                continue
-            for a, (og, _, _) in enumerate(by_time[tg]):
-                for b, (oh, _, _) in enumerate(by_time[th]):
-                    if tg != th or b >= a:
-                        coef = (1.0 if tg == th and a == b else 2.0) * (-1.0) ** og
-                        jobs.setdefault((((tg,), og), ((th,), oh)), []).append((coef, tau, og + oh))
-    # the K_0 parts: each time's rows against the weights pooled over the
-    # times it pairs with
-    orders = sorted({o for _, o in vectors})
-    for tg in times:
-        pool = tuple(partners[tg])
-        for o in orders:
-            if (pool, o) not in vectors:
-                v = sum((vectors[(t,), o][0] for t in pool if ((t,), o) in vectors), np.zeros(width))
-                vectors[pool, o] = (v, np.abs(v), v.nonzero()[0])
-        symmetric = pool == (tg,)
-        for a, og in enumerate(orders):
-            for b, oh in enumerate(orders):
-                x, y = ((tg,), og), (pool, oh)
-                if og + oh < 0 and (b >= a or not symmetric) and x in vectors and vectors[y][2].size:
-                    coef = (2.0 if symmetric and b > a else 1.0) * (-1.0) ** og
-                    jobs.setdefault((x, y), []).append((coef, None, og + oh))
-
-    if jobs:
-        needed = {(tau, o) for job in jobs.values() for _, tau, o in job}
-        if lags is not None:
-            sets = [lags]
-        else:
-            # blocks of rows whose offsets, at every tau, fill at most _BLOCK_ENTRIES entries
-            step = max(1, _BLOCK_ENTRIES // (width * max(1, len({tau for tau, _ in needed}))))
-            places = place(np.arange(width))
-            sets = (_Block(places, slice(i, i + step)) for i in range(0, width, step))
-        for offsets in sets:
-            table = _kernel_table(offsets, needed)
-            for (x, y), job in jobs.items():
-                value, scale = offsets.pair(vectors[x], vectors[y], [(coef, *table[tau, o]) for coef, tau, o in job])
-                total, size = total + value, size + scale
-    if not total > _ROUNDING * size / cfg.rel_tol:  # also where a kernel overflowed to inf or nan
+    All of that but the times is the terms' ``_Plan``, which one datum
+    keeps for each shape of terms (``_plan``): a call finds the pattern of
+    pairs taking the series from its times, then forms only the time sums,
+    the series, the kernels at the time sums and the pair sums, in the
+    order a fresh plan would, so a kept plan gives the same bits."""
+    atoms = [F._flow_atoms() for _, F in terms]
+    if any(rows is None for rows in atoms):
         return None
-    return peak * math.sqrt(total)
+    times = sorted({t for rows in atoms for t, *_ in rows})
+    return _plan(terms, atoms, times, cfg.rel_tol).norm(times, cfg.rel_tol)
 
 
 def conserved_l1_norm(terms, cfg: QuadratureConfig) -> float | None:

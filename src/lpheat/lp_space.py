@@ -256,11 +256,16 @@ class _PiecewiseLinear(PrimitiveFunction):
         return peak * math.fsum(terms) ** (1.0 / p)
 
     @cached_property
-    def _layouts(self) -> dict:
-        """``_energy``'s layout of the atom locations, by rel_tol, filled there."""
+    def _plans(self) -> dict:
+        """``_energy``'s layout of the atom locations and its plans of
+        energy sums, by rel_tol, filled there."""
         return {}
 
     def _flow_atoms(self):
+        return self._atoms
+
+    @cached_property
+    def _atoms(self):
         # F'' = sum_k w_k delta'_{a_k} + sum_k kappa_k delta_{a_k}, the jumps
         # where nonzero, the kinks at every knot of kinked data
         at, jump, kink = self._knots.at, self._knots.jump, self._knots.kink
