@@ -432,7 +432,48 @@ def energy_norm(terms, cfg: QuadratureConfig) -> float | None:
     if any(rows is None for rows in atoms):
         return None
     times = sorted({t for rows in atoms for t, *_ in rows})
+    if _cancels(terms, atoms, times, cfg.rel_tol):
+        return None
     return _plan(terms, atoms, times, cfg.rel_tol).norm(times, cfg.rel_tol)
+
+
+def _gaussian_moment(m: int, tau: float) -> float:
+    """(1 / 2 pi) int |xi|^m exp(-tau xi^2) dxi, which is |K_tau^(m)(0)| at even m."""
+    return math.gamma(0.5 * (m + 1)) * tau ** (-0.5 * (m + 1)) / (2.0 * math.pi)
+
+
+def _cancels(terms, atoms, times, rel_tol: float) -> bool:
+    """Whether a bound proves that the energy sum of atoms at one place, of
+    orders o >= 0 (Gaussian powers and their flows, where every time pair
+    takes the moment series), fails its rounding test, so that its series
+    need not be formed.  With W the weights merged per (time, order), T the
+    least time and Q_o = sum_t W_(t,o) the weights pooled over the times,
+    |e^(-d xi^2) - 1| <= d xi^2 bounds the flows' transform by
+    e^(-T xi^2) (sum_o |Q_o| |xi|^o + sum |W_(t,o)| (t - T) |xi|^(o+2)), so
+    by Plancherel the sum is at most that sum squared against the
+    Gaussian moments at 2T.  Each series term reads |W W'| |K^(o+o')_(t+t')(0)|
+    at least twice in the size, so the test fails where four times the
+    bound is below its threshold (F * theta_t - F at small t)."""
+    weights, places = {}, set()
+    for (c, _), rows in zip(terms, atoms):
+        for t, _, o, locs, w in rows:
+            if o < 0 or len(locs) != 1:
+                return False
+            places.add(float(locs[0]))
+            weights[t, o] = weights.get((t, o), 0.0) + c * float(w[0])
+    if len(places) != 1:
+        return False
+    pooled, least = {}, times[0]
+    for (_, o), w in weights.items():
+        pooled[o] = pooled.get(o, 0.0) + w
+    parts = [(abs(w), o) for o, w in pooled.items()] + [(abs(w) * (t - least), o + 2) for (t, o), w in weights.items()]
+    try:
+        bound = sum(a * b * _gaussian_moment(m + n, 2.0 * least) for a, m in parts for b, n in parts)
+        floor = 2.0 * sum(abs(w * v) * _gaussian_moment(o + p, t + s) for (t, o), w in weights.items()
+                          for (s, p), v in weights.items() if (o + p) % 2 == 0)
+    except (OverflowError, ZeroDivisionError):
+        return False
+    return 4.0 * bound < _ROUNDING * floor / rel_tol
 
 
 def conserved_l1_norm(terms, cfg: QuadratureConfig) -> float | None:

@@ -82,7 +82,7 @@ def _erfc(z) -> np.ndarray:
 def _exp_neg_square(w: np.ndarray) -> np.ndarray:
     """exp(-w^2) to a few ulp: w^2 is split as h^2 + (w - h)(w + h) with h
     the float32 rounding of w, so the large part of the exponent is exact."""
-    w = w.clip(-40.0, 40.0)  # exp(-1600) underflows to 0 either way
+    w = np.minimum(np.maximum(w, -40.0), 40.0)  # exp(-1600) underflows to 0 either way
     h = w.astype(np.float32).astype(float)
     return np.exp(-h * h) * np.exp((h - w) * (w + h))
 
@@ -119,7 +119,7 @@ def _smoothing(d: np.ndarray, tau: float, o: int, e=None, x=None, right: bool = 
         # past 1e3 sqrt(tau) the kernel underflows to 0; the clip keeps d / 2 tau
         # finite there, so the recurrence gives those zeros, not inf * 0
         edge = 1e3 * math.sqrt(tau)
-        return theta_deriv_values(np.clip(d, -edge, edge), tau, o)
+        return theta_deriv_values(np.minimum(np.maximum(d, -edge), edge), tau, o)
     if e is None:
         u = np.abs(d) / (2.0 * math.sqrt(tau))
         e, x = _erfc(u), (_exp_neg_square(u) if o < -1 else None)

@@ -122,7 +122,8 @@ class PrimitiveFunction:
         (0 in a gap of steps), every other point from 0, and a flow's row at
         o + n < 0 has None.  Each point adds its atoms one at a time in row
         and knot order, in blocks of at most ``_BLOCK_ENTRIES`` (point, atom)
-        entries, so its value does not depend on its block.  Data with kinks
+        entries, so its value does not depend on its block; a lone atom (a
+        Gaussian power) takes every point in one kernel call.  Data with kinks
         has None above n = 0 and goes to ``convolve_point``: its kink terms
         would make sampled ``evolve`` about ten times faster, and the
         benchmark, which keeps every op's output, would then outgrow its
@@ -133,6 +134,10 @@ class PrimitiveFunction:
         if rows is None or any(o + order < 0 if s > 0.0 else order > 0 and o == -2 for s, o, _, _ in rows):
             return None
         out = self._cells(xs)[2] if order == 0 and any(s == 0.0 for s, _, _, _ in rows) else np.zeros(xs.size)
+        if len(rows) == 1 and rows[0][2].size == 1:  # one atom fills one entry per point: no blocks
+            s, o, (a,), (w,) = rows[0]
+            out += w * _smoothing(xs - a, s + t, o + order, right=True)
+            return out
         points = max(1, min(xs.size, _BLOCK_ENTRIES))
         span = _BLOCK_ENTRIES // points  # atoms per block
         for i in range(0, xs.size, points):

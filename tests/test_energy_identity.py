@@ -223,6 +223,37 @@ def test_each_time_forms_its_moments_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_gaussian_flow_minus_data_skips_the_series_it_would_discard(monkeypatch):
+    # all three time pairs of G * theta_t - G take the moment series, whose
+    # sum cancels to O(t^2) of its terms: at small t a bound shows the
+    # rounding test would fail, so the series is not formed
+    import lpheat._energy as energy
+
+    calls, inner = [], energy._moment_series
+    monkeypatch.setattr(energy, "_moment_series", lambda *a: calls.append(a) or inner(*a))
+    G = lh.GaussianPower(1.0, 1.0)
+    for t in (2.0 ** -14, 2.0 ** -7):
+        assert energy_norm([(1.0, Heated(G, t, 0, _CFG)), (-1.0, G)], _CFG) is None
+    assert calls == []
+    assert energy_norm([(1.0, Heated(G, 0.5, 0, _CFG)), (-1.0, G)], _CFG) > 0.0
+    assert len(calls) == 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(G=_gaussians, H=_gaussians, n=st.sampled_from([0, 1, 2]), t=st.floats(-30.0, 2.0).map(lambda e: 2.0 ** e),
+       ratio=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 0.5]), c=st.sampled_from([-1.0, -0.999999, 0.5]))
+def test_the_cancellation_bound_skips_only_sums_that_fail_their_rounding_test(G, H, n, t, ratio, c):
+    import lpheat._energy as energy
+
+    for terms in ([(1.0, Heated(G, t, 0, _CFG)), (c, G)],
+                  [(1.0, Heated(G, t, n, _CFG)), (c, Heated(G, t * (1.0 + ratio), n, _CFG))],
+                  [(1.0, Heated(G, t, n, _CFG)), (c, Heated(H, t, n, _CFG))]):
+        atoms = [F._flow_atoms() for _, F in terms]
+        times = sorted({s for rows in atoms for s, *_ in rows})
+        if energy._cancels(terms, atoms, times, _CFG.rel_tol):
+            assert energy._plan(terms, atoms, times, _CFG.rel_tol).norm(times, _CFG.rel_tol) is None
+
+
 def test_flows_cancelling_below_rounding_take_quadrature(quadrature_raises):
     # F * theta_t - F * theta_t(1 + 1e-9) is about 1e-9 of each flow, so its
     # energy sum cancels to about 1e-18 of its terms: only the pointwise
@@ -460,6 +491,34 @@ def test_energy_norms_stay_bit_for_bit_with_the_layout_kept_on_the_datum():
         lines.append(repr(got))
     assert sum(line not in ("None", "0.0") for line in lines) > 1000
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _ENERGY_FUZZ_SHA256
+    # time sweeps: one datum at 16 times, keeping its plans across them, the
+    # term shapes interleaved, each norm as a fresh equal datum gives it
+    rng = random.Random(20261020)
+    for terms, _, cfg in _energy_fuzz(7, 40):
+        F = terms[0][1].source()
+        for k in range(16):
+            t, n = 2.0 ** -rng.randint(0, 20) * rng.choice([1.0, 1.5]), rng.choice([0, 1, 2])
+            got, fresh = ([[(1.0, Heated(G, t, n, cfg))], [(1.0, Heated(G, t, 0, cfg)), (-1.0, G)],
+                           [(2.0, Heated(G, t, n, cfg)), (-0.5, Heated(G, 2.0 * t, n, cfg)), (0.25, G)]][k % 3]
+                          for G in (F, dataclasses.replace(F)))
+            assert repr(energy_norm(got, cfg)) == repr(energy_norm(fresh, cfg))
+
+
+def test_a_sweep_keeps_one_plan_per_shape_and_pattern():
+    # 200 times on one datum in three shapes of terms: the datum keeps one
+    # layout and one plan per shape, and each plan one route per pattern of
+    # time pairs taking the moment series; nothing is kept per time
+    F = lh.StepCombo(_COMBO)
+    for t in np.geomspace(2.0 ** -20, 2.0 ** 10, 200):
+        for terms in ([(1.0, Heated(F, t, 0, _CFG))], [(1.0, Heated(F, t, 0, _CFG)), (-1.0, F)],
+                      [(1.0, Heated(F, t, 1, _CFG)), (-1.0, Heated(F, 2.0 * t, 1, _CFG))]):
+            energy_norm(terms, _CFG)
+    (layout, plans), = F._plans.values()
+    assert len(plans) == 3
+    # each pair of times takes the series past one threshold as t grows: one
+    # time has one pair (2 patterns), F * theta_t - F three, of which (0, 0)
+    # never takes it (3), and two flows three (4)
+    assert sorted(len(plan.routes) for plan in plans.values()) == [2, 3, 4]
 
 
 def test_layout_kept_on_the_datum_follows_rel_tol():
