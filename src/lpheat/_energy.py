@@ -48,26 +48,34 @@ class _Lags:
     """The offsets of rows on one uniform grid of M slots: the lags l dx,
     l = 1 - M .. M - 1, at the M distinct values |l| dx.  A pair of rows
     meets a kernel K as sum_l K(l dx) c(l) over their correlation
-    c(l) = sum_k x[k + l] y[k], np.correlate's full output at l + M - 1."""
+    c(l) = sum_k x[k + l] y[k], np.correlate's full output at l + M - 1.
+    Where a slot's location lies r_k off its grid point (``drift``, None
+    where every r_k is 0), the offset a_j - a_k is l dx + r_j - r_k, and the
+    sum takes that to first order: sum_l K'(l dx) (c_r(l) - c^r(l)), with
+    c_r and c^r the correlations of x r with y and of x with y r."""
 
-    def __init__(self, m: int, dx: float):
+    def __init__(self, m: int, dx: float, drift=None):
         lags = np.arange(1 - m, m)
         self.d = lags * dx
-        self.distinct, self.spread, self.bare = self.d[m - 1:], np.abs(lags), {}
+        self.distinct, self.spread, self.bare, self.drift = self.d[m - 1:], np.abs(lags), {}, drift
 
-    @staticmethod
-    def operands(x, y) -> tuple[np.ndarray, np.ndarray]:
-        """The correlations of rows given as (w, |w|, nonzero slots) and of
-        their magnitudes: free of the times, so a plan keeps them."""
-        return np.correlate(x[0], y[0], "full"), np.correlate(x[1], y[1], "full")
+    def operands(self, x, y) -> tuple:
+        """The correlations of rows given as (w, |w|, nonzero slots), of
+        their magnitudes and, with a drift, c_r - c^r: free of the times, so
+        a plan keeps them."""
+        drift = None if self.drift is None else (
+            np.correlate(x[0] * self.drift, y[0], "full") - np.correlate(x[0], y[0] * self.drift, "full"))
+        return np.correlate(x[0], y[0], "full"), np.correlate(x[1], y[1], "full"), drift
 
     @staticmethod
     def pair(operands, kernels) -> tuple[float, float]:
-        """sum over (coef, K, |K|) of coef x K y, and of |coef| |x| |K| |y|,
-        for two rows given by their ``operands``."""
-        c, c_abs = operands
-        return (sum(coef * float(K @ c) for coef, K, _ in kernels),
-                sum(abs(coef) * float(K_abs @ c_abs) for coef, _, K_abs in kernels))
+        """sum over (coef, K, |K|, K') of coef x K y, and of
+        |coef| |x| |K| |y|, for two rows given by their ``operands``."""
+        c, c_abs, drift = operands
+        value = sum(coef * float(K @ c) for coef, K, _, _ in kernels)
+        if drift is not None:
+            value += sum(coef * float(K1 @ drift) for coef, _, _, K1 in kernels)
+        return value, sum(abs(coef) * float(K_abs @ c_abs) for coef, _, K_abs, _ in kernels)
 
 
 class _Block:
@@ -85,8 +93,8 @@ class _Block:
     def pair(self, operands, kernels) -> tuple[float, float]:
         x, y = operands
         xj, xj_abs = x[0][self.rows], x[1][self.rows]
-        return (sum(coef * float(xj @ K @ y[0]) for coef, K, _ in kernels),
-                sum(abs(coef) * float(xj_abs @ K_abs @ y[1]) for coef, _, K_abs in kernels))
+        return (sum(coef * float(xj @ K @ y[0]) for coef, K, _, _ in kernels),
+                sum(abs(coef) * float(xj_abs @ K_abs @ y[1]) for coef, _, K_abs, _ in kernels))
 
 
 def _kernel_table(offsets, needed) -> dict:
@@ -115,17 +123,19 @@ def _kernel_table(offsets, needed) -> dict:
     return table
 
 
-def _slots(locs: np.ndarray, rel_tol: float):
+def _slots(locs: np.ndarray):
     """(slots, width, place, lags): the slot of each location in rows of
     ``width`` slots, and ``place`` mapping slots to their locations.  On
     one uniform grid slot i is a_0 + i dx and lags are its ``_Lags``;
     elsewhere the slots are the sorted distinct locations and lags is None.
-    The grid is taken where it has at most 4 slots per location and moving
-    each location onto it only absorbs rounding: by at most 8 ulps of the
-    largest |location|, and by at most rel_tol / 16 of dx, so no gap
-    changes its length by more than rel_tol / 8 (a gap of 40 ulps is no
-    grid step of 47).  Only the distinct locations matter: a location
-    repeated takes the same slot."""
+    The grid is taken where it has at most 4 slots per location and each
+    location lies within 8 ulps of the largest |location| and 2^-30 dx of
+    its grid point (a gap of 40 ulps is no grid step of 47).  No location
+    moves: each slot keeps its exact offset r from its grid point
+    (``_drift``), which the lags carry to first order, so a pair sum is the
+    one at the float locations up to (r / dx)^2 <= 2^-60 of its terms.
+    Only the distinct locations matter: a location repeated takes the same
+    slot."""
     ordered = np.sort(locs)
     gaps = ordered[1:] - ordered[:-1]
     a0, a1 = float(ordered[0]), float(ordered[-1])
@@ -141,48 +151,65 @@ def _slots(locs: np.ndarray, rel_tol: float):
         at = (locs - a0) / dx
         slots = np.rint(at)
         shift = float(np.abs(at - slots).max())
-        if shift * dx <= tol and shift <= min(rel_tol, 1.0) / 16.0:
-            return slots.astype(int), steps + 1, lambda i: a0 + dx * i, _Lags(steps + 1, dx)
+        if shift * dx <= tol and shift <= 2.0 ** -30:
+            drift = np.zeros(steps + 1)
+            drift[slots.astype(int)] = _drift(locs, a0, dx, slots)
+            return (slots.astype(int), steps + 1, lambda i: a0 + dx * i,
+                    _Lags(steps + 1, dx, drift if drift.any() else None))
     places, slots = np.unique(locs, return_inverse=True)
     return slots, places.size, places.__getitem__, None
 
 
-def _layout(rows, rel_tol: float):
+def _drift(locs: np.ndarray, a0: float, dx: float, i: np.ndarray) -> np.ndarray:
+    """a - (a0 + i dx) in exact arithmetic, rounded once, for locations a
+    near their grid points: a - a0 by TwoSum, i dx as i hi + i lo with hi,
+    lo the Veltkamp halves of dx (each product exact for i < 2^26), and
+    (a - a0) - i hi exact as the two are close."""
+    hi = dx * 134217729.0  # 2^27 + 1
+    hi -= hi - dx
+    s = locs - a0
+    back = s - locs
+    err = (locs - (s - back)) - (a0 + back)
+    return ((s - i * hi) - i * (dx - hi)) + err
+
+
+def _layout(rows):
     """``_slots`` of rows of atom locations, the slots split back into one
     array per row, or None where there are no locations."""
     locs = np.concatenate(rows)
     if not locs.size:
         return None
-    slots, width, place, lags = _slots(locs, rel_tol)
+    slots, width, place, lags = _slots(locs)
     ends = list(accumulate(map(len, rows)))
     return [slots[i:j] for i, j in zip([0] + ends, ends)], width, place, lags
 
 
-# plans kept on one datum for one rel_tol: a bound, since each coefficient is a shape
+# plans kept on one datum: a bound, since each coefficient is a shape
 _PLANS = 64
 
 
-def _plan(terms, atoms, times, rel_tol: float) -> _Plan:
+def _plan(terms, atoms, times) -> _Plan:
     """The ``_Plan`` of the terms.  Where every term comes from one datum
     with a plan cache (``_plans`` of piecewise-linear data), the rows hold
-    that datum's locations once per term, so the layout is the datum's own,
-    built once per datum and rel_tol, its slots repeated, and the plan is
-    kept there by the terms' shape: each term's coefficient, time class and
-    order, and whether the first time is 0.  Elsewhere the plan serves this
-    call only."""
+    that datum's locations once per term, so the layout is the datum's own
+    (kept under the key None), its slots repeated, and the
+    plan is kept there by the terms' shape: each term's coefficient, time
+    class and order, and whether the first time is 0.  Elsewhere the plan
+    serves this call only."""
     datum = terms[0][1].source()
     cache = getattr(datum, "_plans", None)
     if cache is None or any(F.source() is not datum or c != c for c, F in terms):
-        return _Plan(terms, atoms, times, _layout([locs for rows in atoms for *_, locs, _ in rows], rel_tol))
-    if rel_tol not in cache:
-        cache[rel_tol] = _layout([locs for *_, locs, _ in datum._flow_atoms()], rel_tol), {}
-    own, plans = cache[rel_tol]
+        return _Plan(terms, atoms, times, _layout([locs for rows in atoms for *_, locs, _ in rows]))
+    if None not in cache:
+        cache[None] = _layout([locs for *_, locs, _ in datum._flow_atoms()])
+    own = cache[None]
     shape = times[0] == 0.0, tuple((c, times.index(rows[0][0]), rows[0][1]) for (c, _), rows in zip(terms, atoms))
-    if shape not in plans:
-        if len(plans) == _PLANS:
-            plans.clear()
-        plans[shape] = _Plan(terms, atoms, times, None if own is None else (own[0] * len(terms), *own[1:]))
-    return plans[shape]
+    if shape not in cache:
+        if len(cache) > _PLANS:
+            cache.clear()
+            cache[None] = own
+        cache[shape] = _Plan(terms, atoms, times, None if own is None else (own[0] * len(terms), *own[1:]))
+    return cache[shape]
 
 
 _MOMENTS = 64
@@ -360,7 +387,9 @@ class _Plan:
                         coef = (2.0 if symmetric and b > a else 1.0) * (-1.0) ** og
                         jobs.setdefault((x, y), []).append((coef, -1, og + oh))
         prepare = (self.lags or _Block).operands
-        needed = {(k, o) for job in jobs.values() for _, k, o in job}
+        # with a drift, each kernel's derivative K^(o+1) too
+        derive = self.lags is not None and self.lags.drift is not None
+        needed = {(k, o + step) for job in jobs.values() for _, k, o in job for step in (0, derive)}
         self.routes[pattern] = route = (series, [(prepare(vectors[x], vectors[y]), job) for (x, y), job in jobs.items()], needed)
         return route
 
@@ -389,7 +418,8 @@ class _Plan:
             for offsets in sets:
                 table = _kernel_table(offsets, needed)
                 for operands, job in jobs:
-                    value, scale = offsets.pair(operands, [(coef, *table[tau[k], o]) for coef, k, o in job])
+                    kernels = [(coef, *table[tau[k], o], table.get((tau[k], o + 1), (None,))[0]) for coef, k, o in job]
+                    value, scale = offsets.pair(operands, kernels)
                     total, size = total + value, size + scale
         if not total > _ROUNDING * size / rel_tol:  # also where a kernel overflowed to inf or nan
             return None
@@ -434,7 +464,7 @@ def energy_norm(terms, cfg: QuadratureConfig) -> float | None:
     times = sorted({t for rows in atoms for t, *_ in rows})
     if _cancels(terms, atoms, times, cfg.rel_tol):
         return None
-    return _plan(terms, atoms, times, cfg.rel_tol).norm(times, cfg.rel_tol)
+    return _plan(terms, atoms, times).norm(times, cfg.rel_tol)
 
 
 def _gaussian_moment(m: int, tau: float) -> float:

@@ -88,8 +88,12 @@ def _exp_neg_square(w: np.ndarray) -> np.ndarray:
 
 
 def _bare_kernel(d: np.ndarray, o: int) -> np.ndarray:
-    """K_0^(o)(d) for o = -1..-4: sgn(d) / 2, |d| / 2, d |d| / 4, |d|^3 / 12,
-    each the derivative of the next; sgn(0) = 0, as pair sums need it."""
+    """K_0^(o)(d) for o = 0..-4: the point mass, 0 off the origin (and at
+    it, where pair sums meet only offsets that cannot move), then sgn(d) / 2,
+    |d| / 2, d |d| / 4, |d|^3 / 12, each the derivative of the next; sgn(0)
+    = 0, as pair sums need it."""
+    if o == 0:
+        return np.zeros_like(d)
     if o == -1:
         return np.sign(d) / 2.0
     ad = np.abs(d)

@@ -263,7 +263,7 @@ class _PiecewiseLinear(PrimitiveFunction):
     @cached_property
     def _plans(self) -> dict:
         """``_energy``'s layout of the atom locations and its plans of
-        energy sums, by rel_tol, filled there."""
+        energy sums, filled there."""
         return {}
 
     def _flow_atoms(self):

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sci
 from scipy import special
@@ -251,7 +251,7 @@ def test_the_cancellation_bound_skips_only_sums_that_fail_their_rounding_test(G,
         atoms = [F._flow_atoms() for _, F in terms]
         times = sorted({s for rows in atoms for s, *_ in rows})
         if energy._cancels(terms, atoms, times, _CFG.rel_tol):
-            assert energy._plan(terms, atoms, times, _CFG.rel_tol).norm(times, _CFG.rel_tol) is None
+            assert energy._plan(terms, atoms, times).norm(times, _CFG.rel_tol) is None
 
 
 def test_flows_cancelling_below_rounding_take_quadrature(quadrature_raises):
@@ -425,6 +425,7 @@ _energy_data = _steps | _wide_grids | _approximations
 @given(data=st.lists(_energy_data, min_size=1, max_size=3),
        times=st.lists(st.sampled_from([0.0, 1e-4, 1e-2, 0.3, 1.0, 30.0, 1e4]), min_size=1, max_size=3, unique=True),
        n=st.sampled_from([0, 1, 2]), coefs=st.lists(st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 0.1), min_size=3, max_size=3))
+@example(data=[lh.sample([0.0, 0.0, 1.0], 1.0, 0.005)], times=[0.0], n=0, coefs=[1.0, 1.0, 1.0])
 def test_energy_sum_matches_the_plain_per_pair_double_sum(data, times, n, coefs):
     # terms on 1 to 3 times; the data's grids, step edges and mixtures put the
     # rows on one grid of lags or on blocks of (j, k) offsets
@@ -477,8 +478,9 @@ def _energy_fuzz(seed, count):
 
 # sha256 of the reprs of the 1,200 energy norms of _energy_fuzz(20251020, 1200),
 # one per line, as energy_norm gave them when it laid out the terms' atom
-# locations afresh on every call
-_ENERGY_FUZZ_SHA256 = "2f29660854952d2aa092427eb1a870269aa18f9968129180c32cceae2025d8f9"
+# locations afresh on every call and kept each location's offset from its
+# grid point (133 moved from the snap that dropped it, by at most 2.1e-14)
+_ENERGY_FUZZ_SHA256 = "b85b02cc5f5b1aaa1ff33ec97b9a7a6b59d7a783e090c4cf977a5219a0ead67d"
 
 
 def test_energy_norms_stay_bit_for_bit_with_the_layout_kept_on_the_datum():
@@ -505,37 +507,44 @@ def test_energy_norms_stay_bit_for_bit_with_the_layout_kept_on_the_datum():
 
 
 def test_a_sweep_keeps_one_plan_per_shape_and_pattern():
-    # 200 times on one datum in three shapes of terms: the datum keeps one
-    # layout and one plan per shape, and each plan one route per pattern of
-    # time pairs taking the moment series; nothing is kept per time
+    # 200 times on one datum in three shapes of terms: the datum keeps its
+    # layout (under None) and one plan per shape, and each plan one route per
+    # pattern of time pairs taking the moment series; nothing is kept per time
     F = lh.StepCombo(_COMBO)
     for t in np.geomspace(2.0 ** -20, 2.0 ** 10, 200):
         for terms in ([(1.0, Heated(F, t, 0, _CFG))], [(1.0, Heated(F, t, 0, _CFG)), (-1.0, F)],
                       [(1.0, Heated(F, t, 1, _CFG)), (-1.0, Heated(F, 2.0 * t, 1, _CFG))]):
             energy_norm(terms, _CFG)
-    (layout, plans), = F._plans.values()
+    plans = [plan for shape, plan in F._plans.items() if shape is not None]
     assert len(plans) == 3
     # each pair of times takes the series past one threshold as t grows: one
     # time has one pair (2 patterns), F * theta_t - F three, of which (0, 0)
     # never takes it (3), and two flows three (4)
-    assert sorted(len(plan.routes) for plan in plans.values()) == [2, 3, 4]
+    assert sorted(len(plan.routes) for plan in plans) == [2, 3, 4]
 
 
-def test_layout_kept_on_the_datum_follows_rel_tol():
-    # an edge 2 ulps off a grid of spacing 0.25 at 1e6 (4.7e-10 of the
-    # spacing) is snapped onto it at rel_tol 1e-6, not at 1e-10; the layout
-    # kept for one tolerance must not serve the other
-    edges = [1e6 + 0.25 * k for k in range(7)]
-    edges[3] = float(np.nextafter(np.nextafter(edges[3], 2e6), 2e6))
+def test_layout_kept_on_the_datum_moves_no_edge():
+    # an edge 2 ulps off a grid of spacing 0.25 at 1e5 (1.2e-10 of the
+    # spacing) was moved onto it at rel_tol 1e-6 but not at 1e-10; now the
+    # grid keeps its offset at every tolerance and carries it to first
+    # order, so the one layout the datum keeps serves both and the sum is the
+    # plain double sum at the float edges
+    edges = [1e5 + 0.25 * k for k in range(7)]
+    edges[3] = float(np.nextafter(np.nextafter(edges[3], 2e5), 2e5))
     F = lh.StepCombo(tuple(((-1.0) ** k * (1 + k), a, b) for k, (a, b) in enumerate(zip(edges, edges[1:]))))
-    norms = {}
+    norms = set()
     for rel_tol in (1e-6, 1e-10, 1e-6):
         cfg = lh.QuadratureConfig(rel_tol=rel_tol)
         fresh = [dataclasses.replace(F) for _ in range(2)]
-        got = energy_norm([(1.0, Heated(F, 1e-3, 0, cfg)), (-1.0, F)], cfg)
+        terms = [(1.0, Heated(F, 1e-3, 0, cfg)), (-1.0, F)]
+        got = energy_norm(terms, cfg)
         assert got == energy_norm([(1.0, Heated(fresh[0], 1e-3, 0, cfg)), (-1.0, fresh[1])], cfg)
-        norms[rel_tol] = got
-    assert norms[1e-6] != norms[1e-10]
+        exact, size = _reference_energy(terms)
+        assert abs(got * got - exact) <= 8.0 * 2.0 ** -52 * size
+        norms.add(got)
+    assert len(norms) == 1
+    lags = F._plans[None][3]
+    assert np.count_nonzero(lags.drift) == 1  # the one edge off its grid point
 
 
 @pytest.mark.parametrize("t", [0.0, 1e-30, 1e-28])
