@@ -9,18 +9,23 @@ Plancherel and the semigroup theta_s * theta_u = theta_{s+u} the squared
 L^2 norm of a combination of them and of their flows F * theta_t^(n) is
 a double sum over the atoms against pair kernels in closed form
 (``energy_norm``).  Where every atom location lies on one uniform grid
-x_0 + i dx to within its rounding (every ``Sampled`` datum, and step
-edges from ``np.linspace``; ``_slots``), the pair sum of two weight
-rows is the correlation sum_l K(l dx) (w * w')(l) over the grid lags,
-so each kernel is evaluated at the M distinct lags, not at the N^2
-pairs, and memory stays O(M).  Elsewhere the (j, k) sums run in blocks of at most
-``_BLOCK_ENTRIES`` entries.  Everything but the times is a ``_Plan``: the
-layout, the merged weight rows, the span of each time's atoms and, for
-each pattern of time pairs taking the moment series, the pair jobs, the
-pooled K_0 rows, the grid correlations and the moments.  Where every term
-comes from one datum, the datum keeps its layout and one plan per shape
-of terms (``_plan``), so a sweep over times forms only what the times
-decide: the time sums, the kernels at them, the pair sums and the series.
+x_0 + i dx to within 8 ulps and 2^-30 dx (``Sampled`` data, and step
+edges from ``np.linspace``; ``_slots``), the pair sum of two weight rows
+is the correlation sum_l K(l dx) (w * w')(l) over the grid lags, plus
+the first-order term of each location's exact offset from its grid
+point, so each kernel is evaluated at the M distinct lags, not at the
+N^2 pairs, memory stays O(M), and the sum is the one at the float
+locations.  Elsewhere the (j, k) sums run in blocks of at most
+``_BLOCK_ENTRIES`` entries.
+
+What does not depend on the times is a ``_Plan``: the layout, the merged
+and scaled weight rows with their nonzero slots, the span of each time's
+atoms and, for each pattern of time pairs taking the moment series, the
+pair jobs, the pooled K_0 rows, the grid correlations and the series
+groups' moments.  Where every term comes from one datum, the datum keeps
+its layout and one plan per shape of terms (``_plan``), so a sweep over
+times forms per call only what the times decide: the time sums, the
+kernels at them, the pair sums, the series and the rounding test.
 
 p = 1.  For piecewise-linear data F that keeps one sign, the contraction
 ||F * theta_t||_1 <= ||F||_1 and conservation of the integral,
@@ -198,7 +203,7 @@ def _plan(terms, atoms, times) -> _Plan:
     serves this call only."""
     datum = terms[0][1].source()
     cache = getattr(datum, "_plans", None)
-    if cache is None or any(F.source() is not datum or c != c for c, F in terms):
+    if cache is None or any(F.source() is not datum for _, F in terms):
         return _Plan(terms, atoms, times, _layout([locs for rows in atoms for *_, locs, _ in rows]))
     if None not in cache:
         cache[None] = _layout([locs for *_, locs, _ in datum._flow_atoms()])
@@ -453,11 +458,15 @@ def energy_norm(terms, cfg: QuadratureConfig) -> float | None:
     blocks of (j, k) offsets (``_Block``), with one erfc / exp pass over
     the distinct offsets for all time sums (``_kernel_table``).
 
-    All of that but the times is the terms' ``_Plan``, which one datum
-    keeps for each shape of terms (``_plan``): a call finds the pattern of
-    pairs taking the series from its times, then forms only the time sums,
-    the series, the kernels at the time sums and the pair sums, in the
-    order a fresh plan would, so a kept plan gives the same bits."""
+    All of that but the times is the terms' ``_Plan`` (the layout, merged
+    rows, spans, pair jobs, pooled K_0 rows, grid correlations and
+    moments), which one datum keeps for each shape of terms (``_plan``): a
+    call finds the pattern of pairs taking the series from its times, then
+    forms only the time sums, the series, the kernels at the time sums, the
+    pair sums and the rounding test, in the order a fresh plan would, so a
+    kept plan gives the same bits.  Atoms at one place whose sum a bound
+    shows to cancel past the rounding test go to quadrature before any of
+    it (``_cancels``)."""
     atoms = [F._flow_atoms() for _, F in terms]
     if any(rows is None for rows in atoms):
         return None
