@@ -153,29 +153,30 @@ def _slots(locs: np.ndarray):
     if steps <= 4 * (np.count_nonzero(positive) + 1) and tol < dx / 4.0:
         steps = round(steps)
         dx = (a1 - a0) / steps
-        at = (locs - a0) / dx
+        off = locs - a0
+        at = off / dx
         slots = np.rint(at)
         shift = float(np.abs(at - slots).max())
         if shift * dx <= tol and shift <= 2.0 ** -30:
-            drift = np.zeros(steps + 1)
-            drift[slots.astype(int)] = _drift(locs, a0, dx, slots)
-            return (slots.astype(int), steps + 1, lambda i: a0 + dx * i,
-                    _Lags(steps + 1, dx, drift if drift.any() else None))
+            r, slots = _drift(locs, off, a0, dx, slots), slots.astype(int)
+            drift = None
+            if r.any():
+                drift = np.zeros(steps + 1)
+                drift[slots] = r
+            return slots, steps + 1, lambda i: a0 + dx * i, _Lags(steps + 1, dx, drift)
     places, slots = np.unique(locs, return_inverse=True)
     return slots, places.size, places.__getitem__, None
 
 
-def _drift(locs: np.ndarray, a0: float, dx: float, i: np.ndarray) -> np.ndarray:
+def _drift(locs: np.ndarray, off: np.ndarray, a0: float, dx: float, i: np.ndarray) -> np.ndarray:
     """a - (a0 + i dx) in exact arithmetic, rounded once, for locations a
-    near their grid points: a - a0 by TwoSum, i dx as i hi + i lo with hi,
-    lo the Veltkamp halves of dx (each product exact for i < 2^26), and
-    (a - a0) - i hi exact as the two are close."""
+    near their grid points, given off = a - a0 as rounded: its error by
+    TwoSum, i dx as i hi + i lo with hi, lo the Veltkamp halves of dx (each
+    product exact for i < 2^26), and off - i hi exact as the two are close."""
     hi = dx * 134217729.0  # 2^27 + 1
     hi -= hi - dx
-    s = locs - a0
-    back = s - locs
-    err = (locs - (s - back)) - (a0 + back)
-    return ((s - i * hi) - i * (dx - hi)) + err
+    back = off - locs
+    return ((off - i * hi) - i * (dx - hi)) + ((locs - (off - back)) - (a0 + back))
 
 
 def _layout(rows):
