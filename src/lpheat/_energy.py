@@ -74,8 +74,9 @@ class _Lags:
 
     @staticmethod
     def pair(operands, kernels) -> tuple[float, float]:
-        """sum over (coef, K, |K|, K') of coef x K y, and of
-        |coef| |x| |K| |y|, for two rows given by their ``operands``."""
+        """sum over (coef, K, |K|, K') of coef x K y plus, with a drift,
+        its first-order term, and of |coef| |x| |K| |y|, for two rows given
+        by their ``operands``."""
         c, c_abs, drift = operands
         value = sum(coef * float(K @ c) for coef, K, _, _ in kernels)
         if drift is not None:
@@ -198,10 +199,10 @@ def _plan(terms, atoms, times) -> _Plan:
     """The ``_Plan`` of the terms.  Where every term comes from one datum
     with a plan cache (``_plans`` of piecewise-linear data), the rows hold
     that datum's locations once per term, so the layout is the datum's own
-    (kept under the key None), its slots repeated, and the
-    plan is kept there by the terms' shape: each term's coefficient, time
-    class and order, and whether the first time is 0.  Elsewhere the plan
-    serves this call only."""
+    (kept under the key None), its slots repeated, and the plan is kept
+    there by the terms' shape: each term's coefficient, time class and
+    order, and whether the first time is 0.  Elsewhere the plan serves this
+    call only."""
     datum = terms[0][1].source()
     cache = getattr(datum, "_plans", None)
     if cache is None or any(F.source() is not datum for _, F in terms):
@@ -302,10 +303,10 @@ class _Plan:
     MAX_DERIV_ORDER and 0.0 for zero data, whose sums are not formed."""
 
     def __init__(self, terms, atoms, times, layout):
-        parts, self.least_n, index = [], {}, {t: i for i, t in enumerate(times)}
+        parts, self.least_n, klass = [], {}, {t: i for i, t in enumerate(times)}
         for (c, _), rows in zip(terms, atoms):
             for t, n, o, locs, weights in rows:
-                i = index[t]
+                i = klass[t]
                 self.least_n[i] = min(n, self.least_n.get(i, n))
                 parts.append(((i, o), locs, np.multiply(c, weights)))
         keys = sorted({key for key, _, _ in parts}, key=lambda key: (key[1], key[0]))
@@ -394,8 +395,8 @@ class _Plan:
                         jobs.setdefault((x, y), []).append((coef, -1, og + oh))
         prepare = (self.lags or _Block).operands
         # with a drift, each kernel's derivative K^(o+1) too
-        derive = self.lags is not None and self.lags.drift is not None
-        needed = {(k, o + step) for job in jobs.values() for _, k, o in job for step in (0, derive)}
+        steps = (0, 1) if self.lags is not None and self.lags.drift is not None else (0,)
+        needed = {(k, o + step) for job in jobs.values() for _, k, o in job for step in steps}
         self.routes[pattern] = route = (series, [(prepare(vectors[x], vectors[y]), job) for (x, y), job in jobs.items()], needed)
         return route
 
