@@ -347,6 +347,8 @@ class _Plan:
                 self.pairs.append((i, j, 1.0 if i == j else 2.0, lo, hi, (hi - lo) ** 2))
         self.groups, self.routes = {}, {}  # (time, center, half) -> (moments, base order); pattern -> route
         self.places = None if self.lags is not None else self.place(np.arange(self.width))
+        # with a drift, each kernel's derivative K^(o+1) too
+        self.derive = self.lags is not None and self.lags.drift is not None
 
     def _route(self, pattern):
         """(series, jobs, needed) for the time pairs whose ``pattern`` entry
@@ -394,10 +396,10 @@ class _Plan:
                         coef = (2.0 if symmetric and b > a else 1.0) * (-1.0) ** og
                         jobs.setdefault((x, y), []).append((coef, -1, og + oh))
         prepare = (self.lags or _Block).operands
-        # with a drift, each kernel's derivative K^(o+1) too
-        steps = (0, 1) if self.lags is not None and self.lags.drift is not None else (0,)
+        steps = (0, 1) if self.derive else (0,)
         needed = {(k, o + step) for job in jobs.values() for _, k, o in job for step in steps}
-        self.routes[pattern] = route = (series, [(prepare(vectors[x], vectors[y]), job) for (x, y), job in jobs.items()], needed)
+        jobs = [(prepare(vectors[x], vectors[y]), job) for (x, y), job in jobs.items()]
+        self.routes[pattern] = route = (series, jobs, needed)
         return route
 
     def norm(self, times, rel_tol: float) -> float | None:
@@ -425,7 +427,7 @@ class _Plan:
             for offsets in sets:
                 table = _kernel_table(offsets, needed)
                 for operands, job in jobs:
-                    kernels = [(coef, *table[tau[k], o], table.get((tau[k], o + 1), (None,))[0]) for coef, k, o in job]
+                    kernels = [(coef, *table[tau[k], o], self.derive and table[tau[k], o + 1][0]) for coef, k, o in job]
                     value, scale = offsets.pair(operands, kernels)
                     total, size = total + value, size + scale
         if not total > _ROUNDING * size / rel_tol:  # also where a kernel overflowed to inf or nan
