@@ -340,11 +340,13 @@ class _Plan:
         self.classes = sorted(self.by_time)
         self.orders = sorted({o for _, o in self.vectors})
         self.zero = times[0] == 0.0
-        self.pairs = []  # (i, j, multiplicity, lo, hi, (hi - lo)^2) for time classes i <= j
+        self.pairs = []  # (i, j, multiplicity, lo, hi) for time classes i <= j
         for a, i in enumerate(self.classes):
             for j in self.classes[a:]:
                 lo, hi = min(reach[i][0], reach[j][0]), max(reach[i][1], reach[j][1])
-                self.pairs.append((i, j, 1.0 if i == j else 2.0, lo, hi, (hi - lo) ** 2))
+                self.pairs.append((i, j, 1.0 if i == j else 2.0, lo, hi))
+        self.ends = [(i, j) for i, j, *_ in self.pairs]
+        self.spreads = [(hi - lo) ** 2 for *_, lo, hi in self.pairs]
         self.groups, self.routes = {}, {}  # (time, center, half) -> (moments, base order); pattern -> route
         self.places = None if self.lags is not None else self.place(np.arange(self.width))
         # with a drift, each kernel's derivative K^(o+1) too
@@ -358,7 +360,7 @@ class _Plan:
         kernels they read."""
         series, jobs, by_time = [], {}, self.by_time
         partners = {i: [] for i in self.classes}
-        for k, ((i, j, mult, lo, hi, _), takes) in enumerate(zip(self.pairs, pattern)):
+        for k, ((i, j, mult, lo, hi), takes) in enumerate(zip(self.pairs, pattern)):
             if takes:
                 # the flows at time t are theta_t^(n - 2) * nu_t for their least order n
                 center, half = 0.5 * (lo + hi), 0.5 * (hi - lo) or 1.0
@@ -408,8 +410,8 @@ class _Plan:
         the pair kernels at tau and the pair sums."""
         if not self.peak:
             return self.peak
-        tau = [times[i] + times[j] for i, j, *_ in self.pairs]
-        pattern = tuple(2.0 * t > spread for t, (*_, spread) in zip(tau, self.pairs))
+        tau = [times[i] + times[j] for i, j in self.ends]
+        pattern = tuple([2.0 * t > spread for t, spread in zip(tau, self.spreads)])
         series, jobs, needed = self.routes.get(pattern) or self._route(pattern)
         total = size = 0.0
         for k, mult, g, h, half in series:
