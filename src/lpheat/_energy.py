@@ -345,7 +345,7 @@ class _Plan:
             for j in self.classes[a:]:
                 lo, hi = min(reach[i][0], reach[j][0]), max(reach[i][1], reach[j][1])
                 self.pairs.append((i, j, 1.0 if i == j else 2.0, lo, hi))
-        self.ends = [(i, j) for i, j, *_ in self.pairs]
+        self.pair_classes = [(i, j) for i, j, *_ in self.pairs]
         self.spreads = [(hi - lo) ** 2 for *_, lo, hi in self.pairs]
         self.groups, self.routes = {}, {}  # (time, center, half) -> (moments, base order); pattern -> route
         self.places = None if self.lags is not None else self.place(np.arange(self.width))
@@ -410,7 +410,7 @@ class _Plan:
         the pair kernels at tau and the pair sums."""
         if not self.peak:
             return self.peak
-        tau = [times[i] + times[j] for i, j in self.ends]
+        tau = [times[i] + times[j] for i, j in self.pair_classes]
         pattern = tuple([2.0 * t > spread for t, spread in zip(tau, self.spreads)])
         series, jobs, needed = self.routes.get(pattern) or self._route(pattern)
         total = size = 0.0
