@@ -479,7 +479,7 @@ def _energy_fuzz(seed, count):
 # sha256 of the reprs of the 1,200 energy norms of _energy_fuzz(20251020, 1200),
 # one per line, as energy_norm gave them when it laid out the terms' atom
 # locations afresh on every call and kept each location's offset from its
-# grid point (133 moved from the snap that dropped it, by at most 2.1e-14)
+# grid point
 _ENERGY_FUZZ_SHA256 = "b85b02cc5f5b1aaa1ff33ec97b9a7a6b59d7a783e090c4cf977a5219a0ead67d"
 
 
@@ -525,10 +525,9 @@ def test_a_sweep_keeps_one_plan_per_shape_and_pattern():
 
 def test_layout_kept_on_the_datum_moves_no_edge():
     # an edge 2 ulps off a grid of spacing 0.25 at 1e5 (1.2e-10 of the
-    # spacing) was moved onto it at rel_tol 1e-6 but not at 1e-10; now the
-    # grid keeps its offset at every tolerance and carries it to first
-    # order, so the one layout the datum keeps serves both and the sum is the
-    # plain double sum at the float edges
+    # spacing): the grid keeps its offset and carries it to first order, so
+    # the one layout the datum keeps serves every tolerance and the sum is
+    # the plain double sum at the float edges
     edges = [1e5 + 0.25 * k for k in range(7)]
     edges[3] = float(np.nextafter(np.nextafter(edges[3], 2e5), 2e5))
     F = lh.StepCombo(tuple(((-1.0) ** k * (1 + k), a, b) for k, (a, b) in enumerate(zip(edges, edges[1:]))))
