@@ -1,8 +1,7 @@
-"""Exact flow norms of piecewise-linear data, Gaussian powers and their
-heat flows, with no quadrature: p = 2 by the energy identity, p = 1 of a
-flow that keeps one sign by contraction plus conservation.
+"""Exact p = 2 flow norms of piecewise-linear data, Gaussian powers and
+their heat flows, with no quadrature: the energy identity.
 
-p = 2.  Such data is a finite set of atoms (``PrimitiveFunction._flow_atoms``:
+Such data is a finite set of atoms (``PrimitiveFunction._flow_atoms``:
 a delta' of F'' at each jump and a delta at each kink of piecewise-linear
 data, one atom c theta_s of order 0 for a Gaussian power), and by
 Plancherel and the semigroup theta_s * theta_u = theta_{s+u} the squared
@@ -18,28 +17,22 @@ N^2 pairs, memory stays O(M), and the sum is the one at the float
 locations.  Elsewhere the (j, k) sums run in blocks of at most
 ``_BLOCK_ENTRIES`` entries.
 
-What does not depend on the times is a ``_Plan``: the layout, the merged
-and scaled weight rows with their nonzero slots, the span of each time's
-atoms and, for each pattern of time pairs taking the moment series, the
-pair jobs, the pooled K_0 rows, the grid correlations and the series
-groups' moments.  Where every term comes from one datum, the datum keeps
-its layout and one plan per shape of terms (``_plan``), so a sweep over
+What does not depend on the times is a ``_Plan``: the layout of its own
+rows, the merged and scaled weight rows with their nonzero slots, the
+span of each time's atoms and, for each pattern of time pairs taking the
+moment series, the pair jobs, the pooled K_0 rows, the grid correlations
+and the series groups' moments.  Where every term comes from one datum,
+the datum keeps one plan per shape of terms (``_plan``), so a sweep over
 times forms per call only what the times decide: the time sums, the
 kernels at them, the pair sums, the series and the rounding test.
 
-p = 1.  For piecewise-linear data F that keeps one sign, the contraction
-||F * theta_t||_1 <= ||F||_1 and conservation of the integral,
-int F * theta_t = int F, pin ||F * theta_t||_1 = ||F||_1
-(``conserved_l1_norm``).
-
-``lp_space.combo_lp_norm`` imports this module on its first p = 1 or
-p = 2 call, so importing the package does not compile it.
+``lp_space.combo_lp_norm`` imports this module on its first p = 2 call,
+so importing the package does not compile it.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 
 import numpy as np
 
@@ -105,8 +98,8 @@ class _Block:
 
 def _kernel_table(offsets, needed) -> dict:
     """(tau, o) -> (K, |K|) on the offsets for each needed pair: K_0^(o)
-    where tau is None, kept on the offsets (``bare``), which a datum's
-    layout keeps across calls, else K_tau^(o) - K_0^(o) (``_smoothing``),
+    where tau is None, kept on the offsets (``bare``), which a plan's
+    grid lags keep across calls, else K_tau^(o) - K_0^(o) (``_smoothing``),
     with one erfc / exp pass over the distinct offsets for every tau at
     once."""
     taus = sorted({tau for tau, o in needed if tau is not None and o < 0})
@@ -180,42 +173,28 @@ def _drift(locs: np.ndarray, off: np.ndarray, a0: float, dx: float, i: np.ndarra
     return ((off - i * hi) - i * (dx - hi)) + ((locs - (off - back)) - (a0 + back))
 
 
-def _layout(rows):
-    """``_slots`` of rows of atom locations, the slots split back into one
-    array per row, or None where there are no locations."""
-    locs = np.concatenate(rows)
-    if not locs.size:
-        return None
-    slots, width, place, lags = _slots(locs)
-    ends = list(accumulate(map(len, rows)))
-    return [slots[i:j] for i, j in zip([0] + ends, ends)], width, place, lags
-
-
 # plans kept on one datum: a bound, since each coefficient is a shape
 _PLANS = 64
 
 
 def _plan(terms, atoms, times) -> _Plan:
     """The ``_Plan`` of the terms.  Where every term comes from one datum
-    with a plan cache (``_plans`` of piecewise-linear data), the rows hold
-    that datum's locations once per term, so the layout is the datum's own
-    (kept under the key None), its slots repeated, and the plan is kept
-    there by the terms' shape: each term's coefficient, time class and
+    with a plan cache (``_plans`` of piecewise-linear data), the plan is
+    kept there by the terms' shape: each term's coefficient, time class and
     order, and whether the first time is 0.  Elsewhere the plan serves this
-    call only."""
+    call only.  Each plan lays out its own rows, and only the distinct
+    locations decide a layout (``_slots``), so terms of one datum get the
+    slots, lags and drift of the datum's own locations whatever their
+    shape."""
     datum = terms[0][1].source()
     cache = getattr(datum, "_plans", None)
     if cache is None or any(F.source() is not datum for _, F in terms):
-        return _Plan(terms, atoms, times, _layout([locs for rows in atoms for *_, locs, _ in rows]))
-    if None not in cache:
-        cache[None] = _layout([locs for *_, locs, _ in datum._flow_atoms()])
-    own = cache[None]
+        return _Plan(terms, atoms, times)
     shape = times[0] == 0.0, tuple((c, times.index(rows[0][0]), rows[0][1]) for (c, _), rows in zip(terms, atoms))
     if shape not in cache:
-        if len(cache) > _PLANS:
+        if len(cache) >= _PLANS:
             cache.clear()
-            cache[None] = own
-        cache[shape] = _Plan(terms, atoms, times, None if own is None else (own[0] * len(terms), *own[1:]))
+        cache[shape] = _Plan(terms, atoms, times)
     return cache[shape]
 
 
@@ -294,15 +273,16 @@ _ROUNDING = 4.0 * _EPS
 class _Plan:
     """The time-free part of one energy sum (``energy_norm``), built from
     its terms' atom rows at their time classes (the distinct times in
-    increasing order) on a ``_layout``: the merged weight rows scaled to a
-    largest |w| of 1 and their nonzero slots, the span of each class's
-    atoms, and for each pattern of time pairs taking the moment series
-    (``_route``) the series groups' moments, the pair jobs with the
-    pooled K_0 vectors and, on a grid, the rows' correlations.  ``peak``
+    increasing order), which it lays out on the ``_slots`` of their
+    locations: the merged weight rows scaled to a largest |w| of 1 and
+    their nonzero slots, the span of each class's atoms, and for each
+    pattern of time pairs taking the moment series (``_route``) the series
+    groups' moments, the pair jobs with the pooled K_0 vectors and, on a
+    grid, the rows' correlations.  ``peak``
     is the scale of the rows, or None where a pair kernel's order exceeds
     MAX_DERIV_ORDER and 0.0 for zero data, whose sums are not formed."""
 
-    def __init__(self, terms, atoms, times, layout):
+    def __init__(self, terms, atoms, times):
         parts, self.least_n, klass = [], {}, {t: i for i, t in enumerate(times)}
         for (c, _), rows in zip(terms, atoms):
             for t, n, o, locs, weights in rows:
@@ -311,15 +291,17 @@ class _Plan:
                 parts.append(((i, o), locs, np.multiply(c, weights)))
         keys = sorted({key for key, _, _ in parts}, key=lambda key: (key[1], key[0]))
         self.peak = None if 2 * max(o for _, o in keys) > MAX_DERIV_ORDER else 0.0
-        if self.peak is None or layout is None:  # orders past the kernel's, or zero data
+        locs = np.concatenate([locs for _, locs, _ in parts])
+        if self.peak is None or not locs.size:  # orders past the kernel's, or zero data
             return
         # one row per (time, order) on the slots, each location's weights
         # added in the order of the terms (a row's own locations are distinct)
-        slots, self.width, self.place, self.lags = layout
+        slots, self.width, self.place, self.lags = _slots(locs)
         index = {key: i for i, key in enumerate(keys)}
-        merged = np.zeros((len(keys), self.width))
-        for (key, _, w), row in zip(parts, slots):
-            merged[index[key], row] += w
+        merged, end = np.zeros((len(keys), self.width)), 0
+        for key, row, w in parts:
+            merged[index[key], slots[end:end + len(row)]] += w
+            end += len(row)
         # weights scaled to a largest |w| of 1, so no product under- or overflows
         magnitude = np.abs(merged)
         self.peak = float(magnitude.max())
@@ -459,7 +441,7 @@ def energy_norm(terms, cfg: QuadratureConfig) -> float | None:
     split as K_0 + (K_tau - K_0), and its tau-free K_0 parts are summed
     over the weights pooled across the times each time pairs with first,
     so that they cancel exactly where the rows do (F * theta_t - F at
-    small t).  The rows sit on the slots of ``_layout``: on a uniform grid
+    small t).  The rows sit on the slots ``_slots`` gives: on a uniform grid
     each kernel is evaluated at the distinct lags (``_Lags``), else on
     blocks of (j, k) offsets (``_Block``), with one erfc / exp pass over
     the distinct offsets for all time sums (``_kernel_table``).
@@ -519,32 +501,3 @@ def _cancels(terms, atoms, times, rel_tol: float) -> bool:
     except (OverflowError, ZeroDivisionError):
         return False
     return 4.0 * bound < _ROUNDING * floor / rel_tol
-
-
-def conserved_l1_norm(terms, cfg: QuadratureConfig) -> float | None:
-    """||c F * theta_t||_1 = |c| ||F||_1 for one order-0 flow of
-    piecewise-linear data F that keeps one sign, or None (more terms, data,
-    a derivative order, data with no atoms, or |int F| below ||F||_1 by
-    more than ``cfg.rel_tol``, where quadrature measures the flow).
-
-    The contraction gives ||F * theta_t||_1 <= ||F||_1 and conservation
-    int F * theta_t = int F, so where |int F| = ||F||_1 the two pin the
-    value.  int F = <F'', (x - c)^2> / 2 over the atoms of F'' (a delta'
-    atom w at a gives -w (a - c), a delta atom w (a - c)^2 / 2), with c
-    the centre of the atoms' span; ||F||_1 is the datum's exact norm."""
-    if len(terms) != 1:
-        return None
-    c, flow = terms[0]
-    data, atoms = flow.source(), flow._flow_atoms()
-    if data is flow or atoms is None or any(n != 0 for _, n, _, _, _ in atoms):
-        return None
-    l1 = data.finite_lp_norm(1.0, cfg)
-    if l1 == 0.0:
-        return 0.0
-    locs = [a for *_, row, _ in atoms for a in row]
-    center = 0.5 * (min(locs) + max(locs))
-    integral = math.fsum(-w * (a - center) if o == -1 else 0.5 * w * (a - center) ** 2
-                         for _, _, o, row, weights in atoms for a, w in zip(row, weights))
-    if abs(abs(integral) - l1) > cfg.rel_tol * l1:
-        return None
-    return abs(c) * l1

@@ -32,10 +32,12 @@ powers are one atom model (``_flow_atoms``): F is a sum of rows
 w theta_s^(o)(x - a), the atoms of F'' at s = 0 for piecewise-linear
 data, and one atom c theta_s of order 0 for a Gaussian power.  A lone
 heat flow of one order-0 atom is exact at every p: c theta_s * theta_t =
-c theta_{s+t}, a closed-form norm.  At p = 2 any combination of such
-data and their heat flows is exact too: by Plancherel and the
-semigroup, a double sum over the atoms against kernels in closed form
-(module ``_energy``).
+c theta_{s+t}, a closed-form norm.  At p = 1 a lone order-0 flow of
+piecewise-linear data that keeps one sign has the data's norm.  At p = 2
+any combination of such data and their heat flows is exact too: by
+Plancherel and the semigroup, a double sum over the atoms against
+kernels in closed form (module ``_energy``, imported on the first p = 2
+norm).
 
 The same rows give the heat flow F * theta_t^(n) in closed form
 (``heat_flow(t, xs, order=n)``), a sum of w K_{s+t}^(o+n)(x - a) through
@@ -103,14 +105,15 @@ class PrimitiveFunction:
         that vanish at -inf, at t = 0 the step H (o = -1) and the ramp x_+
         (o = -2): a delta' atom of F'' sits at order n - 1, a delta atom at
         n - 2.  Piecewise-linear data has t = 0 and n = 0, a Gaussian power
-        c theta_s one atom of order 0 at time s; a heat flow adds its (t, n)."""
+        c theta_s one atom of order 0 at time s; a heat flow adds its (t, n).
+        ``heat_flow``, ``combo_lp_norm`` and ``_energy`` all read these rows;
+        no other copy of them is kept."""
         return None
 
-    @cached_property
-    def _atom_rows(self) -> list | None:
-        """``_flow_atoms`` as (time, kernel order, location array, weights) rows."""
-        rows = self._flow_atoms()
-        return None if rows is None else [(s, o, np.asarray(locs, dtype=float), w) for s, _, o, locs, w in rows]
+    def _keeps_one_sign(self) -> bool:
+        """Whether F is known to keep one sign (F >= 0 or F <= 0 everywhere):
+        False unless the variant reads it off its own description."""
+        return False
 
     def heat_flow(self, t: float, xs: np.ndarray, order: int = 0) -> np.ndarray | None:
         """(F * theta_t^(n))(xs) with n = ``order`` in closed form, or None
@@ -130,20 +133,20 @@ class PrimitiveFunction:
         memory bound (ROADMAP items 1 and 2).  ``t`` is positive, ``xs`` a
         finite float array and ``order`` an integer in [0, MAX_DERIV_ORDER];
         callers validate."""
-        rows = self._atom_rows
-        if rows is None or any(o + order < 0 if s > 0.0 else order > 0 and o == -2 for s, o, _, _ in rows):
+        rows = self._flow_atoms()
+        if rows is None or any(o + order < 0 if s > 0.0 else order > 0 and o == -2 for s, _, o, _, _ in rows):
             return None
-        out = self._cells(xs)[2] if order == 0 and any(s == 0.0 for s, _, _, _ in rows) else np.zeros(xs.size)
-        if len(rows) == 1 and rows[0][2].size == 1:  # one atom fills one entry per point: no blocks
-            s, o, (a,), (w,) = rows[0]
+        out = self._cells(xs)[2] if order == 0 and any(s == 0.0 for s, *_ in rows) else np.zeros(xs.size)
+        if len(rows) == 1 and len(rows[0][3]) == 1:  # one atom fills one entry per point: no blocks
+            s, _, o, (a,), (w,) = rows[0]
             out += w * _smoothing(xs - a, s + t, o + order, right=True)
             return out
         points = max(1, min(xs.size, _BLOCK_ENTRIES))
         span = _BLOCK_ENTRIES // points  # atoms per block
         for i in range(0, xs.size, points):
             x, part = xs[i:i + points, None], out[i:i + points]
-            for s, o, locs, w in rows:
-                for j in range(0, locs.size, span):
+            for s, _, o, locs, w in rows:
+                for j in range(0, len(locs), span):
                     K = _smoothing(x - locs[j:j + span], s + t, o + order, right=True)
                     for k, wk in enumerate(w[j:j + span]):
                         part += wk * K[:, k]
@@ -260,10 +263,15 @@ class _PiecewiseLinear(PrimitiveFunction):
             terms.append(mean * (hi - lo))
         return peak * math.fsum(terms) ** (1.0 / p)
 
+    def _keeps_one_sign(self):
+        # F is linear between its knot limits, so their signs are its signs
+        limits = self._knots.left + self._knots.right
+        return min(limits) >= 0.0 or max(limits) <= 0.0
+
     @cached_property
     def _plans(self) -> dict:
-        """``_energy``'s layout of the atom locations and its plans of
-        energy sums, filled there."""
+        """``_energy``'s plans of energy sums of this datum's flows, one per
+        shape of terms, filled there."""
         return {}
 
     def _flow_atoms(self):
@@ -648,15 +656,17 @@ def combo_lp_norm(
     Supported where the data behind every term has a support of moderate
     size (compact variants, Gaussian powers and their heat flows
     ``convolve.Heated``); a slowly decaying variant (support above 1e6)
-    raises DomainError.  A lone heat flow whose atoms (``_flow_atoms``) are
-    one atom w theta_tau(x - a) of order 0, such as an order-0 flow of a
-    Gaussian power c theta_s (tau = s + t), is |coef w| ||theta_tau||_p at
-    every p, before any other route.  At p = 2, where every term has
-    atoms (piecewise-linear data, Gaussian powers, heat flows of either),
-    the norm is the energy identity's double sum over the atoms
-    (``_energy.energy_norm``), with no quadrature; at p = 1 so is one
-    order-0 flow of piecewise-linear data that keeps one sign, whose norm
-    is the data's (``_energy.conserved_l1_norm``).  Every other norm is
+    raises DomainError.  Two rules hold for a lone heat flow of data F,
+    before any other route.  Where its atoms (``_flow_atoms``) are one atom
+    w theta_tau(x - a) of order 0, such as an order-0 flow of a Gaussian
+    power c theta_s (tau = s + t), the norm is |coef w| ||theta_tau||_p at
+    every p.  At p = 1, an order-0 flow of data that keeps one sign
+    (``_keeps_one_sign``) has the data's norm |coef| ||F||_1: the kernel is
+    positive, so the flow keeps F's sign and conserves int F, and
+    ||F * theta_t||_1 = |int F| = ||F||_1.  At p = 2, where every term has atoms
+    (piecewise-linear data, Gaussian powers, heat flows of either), the
+    norm is the energy identity's double sum over the atoms
+    (``_energy.energy_norm``), with no quadrature.  Every other norm is
     ``_quadrature_lp_norm``."""
     p = _validate_exponent(p)
     if not terms:
@@ -667,14 +677,18 @@ def combo_lp_norm(
         if hi - lo > 1e6:
             raise DomainError(f"combination norms are not supported for slowly decaying variant {data.kind!r}")
     c, flow = terms[0]
-    atoms = flow._flow_atoms() if len(terms) == 1 and flow.source() is not flow else None
-    if atoms is not None and len(atoms) == 1 and atoms[0][2] == 0 and len(atoms[0][3]) == 1:
-        tau, _, _, _, (w,) = atoms[0]
-        return abs(c * w) * theta_norm_closed(p, tau)
-    if p in (1.0, 2.0):
-        from ._energy import conserved_l1_norm, energy_norm  # compiled on first use, not at import
+    data = flow.source()
+    atoms = flow._flow_atoms() if len(terms) == 1 and data is not flow else None
+    if atoms is not None:
+        (tau, n, o, locs, weights), *rest = atoms
+        if not rest and o == 0 and len(locs) == 1:
+            return abs(c * weights[0]) * theta_norm_closed(p, tau)
+        if p == 1.0 and n == 0 and data._keeps_one_sign():
+            return abs(c) * lp_norm(data, 1.0, cfg)
+    if p == 2.0:
+        from ._energy import energy_norm  # compiled on first use, not at import
 
-        exact = (energy_norm if p == 2.0 else conserved_l1_norm)(terms, cfg)
+        exact = energy_norm(terms, cfg)
         if exact is not None:
             return exact
     return _quadrature_lp_norm(terms, p, cfg)

@@ -1,6 +1,7 @@
 """Exact flow norms with no quadrature: p = 2 norms of step and sampled data,
 Gaussian powers and their heat flows by the energy identity, a double sum
-over the atoms, and p = 1 norms of their flows where the data keeps one sign."""
+over the atoms, and p = 1 norms of their flows where the data keeps one
+sign (``combo_lp_norm``'s sign rule)."""
 
 import dataclasses
 import hashlib
@@ -388,17 +389,22 @@ def _full_kernel(d, tau, o):
 
 
 def _reference_energy(terms):
-    """(sum, size): the squared L^2 norm as the plain double sum, and the sum
-    of its terms' magnitudes."""
+    """(sum, size, scale): the squared L^2 norm of scale times the terms as
+    the plain double sum, and the sum of its terms' magnitudes.  The scale is
+    the power of 2 that brings the largest weight into [1/2, 1), so no
+    product leaves the normal range and the norm is compared as
+    (norm * scale)^2, exactly the unscaled comparison scaled by scale^2."""
     rows = [(t, o, np.asarray(locs, dtype=float), c * np.asarray(w, dtype=float))
             for c, F in terms for t, _, o, locs, w in F._flow_atoms()]
+    scale = math.ldexp(1.0, -math.frexp(max(float(np.abs(w).max(initial=0.0)) for *_, w in rows))[1])
+    rows = [(t, o, a, scale * w) for t, o, a, w in rows]
     products = []
     for tg, og, ag, wg in rows:
         for th, oh, ah, wh in rows:
             K = _full_kernel(ag[:, None] - ah[None, :], tg + th, og + oh)
             products.append(((-1.0) ** og * wg[:, None] * K * wh[None, :]).ravel())
     products = np.concatenate(products)
-    return math.fsum(products.tolist()), math.fsum(np.abs(products).tolist())
+    return math.fsum(products.tolist()), math.fsum(np.abs(products).tolist()), scale
 
 
 def _approximation(values, eps):
@@ -433,8 +439,8 @@ def test_energy_sum_matches_the_plain_per_pair_double_sum(data, times, n, coefs)
              for c, F, t in zip(coefs, data, times + times[:1] * 3)]
     got = energy_norm(terms, _CFG)
     assume(got is not None)  # cancelling combinations hand over to quadrature
-    exact, size = _reference_energy(terms)
-    assert abs(got * got - exact) <= 8.0 * 2.0 ** -52 * size
+    exact, size, scale = _reference_energy(terms)
+    assert abs((got * scale) ** 2 - exact) <= 8.0 * 2.0 ** -52 * size
 
 
 def _energy_fuzz(seed, count):
@@ -484,8 +490,8 @@ _ENERGY_FUZZ_SHA256 = "b85b02cc5f5b1aaa1ff33ec97b9a7a6b59d7a783e090c4cf977a5219a
 
 
 def test_energy_norms_stay_bit_for_bit_with_the_layout_kept_on_the_datum():
-    # terms from one datum reuse its layout; a fresh equal datum per term
-    # shares none, so its norm lays out the concatenated locations on the call
+    # terms from one datum reuse the plan it keeps for their shape; a fresh
+    # equal datum per term shares none, so its norm builds a plan on the call
     lines = []
     for terms, copies, cfg in _energy_fuzz(20251020, 1200):
         got = energy_norm(terms, cfg)
@@ -507,15 +513,15 @@ def test_energy_norms_stay_bit_for_bit_with_the_layout_kept_on_the_datum():
 
 
 def test_a_sweep_keeps_one_plan_per_shape_and_pattern():
-    # 200 times on one datum in three shapes of terms: the datum keeps its
-    # layout (under None) and one plan per shape, and each plan one route per
-    # pattern of time pairs taking the moment series; nothing is kept per time
+    # 200 times on one datum in three shapes of terms: the datum keeps one
+    # plan per shape, and each plan one route per pattern of time pairs
+    # taking the moment series; nothing is kept per time
     F = lh.StepCombo(_COMBO)
     for t in np.geomspace(2.0 ** -20, 2.0 ** 10, 200):
         for terms in ([(1.0, Heated(F, t, 0, _CFG))], [(1.0, Heated(F, t, 0, _CFG)), (-1.0, F)],
                       [(1.0, Heated(F, t, 1, _CFG)), (-1.0, Heated(F, 2.0 * t, 1, _CFG))]):
             energy_norm(terms, _CFG)
-    plans = [plan for shape, plan in F._plans.items() if shape is not None]
+    plans = list(F._plans.values())
     assert len(plans) == 3
     # each pair of times takes the series past one threshold as t grows: one
     # time has one pair (2 patterns), F * theta_t - F three, of which (0, 0)
@@ -526,8 +532,8 @@ def test_a_sweep_keeps_one_plan_per_shape_and_pattern():
 def test_layout_kept_on_the_datum_moves_no_edge():
     # an edge 2 ulps off a grid of spacing 0.25 at 1e5 (1.2e-10 of the
     # spacing): the grid keeps its offset and carries it to first order, so
-    # the one layout the datum keeps serves every tolerance and the sum is
-    # the plain double sum at the float edges
+    # the one plan the datum keeps serves every tolerance and the sum is the
+    # plain double sum at the float edges
     edges = [1e5 + 0.25 * k for k in range(7)]
     edges[3] = float(np.nextafter(np.nextafter(edges[3], 2e5), 2e5))
     F = lh.StepCombo(tuple(((-1.0) ** k * (1 + k), a, b) for k, (a, b) in enumerate(zip(edges, edges[1:]))))
@@ -538,12 +544,12 @@ def test_layout_kept_on_the_datum_moves_no_edge():
         terms = [(1.0, Heated(F, 1e-3, 0, cfg)), (-1.0, F)]
         got = energy_norm(terms, cfg)
         assert got == energy_norm([(1.0, Heated(fresh[0], 1e-3, 0, cfg)), (-1.0, fresh[1])], cfg)
-        exact, size = _reference_energy(terms)
-        assert abs(got * got - exact) <= 8.0 * 2.0 ** -52 * size
+        exact, size, scale = _reference_energy(terms)
+        assert abs((got * scale) ** 2 - exact) <= 8.0 * 2.0 ** -52 * size
         norms.add(got)
     assert len(norms) == 1
-    lags = F._plans[None][3]
-    assert np.count_nonzero(lags.drift) == 1  # the one edge off its grid point
+    (plan,) = F._plans.values()
+    assert np.count_nonzero(plan.lags.drift) == 1  # the one edge off its grid point
 
 
 @pytest.mark.parametrize("t", [0.0, 1e-30, 1e-28])
@@ -553,8 +559,8 @@ def test_edges_a_few_ulps_apart_stay_off_the_grid(t):
     u = 2.0 ** -52
     F = lh.StepCombo(((1.0, 1.0, 1.0 + 40 * u), (2.0, 1.0 + 40 * u, 1.0 + 94 * u)))
     terms = [(1.0, F if t == 0.0 else Heated(F, t, 0, _CFG))]
-    exact, size = _reference_energy(terms)
-    assert abs(energy_norm(terms, _CFG) ** 2 - exact) <= 8.0 * 2.0 ** -52 * size
+    exact, size, scale = _reference_energy(terms)
+    assert abs((energy_norm(terms, _CFG) * scale) ** 2 - exact) <= 8.0 * 2.0 ** -52 * size
     if t == 0.0:
         assert lh.combo_lp_norm(terms, 2.0, _CFG) == pytest.approx(lh.lp_norm(F, 2.0), rel=1e-15)
 
@@ -640,12 +646,26 @@ def test_p1_flow_of_a_dirac_difference_is_exactly_two():
 ])
 def test_p1_other_combinations_keep_their_quadrature_bit_for_bit(terms, monkeypatch):
     # sign changes, derivatives, differences and data take the quadrature as before
-    import lpheat._energy as energy
-
-    got = lh.combo_lp_norm(terms, 1.0, _CFG)
-    monkeypatch.setattr(energy, "conserved_l1_norm", lambda terms, cfg: None)
-    assert lh.combo_lp_norm(terms, 1.0, _CFG) == got
+    assert lh.combo_lp_norm(terms, 1.0, _CFG) == lp_space._quadrature_lp_norm(terms, 1.0, _CFG)
     monkeypatch.setattr(quadrature, "_integrate", _boom)
     monkeypatch.setattr(lp_space, "_integrate", _boom)
     with pytest.raises(_Reached):
         lh.combo_lp_norm(terms, 1.0, _CFG)
+
+
+def test_p1_flow_of_data_changing_sign_by_a_hair_takes_quadrature():
+    # int F = 1 - 1e-11 lies within rel_tol of ||F||_1 = 1 + 1e-11, but F
+    # changes sign, so the rule by sign leaves it to quadrature.  At t = 1e4
+    # the flow is positive out to x = 2.5e5, where it is below e^-1e6, so
+    # its norm is int F
+    F = lh.StepCombo(((1.0, 0.0, 1.0), (-1e-11, 2.0, 3.0)))
+    assert not F._keeps_one_sign()
+    got = lh.combo_lp_norm([(1.0, Heated(F, 1e4, 0, _CFG))], 1.0, _CFG)
+    assert got == pytest.approx(1.0 - 1e-11, rel=1e-13)
+
+
+def test_p1_flow_of_a_flow_takes_quadrature():
+    # a flow claims no sign, so a flow of a flow of the indicator takes
+    # quadrature; the norm is int 1_[0, 1] = 1, as the flows keep its sign
+    inner = Heated(lh.Indicator(0.0, 1.0), 0.1, 0, _CFG)
+    assert lh.combo_lp_norm([(1.0, Heated(inner, 0.2, 0, _CFG))], 1.0) == pytest.approx(1.0, rel=1e-12)

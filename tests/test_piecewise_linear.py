@@ -203,3 +203,19 @@ def test_flow_at_no_points_is_empty():
     for F in (Indicator(0.0, 1.0), lh.sample([0.0, 1.0, 0.5], 0.0, 0.1)):
         assert F.heat_flow(0.1, np.zeros(0), 0).tolist() == []
     assert Indicator(0.0, 1.0).heat_flow(0.1, np.zeros(0), 1).tolist() == []
+
+
+def test_sign_is_read_off_the_knot_limits():
+    # F is linear between its knot limits, so it keeps one sign off its
+    # knots exactly where every limit does; a hair's sign change counts
+    one_sign = [Indicator(0.0, 1.0), StepCombo(((-1.0, 0.0, 1.0), (-0.5, 0.5, 2.0))), StepCombo(((0.0, 0.0, 1.0),)),
+                StepCombo(((1.0, 0.0, 2.0), (-1.0, 1.0, 2.0))), lh.sample([0.0, 1.0, 0.0], 0.0, 1.0),
+                lh.sample([-1.0, -2.0], 0.0, 1.0)]
+    two_signs = [StepCombo(((1.0, 0.0, 1.0), (-1e-11, 2.0, 3.0))), StepCombo(((1.0, 0.0, 2.0), (-2.0, 1.0, 3.0))),
+                 lh.sample([0.5, -0.1, 0.0], 0.0, 1.0), lh.sample([0.0, 1e-300, -1e-300, 0.0], 0.0, 1.0)]
+    for F, want in [(F, True) for F in one_sign] + [(F, False) for F in two_signs]:
+        knots = np.array(F.breakpoints())
+        xs = np.linspace(knots[0] - 1.0, knots[-1] + 1.0, 1001)
+        values = F.values(xs[~np.isin(xs, knots)])
+        assert F._keeps_one_sign() is want
+        assert bool(values.min() >= 0.0 or values.max() <= 0.0) is want

@@ -246,14 +246,27 @@ def test_public_surface_is_frozen():
     assert public == _PUBLIC_SURFACE
 
 
-def test_importing_the_package_and_cli_leaves_the_energy_module_unloaded():
-    # the exact-norm module is imported on the first p = 1 or p = 2 norm, so
-    # set-up (import lpheat, lpheat.cli) does not compile it
-    code = "import sys, lpheat, lpheat.cli; print('lpheat._energy' in sys.modules)"
-    env_path = str(_PACKAGE.parent)
-    out = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {env_path!r}); {code}"],
+def _energy_loaded_after(code: str) -> bool:
+    """Whether ``lpheat._energy`` is loaded after running ``code`` in a
+    fresh interpreter that imports lpheat from this checkout."""
+    code = f"import sys; sys.path.insert(0, {str(_PACKAGE.parent)!r}); import lpheat; {code}"
+    out = subprocess.run([sys.executable, "-c", f"{code}; print('lpheat._energy' in sys.modules)"],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_importing_the_package_and_cli_leaves_the_energy_module_unloaded():
+    # the energy-identity module is imported on the first p = 2 norm, so
+    # set-up (import lpheat, lpheat.cli) does not compile it
+    assert not _energy_loaded_after("import lpheat.cli")
+
+
+def test_norms_away_from_p2_leave_the_energy_module_unloaded():
+    # the p = 1 rule by sign lives in combo_lp_norm, and p = 3 takes quadrature
+    assert not _energy_loaded_after("f = lpheat.dirac_difference(-1.0, 1.0, p=1.0); "
+                                    "lpheat.solution_primitive_norm(f, 0.5, 1.0); "
+                                    "lpheat.solution_primitive_norm(f, 0.5, 3.0)")
+    assert _energy_loaded_after("lpheat.solution_primitive_norm(lpheat.dirac_difference(-1.0, 1.0, p=2.0), 0.5, 2.0)")
 
 
 def _report_constructions(tree):
