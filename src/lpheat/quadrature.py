@@ -12,13 +12,20 @@ the same shape.  Known discontinuities or kinks should be passed as
 ``points`` so the initial partition starts on them; the subdivision
 loop then never has to hunt for a jump.
 
-The bisection loop is serial: pop the panel with the largest error, replace it by its halves, stop when the summed error
-meets the tolerance.  Only the evaluation is batched.  When the loop
-needs halves it has not got, one integrand call evaluates the halves of
-the popped panel and of every other panel it must still split before it
-can stop (its own error is above the stopping threshold and it is not
-at the width floor); later splits read them back.  ``np.vecdot`` reduces
-each panel with ``_gk15``'s BLAS ddot, so values, errors, the panels split and the
+The bisection loop is serial: pop the panel with the largest error,
+replace it by its halves, stop when the summed error meets the
+tolerance.  Only the evaluation is batched.  When the loop needs halves
+it has not got, one integrand call evaluates the halves of the popped
+panel and of every other panel it must still split before it can stop
+(its own error is above the stopping threshold and it is not at the
+width floor); later splits read them back.  The same call also
+evaluates the quarters of each such panel whose error is over
+``_AHEAD_RATIO`` = 2^15 stopping limits.  The G7 rule is exact for
+degree 13, so on a smooth integrand its error on a panel of width h,
+and with it the K15-G7 estimate, goes as h^15: one halving divides a
+panel's estimate by about 2^15, and both halves of such a panel would
+still be over the limit.  ``np.vecdot`` reduces each panel with
+``_gk15``'s BLAS ddot, so values, errors, the panels split and the
 ``QuadratureAccuracyError`` raised are those of a loop that calls
 ``_gk15`` twice per split, bit for bit, for integrands evaluated node
 by node; only the number of integrand calls falls.  ``integrate``
@@ -78,6 +85,7 @@ _WG = np.array(list(_WG_HALF[:-1]) + [_WG_HALF[-1]] + list(reversed(_WG_HALF[:-1
 
 _BLOCK_ENTRIES = 1 << 16  # bound on the entries of a batched temporary (nodes, or points x nodes)
 _TAIL_SIGMAS = 10.0  # windows reach this many standard deviations past the support
+_AHEAD_RATIO = 2.0**15  # a due panel's quarters are evaluated with its halves above this many stopping limits
 
 
 @dataclass(frozen=True)
@@ -176,14 +184,18 @@ def _integrate(
 
     The bisection is serial: it pops the panel with the largest error and
     replaces it by its halves until the summed error meets the tolerance.
-    The halves are read from ``halves``; on a miss, one ``_panels`` call
-    evaluates the halves of the popped panel and of every heap panel that
-    the loop must still split before it can stop (error above the current
-    stopping threshold, width not below the floor).  Every value is
-    ``_gk15``'s, so the result does not depend on what was evaluated ahead
-    (an integrand that raises can raise on a panel the loop would have
-    stopped before splitting, when the budget runs out or ``|total|``
-    grows).
+    The halves are read from ``halves``, keyed by panel; on a miss, one
+    ``_panels`` call evaluates the halves of the popped panel and of every
+    heap panel that the loop must still split before it can stop (error
+    above the current stopping limit, width not below the floor), and the
+    quarters of each of those panels whose error is over ``_AHEAD_RATIO``
+    limits (two levels ahead: the halves' estimates, about 2^-15 of their
+    parent's on a smooth integrand, would still be over the limit).  Every
+    value is ``_gk15``'s, so the result does not depend on what was
+    evaluated ahead.  An integrand that raises can raise on a panel the
+    loop never splits: a half the loop would have stopped before
+    splitting, when the budget runs out or ``|total|`` grows, or a quarter
+    evaluated ahead whose half converges.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise DomainError("integration bounds must be finite")
@@ -212,7 +224,7 @@ def _integrate(
 
     splits = 0
     width_floor = 64 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
-    halves: dict[int, tuple[tuple[float, float], tuple[float, float]]] = {}
+    halves: dict[tuple[float, float], tuple[tuple[float, float], tuple[float, float]]] = {}
     while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
         if splits >= cfg.max_subdivisions:
             # a residual at the rounding level of the panel values (the
@@ -224,7 +236,7 @@ def _integrate(
                 value=sign * total,
                 residual=total_err,
             )
-        neg_err, key, lo, hi, val, err = heapq.heappop(heap)
+        _, _, lo, hi, val, err = heapq.heappop(heap)
         if hi - lo < width_floor:
             # interval is at floating-point resolution; accept its value within tolerance
             if err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
@@ -232,21 +244,25 @@ def _integrate(
             total_err -= err
             continue
         mid = 0.5 * (lo + hi)
-        if key not in halves:
+        if (lo, hi) not in halves:
             limit = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-            due = [(key, lo, hi)] + [
-                item[1:4]
-                for item in heap
-                if item[5] > limit and item[3] - item[2] >= width_floor and item[1] not in halves
+            due = [(lo, hi, err)] + [
+                (l, h, e) for _, _, l, h, _, e in heap if e > limit and h - l >= width_floor and (l, h) not in halves
             ]
+            split = []  # the panels whose halves this call evaluates
+            for l, h, e in due:
+                m = 0.5 * (l + h)
+                split.append((l, h))
+                if e > _AHEAD_RATIO * limit and m - l >= width_floor and h - m >= width_floor:
+                    split += ((l, m), (m, h))
             los, his = [], []
-            for _, l, h in due:
+            for l, h in split:
                 m = 0.5 * (l + h)
                 los += (l, m)
                 his += (m, h)
             flat = _panels(f, los, his)
-            halves.update((k, (flat[2 * i], flat[2 * i + 1])) for i, (k, _, _) in enumerate(due))
-        (v1, e1), (v2, e2) = halves.pop(key)
+            halves.update((panel, (flat[2 * i], flat[2 * i + 1])) for i, panel in enumerate(split))
+        (v1, e1), (v2, e2) = halves.pop((lo, hi))
         total += (v1 + v2) - val
         total_err += (e1 + e2) - err
         heapq.heappush(heap, (-e1, tie, lo, mid, v1, e1))
