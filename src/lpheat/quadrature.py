@@ -28,7 +28,9 @@ still be over the limit.  ``np.vecdot`` reduces each panel with
 ``_gk15``'s BLAS ddot, so values, errors, the panels split and the
 ``QuadratureAccuracyError`` raised are those of a loop that calls
 ``_gk15`` twice per split, bit for bit, for integrands evaluated node
-by node; only the number of integrand calls falls.  ``integrate``
+by node; only the number of integrand calls falls.  An integrand that
+raises can therefore raise on a panel the serial loop never evaluates,
+such as a quarter whose half converges.  ``integrate``
 evaluates its seed partition one panel per call; the norm integrals
 (``lp_space.combo_lp_norm``) hand it all to one call.
 ``composite_gk15`` also takes a 2-D ``edges``, one row of panel edges

@@ -316,9 +316,12 @@ def test_batched_seeds_replay_serial_bisection(kind, c, width, a, b, points, tol
 
 
 _SLOW_TAIL_POINTS = [  # (F, n, t, x, integrand calls); the loop without quarters took 5, 6 and 6
-    (lh.TailLog(1.5), 1, 0.01, 5.0, 3),
-    (lh.TailLog(3.0), 0, 0.01, 5.0, 3),
-    (lh.TruncatedSine(2.0), 1, 2.0, 10.0, 5),
+    pytest.param(*case, id="-".join(map(str, case[:4])))
+    for case in [
+        (lh.TailLog(1.5), 1, 0.01, 5.0, 3),
+        (lh.TailLog(3.0), 0, 0.01, 5.0, 3),
+        (lh.TruncatedSine(2.0), 1, 2.0, 10.0, 5),
+    ]
 ]
 
 
@@ -331,7 +334,7 @@ def _lookahead_halves(los, his):
     return sum(panel in halves for panel in parents)
 
 
-@pytest.mark.parametrize("F, n, t, x, max_calls", _SLOW_TAIL_POINTS, ids=lambda v: str(v))
+@pytest.mark.parametrize("F, n, t, x, max_calls", _SLOW_TAIL_POINTS)
 def test_convolve_point_splits_in_fewer_calls(monkeypatch, F, n, t, x, max_calls):
     # the halves a point's bisection must split are evaluated ahead in one
     # call per round, and the quarters of a panel whose error is over
