@@ -66,12 +66,11 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 def _erfc(z) -> np.ndarray:
     """Elementwise ``math.erfc``, bit for bit (numpy has no erf).  At z <= -6
     and z >= 28 the correctly rounded erfc, which ``math.erfc`` returns, is
-    exactly 2.0 or 0.0: past 64 values, where any value saturates (or is
-    NaN), those are filled in without the call and NaN and everything
-    between go through one ``map``; otherwise one ``map`` takes them all,
-    for less than the masks cost."""
+    exactly 2.0 or 0.0: past 64 values those are filled in without the call,
+    and NaN and everything between go through one ``map``; on 64 values or
+    fewer one ``map`` takes them all, for less than the masks cost."""
     z = np.asarray(z, dtype=float)
-    if z.size <= 64 or (-6.0 < z.min() and z.max() < 28.0):
+    if z.size <= 64:
         return np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
     low = z <= -6.0
     out = np.where(low, 2.0, 0.0)

@@ -124,7 +124,7 @@ class PrimitiveFunction:
         so data rows (s = 0) start at n = 0 from the right-continuous level
         (0 in a gap of steps), every other point from 0, and a flow's row at
         o + n < 0 has None.  Each point adds its atoms one at a time in row
-        and knot order, in blocks of at most ``_BLOCK_ENTRIES`` (atom, point)
+        and knot order, in blocks of at most ``_BLOCK_ENTRIES`` (point, atom)
         entries, so its value does not depend on its block; a lone atom (a
         Gaussian power) takes every point in one kernel call.  Data with kinks
         has None above n = 0 and goes to ``convolve_point``: its kink terms
@@ -144,14 +144,12 @@ class PrimitiveFunction:
         points = max(1, min(xs.size, _BLOCK_ENTRIES))
         span = _BLOCK_ENTRIES // points  # atoms per block
         for i in range(0, xs.size, points):
-            x, part = xs[i:i + points], out[i:i + points]
+            x, part = xs[i:i + points, None], out[i:i + points]
             for s, _, o, locs, w in rows:
                 for j in range(0, len(locs), span):
-                    a = np.asarray(locs[j:j + span], dtype=float)
-                    K = _smoothing(x - a[:, None], s + t, o + order, right=True)
-                    K *= np.asarray(w[j:j + span], dtype=float)[:, None]  # in place: no second block-sized temporary
-                    for term in K:
-                        part += term  # one atom's row at a time
+                    K = _smoothing(x - locs[j:j + span], s + t, o + order, right=True)
+                    for k, wk in enumerate(w[j:j + span]):
+                        part += wk * K[:, k]
         return out
 
     def sup_bound(self) -> float:

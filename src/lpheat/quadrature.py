@@ -51,35 +51,33 @@ import numpy as np
 
 from .exceptions import DomainError, QuadratureAccuracyError
 
-# K15 abscissae on the [0, 1] side and weights, and the G7 weights, each
-# the double nearest the exact value (QUADPACK's qk15 rule; recomputed at
-# 50 digits in the tests); the odd-indexed abscissae carry the embedded G7
-# rule.
+# K15 abscissae on [0, 1] side and weights (QUADPACK values); the
+# odd-indexed abscissae carry the embedded G7 rule.
 _XGK_HALF = (
-    0.9914553711208126,
-    0.9491079123427585,
-    0.8648644233597691,
-    0.7415311855993945,
-    0.5860872354676911,
-    0.4058451513773972,
-    0.20778495500789848,
-    0.0,
+    0.991455371120813,
+    0.949107912342759,
+    0.864864423359769,
+    0.741531185599394,
+    0.586087235467691,
+    0.405845151377397,
+    0.207784955007898,
+    0.000000000000000,
 )
 _WGK_HALF = (
-    0.022935322010529224,
-    0.06309209262997856,
-    0.10479001032225019,
-    0.14065325971552592,
-    0.1690047266392679,
-    0.19035057806478542,
-    0.20443294007529889,
-    0.20948214108472782,
+    0.022935322010529,
+    0.063092092629979,
+    0.104790010322250,
+    0.140653259715525,
+    0.169004726639267,
+    0.190350578064785,
+    0.204432940075298,
+    0.209482141084728,
 )
 _WG_HALF = (
-    0.1294849661688697,
-    0.27970539148927664,
-    0.3818300505051189,
-    0.4179591836734694,
+    0.129484966168870,
+    0.279705391489277,
+    0.381830050505119,
+    0.417959183673469,
 )
 
 _NODES = np.array([-x for x in _XGK_HALF[:-1]] + [0.0] + [x for x in reversed(_XGK_HALF[:-1])])

@@ -514,14 +514,14 @@ _STDOUT_SHA256 = {
     "evolve gaussian_power json": "32aff232afb4c75dd7a9636da16101c7e126f7e91571e9df3a659f6f5d819178",
     "evolve indicator csv": "9bcc260bf413fc497718b7406b8cd0b820b378d5cc0422a0414aa5865ffd1145",
     "evolve indicator json": "25ee7129883954132e0ca25af18e44278814ffd784dbce14ea446074853a7d55",
-    "evolve samples csv": "db42acec7bf310e29d5ba8a36a1af21fa5621ccf9e6b91f5adeae19153da6239",
-    "evolve samples json": "d983690ac56aea3574e8595291cd39ce2af15e46b452ab804db707db467fa98a",
+    "evolve samples csv": "d44eb8675491efbcf53b828addc9d33cfea56135ca21d14a5603397b57e22f03",
+    "evolve samples json": "fd7de57ca2395c74d44466a840df8c55794e66fd970287c809addbde1cce9ce5",
     "evolve step_combo csv": "5a67509184504e22693c8a72b64698580006e23fcfe236ab9a35e84b9e3184a2",
     "evolve step_combo json": "0ef0f73c69a97c94531a70a6edee6a1fe7fd1fdbd3e823b6777e83482dbc76b9",
     "example-dirac csv": "44746ab5312eed0cc8f596e2a52101808be6ff69982bc5afa367561c95d78e43",
     "example-dirac json": "bae2dfae072ddd8cb827384bac51c3c524831d5ceeb3ab4b65207ed0ae56f5c5",
-    "verify csv": "71390b36e5e9e1f4ad6af19935e029c1edecd9e398abc6683d14a408a7900eb1",
-    "verify json": "6ed7391295695d3d97436f80eb475e3dcf20d734264f6f3726e283c9d2749f17",
+    "verify csv": "3535a374fa8a23e2989b2e125c15c9a19b3a580f696e02d5a76727963857abcd",
+    "verify json": "05f98ff3bc1dbaed22056f4c11e41b1d487e526a87c4f20e3ddf62c78faba037",
 }
 
 

@@ -150,8 +150,7 @@ def test_step_approximation_memory_at_the_bin_cap():
     finally:
         tracemalloc.stop()
     assert res.bins == 65536
-    # the value before blocking, moved by the full-precision K15/G7 constants from 0.020321279468955143
-    assert res.achieved_error == 0.020321279468955154
+    assert res.achieved_error == 0.020321279468955143  # the value before blocking
     assert peak < 18.5e6
 
 

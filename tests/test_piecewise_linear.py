@@ -199,21 +199,6 @@ def test_flow_past_one_block_is_blocking_free():
             assert np.signbit(flow).tolist() == np.signbit(want).tolist()
 
 
-def test_flow_blocks_stay_within_the_block_bound(monkeypatch):
-    # each block's (atom, point) kernel array fits in _BLOCK_ENTRIES,
-    # whatever the number of points
-    import lpheat.lp_space as lp_space
-
-    sizes = []
-    smoothing = lp_space._smoothing
-    monkeypatch.setattr(lp_space, "_smoothing", lambda d, *a, **k: sizes.append(np.size(d)) or smoothing(d, *a, **k))
-    F = StepCombo(tuple(((-1.0) ** k, float(k), k + 1.0) for k in range(300)))
-    for size in (1, 2, 201, 4001, 70001):
-        sizes.clear()
-        F.heat_flow(0.5, np.linspace(-5.0, 305.0, size), 1)
-        assert 0 < max(sizes) <= _BLOCK_ENTRIES
-
-
 def test_flow_at_no_points_is_empty():
     for F in (Indicator(0.0, 1.0), lh.sample([0.0, 1.0, 0.5], 0.0, 0.1)):
         assert F.heat_flow(0.1, np.zeros(0), 0).tolist() == []
