@@ -11,11 +11,16 @@ variant's closed form ``F.heat_flow(t, xs, order=n)`` where it has one
 (a sum over the atoms of F through the atom kernel of
 ``kernel._smoothing``: every order for Gaussian powers and for
 piecewise-linear data without kinks, such as step data; n = 0 for
-piecewise-linear data with kinks, such as a sampled grid), else a loop
-of ``convolve_point``, which stays the oracle for every closed form.  So
-the norms of F * theta_t behind ||v_t||'_r are one adaptive quadrature
-over closed-form values, not quadrature inside quadrature, except for
-the slow-tail profiles.
+piecewise-linear data with kinks, such as a sampled grid), else every
+point's ``convolve_point`` quadrature run in lockstep
+(``quadrature._lockstep``): each point's seed panels one integrand call
+each, then one integrand call per bisection round for all the points,
+with every value and ``QuadratureAccuracyError`` that of
+``convolve_point``, bit for bit, raised for the first failing point.
+``convolve_point`` stays the oracle for every closed form.  So the norms
+of F * theta_t behind ||v_t||'_r are one adaptive quadrature over
+closed-form values, not quadrature inside quadrature, except for the
+slow-tail profiles and the higher orders of data with kinks.
 
 ``Heated(F, t, n, cfg)`` is that flow as a catalog function, so every
 norm of a heat flow, or of a flow minus its data, is one
@@ -36,7 +41,7 @@ import numpy as np
 from .exceptions import DomainError, QuadratureAccuracyError, UnsupportedOrderError
 from .kernel import MAX_DERIV_ORDER, theta_deriv_values
 from .lp_space import PrimitiveFunction, combo_lp_norm
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _lockstep, integrate
 
 
 def _validate_conv_args(t: float, psi_order: int):
@@ -48,6 +53,10 @@ def _validate_conv_args(t: float, psi_order: int):
         raise UnsupportedOrderError(
             f"kernel derivative order {psi_order} exceeds {MAX_DERIV_ORDER}"
         )
+
+
+def _lost_window(x: float) -> QuadratureAccuracyError:
+    return QuadratureAccuracyError(f"window below floating-point resolution at x={float(x)!r}", math.nan, math.inf)
 
 
 def convolve_point(
@@ -65,7 +74,7 @@ def convolve_point(
     n = int(psi_order)
     width = cfg.kernel_width(t)
     if x - width == x or x + width == x:
-        raise QuadratureAccuracyError(f"window below floating-point resolution at x={float(x)!r}", math.nan, math.inf)
+        raise _lost_window(x)
     slo, shi = F.effective_support(cfg)
     lo = max(x - width, slo)
     hi = min(x + width, shi)
@@ -89,15 +98,32 @@ def convolve_values(
 ) -> np.ndarray:
     """(F * theta_t^(n))(x) at each of ``xs``, n = psi_order: the
     variant's closed form ``F.heat_flow`` where it has one at order n,
-    else ``convolve_point`` per point."""
+    else every point's ``convolve_point`` quadrature in lockstep
+    (``quadrature._lockstep``), the same values and errors bit for bit."""
     _validate_conv_args(t, psi_order)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not np.all(np.isfinite(xs)):
         raise DomainError("evaluation point must be finite")
-    flow = F.heat_flow(t, xs, int(psi_order))
+    n = int(psi_order)
+    flow = F.heat_flow(t, xs, n)
     if flow is not None:
         return flow
-    return np.array([convolve_point(F, psi_order, t, x, cfg) for x in xs])
+    width = cfg.kernel_width(t)
+    lost = (xs - width == xs) | (xs + width == xs)
+    stop = int(np.argmax(lost)) if lost.any() else xs.size  # the points before the first lost window
+    slo, shi = F.effective_support(cfg)
+    windows = [(max(x - width, slo), min(x + width, shi)) for x in xs[:stop]]  # convolve_point's, to the type
+    rows = [k for k, (lo, hi) in enumerate(windows) if lo < hi]  # the others' windows miss the support: 0
+
+    def integrand(u, x):
+        return F.values(u) * theta_deriv_values(x - u, t, n)
+
+    found = _lockstep(integrand, xs[rows], [windows[k] for k in rows], cfg, F.breakpoints())
+    if stop < xs.size:
+        raise _lost_window(xs[stop])
+    out = np.zeros(xs.size)
+    out[rows] = [value for value, _ in found]
+    return out
 
 
 @dataclass(frozen=True)

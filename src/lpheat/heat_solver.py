@@ -7,7 +7,8 @@ kernel of ``kernel._smoothing`` (``PrimitiveFunction.heat_flow``) for
 piecewise-linear primitives without kinks, such as step data
 (sum_i w_i theta_t(x - a_i) over the jumps), and for Gaussian powers
 (c theta_{s+t}'), else one adaptive quadrature per point (data with
-kinks, such as a sampled grid, and the slow tails).  Either way a
+kinks, such as a sampled grid, and the slow tails), all the points'
+bisections run in lockstep, one integrand call per round.  Either way a
 point's value does not depend on the other points of the call, so
 callers evaluate all their points at one time level in one call.  Norms
 of v_t in the derivative space are L^r norms of its primitive

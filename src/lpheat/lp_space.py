@@ -127,10 +127,11 @@ class PrimitiveFunction:
         and knot order, in blocks of at most ``_BLOCK_ENTRIES`` (point, atom)
         entries, so its value does not depend on its block; a lone atom (a
         Gaussian power) takes every point in one kernel call.  Data with kinks
-        has None above n = 0 and goes to ``convolve_point``: its kink terms
-        would make sampled ``evolve`` about ten times faster, and the
-        benchmark, which keeps every op's output, would then outgrow its
-        memory bound (ROADMAP items 1 and 2).  ``t`` is positive, ``xs`` a
+        has None above n = 0 and goes to ``convolve_values``' quadrature,
+        every point's integral in lockstep: its kink terms would make sampled
+        ``evolve`` about ten times faster, and the benchmark, which keeps
+        every op's output, would then outgrow its memory bound (ROADMAP
+        items 1 and 2).  ``t`` is positive, ``xs`` a
         finite float array and ``order`` an integer in [0, MAX_DERIV_ORDER];
         callers validate."""
         rows = self._flow_atoms()

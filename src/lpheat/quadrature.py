@@ -14,25 +14,34 @@ loop then never has to hunt for a jump.
 
 The bisection loop is serial: pop the panel with the largest error,
 replace it by its halves, stop when the summed error meets the
-tolerance.  Only the evaluation is batched.  When the loop needs halves
-it has not got, one integrand call evaluates the halves of the popped
-panel and of every other panel it must still split before it can stop
-(its own error is above the stopping threshold and it is not at the
-width floor); later splits read them back.  The same call also
-evaluates the quarters of each such panel whose error is over
-``_AHEAD_RATIO`` = 2^15 stopping limits.  The G7 rule is exact for
-degree 13, so on a smooth integrand its error on a panel of width h,
-and with it the K15-G7 estimate, goes as h^15: one halving divides a
-panel's estimate by about 2^15, and both halves of such a panel would
-still be over the limit.  ``np.vecdot`` reduces each panel with
-``_gk15``'s BLAS ddot, so values, errors, the panels split and the
+tolerance.  Only the evaluation is batched.  The loop
+(``_bisection``) is a generator that asks its driver for panels: first
+the seed partition, then, whenever it needs halves it has not got, one
+round with the halves of the popped panel and of every other panel it
+must still split before it can stop (its own error is above the
+stopping threshold and it is not at the width floor); later splits read
+them back.  A round also holds the quarters of each such panel whose
+error is over ``_AHEAD_RATIO`` = 2^15 stopping limits.  The G7 rule is
+exact for degree 13, so on a smooth integrand its error on a panel of
+width h, and with it the K15-G7 estimate, goes as h^15: one halving
+divides a panel's estimate by about 2^15, and both halves of such a
+panel would still be over the limit.  ``np.vecdot`` reduces each panel
+with ``_gk15``'s BLAS ddot, so values, errors, the panels split and the
 ``QuadratureAccuracyError`` raised are those of a loop that calls
 ``_gk15`` twice per split, bit for bit, for integrands evaluated node
 by node; only the number of integrand calls falls.  An integrand that
 raises can therefore raise on a panel the serial loop never evaluates,
-such as a quarter whose half converges.  ``integrate``
-evaluates its seed partition one panel per call; the norm integrals
-(``lp_space.combo_lp_norm``) hand it all to one call.
+such as a quarter whose half converges.
+
+Two drivers serve the loop.  ``integrate`` runs one integral: its seed
+partition one panel per integrand call, each round in one call; the
+norm integrals (``lp_space.combo_lp_norm``) hand their seeds to one
+call too.  ``_lockstep`` runs a family of integrals ``f(u, c)``, one per
+argument ``c`` (``convolve.convolve_values`` on data without a closed
+form: one per point): each one's seeds one panel per call, as
+``integrate`` takes them, then one call per round for all of them
+together, each node with its own integral's argument.
+
 ``composite_gk15`` also takes a 2-D ``edges``, one row of panel edges
 per integral, and returns a value and a K15-G7 error per row; callers
 redo the rows whose error is over tolerance with ``integrate``.
@@ -49,7 +58,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .exceptions import DomainError, QuadratureAccuracyError
+from .exceptions import DomainError, LpHeatError, QuadratureAccuracyError
 
 # K15 abscissae on [0, 1] side and weights (QUADPACK values); the
 # odd-indexed abscissae carry the embedded G7 rule.
@@ -152,13 +161,17 @@ def _seed_each(f: Callable, lo: list[float], hi: list[float]) -> list[tuple[floa
     return [_gk15(f, a, b) for a, b in zip(lo, hi)]
 
 
-def _panels(f: Callable, lo: Sequence[float], hi: Sequence[float]) -> list[tuple[float, float]]:
+def _panels(
+    f: Callable, lo: Sequence[float], hi: Sequence[float], args: np.ndarray | None = None
+) -> list[tuple[float, float]]:
     """``_gk15`` on every panel ``[lo[k], hi[k]]`` from one call of ``f`` per
     block of at most ``_BLOCK_ENTRIES`` nodes.  ``np.vecdot`` takes the BLAS
     ddot of ``_gk15``'s 1-D products per row (a 2-D matmul takes gemv, which
     rounds differently; the G7 copy is C-contiguous to stay on ddot), so every
     ``(value, error)`` equals ``_gk15``'s bit for bit whenever ``f``'s value at
-    a node does not depend on the other nodes of the call."""
+    a node does not depend on the other nodes of the call.  With ``args``,
+    one argument per panel, ``f`` is called as ``f(u, c)`` with ``c`` the
+    argument of each node's panel."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
@@ -167,7 +180,9 @@ def _panels(f: Callable, lo: Sequence[float], hi: Sequence[float]) -> list[tuple
     out = []
     for i in range(0, lo.size, step):
         h, m = half[i : i + step], mid[i : i + step]
-        ys = np.asarray(f((m[:, None] + h[:, None] * _NODES).ravel()), dtype=float).reshape(h.size, -1)
+        u = (m[:, None] + h[:, None] * _NODES).ravel()
+        y = f(u) if args is None else f(u, np.repeat(args[i : i + step], _NODES.size))
+        ys = np.asarray(y, dtype=float).reshape(h.size, -1)
         kron = h * np.vecdot(ys, _WK)
         gauss = h * np.vecdot(np.ascontiguousarray(ys[:, _G7_IDX]), _WG)
         out += zip(kron.tolist(), np.abs(kron - gauss).tolist())
@@ -182,22 +197,104 @@ def _integrate(
     points: Iterable[float],
     seed: Callable[[Callable, list[float], list[float]], list[tuple[float, float]]],
 ) -> tuple[float, float]:
-    """``integrate`` with the seed panels evaluated by ``seed(f, lo, hi)``.
+    """One integral's driver of ``_bisection``: the seed panels evaluated by
+    ``seed(f, lo, hi)`` (``_seed_each``, one panel per call, for
+    ``integrate``; ``_panels``, one call, for the norm integrals) and each
+    round by one ``_panels`` call.  ``_lockstep`` batches the rounds of many
+    integrals instead."""
+    core = _bisection(a, b, cfg, points)
+    evaluate = seed
+    try:
+        request = next(core)
+        while True:
+            request = core.send(evaluate(f, *request))
+            evaluate = _panels
+    except StopIteration as done:
+        return done.value
+
+
+def _lockstep(
+    f: Callable,
+    args: np.ndarray,
+    bounds: Iterable[tuple[float, float]],
+    cfg: QuadratureConfig,
+    points: Iterable[float],
+) -> list[tuple[float, float]]:
+    """``integrate`` of ``u -> f(u, c)`` over ``[a, b]`` for each ``c`` of
+    ``args`` and ``(a, b)`` of ``bounds``, with every row's bisection run in
+    step.  A row's seed panels take one call of ``f(u, c)`` each, as
+    ``integrate`` takes them; then each round's halves and quarters of all
+    rows go to one ``_panels`` call, where ``f(u, c)`` gets each node's row
+    argument in ``c``.  So each row's ``(value, error)``, listed in row order,
+    is ``integrate``'s bit for bit when ``f`` works node by node.  Where rows
+    fail, the error of the first failing row is raised, as a loop over the
+    rows would raise it; the rows after it are dropped when it fails.  Rows
+    run in chunks of ``_BLOCK_ENTRIES // 128`` (512): a bisection in flight
+    keeps its panels, about 8 kB for a slow-tail point, and a chunk's round
+    of a few panels a row fills about one block."""
+    points, bounds = tuple(points), list(bounds)
+    step = _BLOCK_ENTRIES // 128
+    out = []
+    for i in range(0, len(bounds), step):
+        out += _lockstep_rows(f, args[i : i + step], bounds[i : i + step], cfg, points)
+    return out
+
+
+def _lockstep_rows(f, args, bounds, cfg, points):
+    """One chunk of ``_lockstep``: its rows' bisections in step."""
+    cores = [_bisection(a, b, cfg, points) for a, b in bounds]
+    out: list = [None] * len(cores)
+    error = None
+    active = []  # (row, its core's pending request), in row order
+    for k, core in enumerate(cores):
+        try:
+            request = next(core)
+            active.append((k, core.send(_seed_each(lambda u, c=args[k]: f(u, c), *request))))
+        except StopIteration as done:
+            out[k] = done.value
+        except LpHeatError as exc:
+            error = exc
+            break
+    while active:
+        rows = [k for k, _ in active]
+        sizes = [len(lo) for _, (lo, _) in active]
+        flat = _panels(f, [x for _, (lo, _) in active for x in lo], [x for _, (_, hi) in active for x in hi],
+                       np.repeat(args[rows], sizes))
+        start, active = 0, []
+        for k, size in zip(rows, sizes):
+            try:
+                active.append((k, cores[k].send(flat[start : start + size])))
+            except StopIteration as done:
+                out[k] = done.value
+            except LpHeatError as exc:
+                error = exc
+                break
+            start += size
+    if error is not None:
+        raise error
+    return out
+
+
+def _bisection(a: float, b: float, cfg: QuadratureConfig, points: Iterable[float]):
+    """The adaptive bisection of ``integrate`` as a generator: it yields the
+    panels it needs as ``(lo, hi)`` lists, first the seed partition, then one
+    request per round, is sent their ``(value, error)`` pairs, and returns
+    ``(value, error)``.
 
     The bisection is serial: it pops the panel with the largest error and
     replaces it by its halves until the summed error meets the tolerance.
     The halves are read from ``halves``, keyed by panel; on a miss, one
-    ``_panels`` call evaluates the halves of the popped panel and of every
-    heap panel that the loop must still split before it can stop (error
-    above the current stopping limit, width not below the floor), and the
-    quarters of each of those panels whose error is over ``_AHEAD_RATIO``
-    limits (two levels ahead: the halves' estimates, about 2^-15 of their
-    parent's on a smooth integrand, would still be over the limit).  Every
-    value is ``_gk15``'s, so the result does not depend on what was
-    evaluated ahead.  An integrand that raises can raise on a panel the
-    loop never splits: a half the loop would have stopped before
-    splitting, when the budget runs out or ``|total|`` grows, or a quarter
-    evaluated ahead whose half converges.
+    round requests the halves of the popped panel and of every heap panel
+    that the loop must still split before it can stop (error above the
+    current stopping limit, width not below the floor), and the quarters of
+    each of those panels whose error is over ``_AHEAD_RATIO`` limits (two
+    levels ahead: the halves' estimates, about 2^-15 of their parent's on a
+    smooth integrand, would still be over the limit).  Every value is
+    ``_gk15``'s, so the result does not depend on what was evaluated ahead.
+    An integrand that raises can raise on a panel the loop never splits: a
+    half the loop would have stopped before splitting, when the budget runs
+    out or ``|total|`` grows, or a quarter evaluated ahead whose half
+    converges.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise DomainError("integration bounds must be finite")
@@ -218,7 +315,8 @@ def _integrate(
     total_err = 0.0
     heap: list[tuple[float, int, float, float, float, float]] = []
     tie = 0
-    for lo, hi, (val, err) in zip(edges[:-1], edges[1:], seed(f, edges[:-1], edges[1:])):
+    seeds = yield edges[:-1], edges[1:]
+    for lo, hi, (val, err) in zip(edges[:-1], edges[1:], seeds):
         total += val
         total_err += err
         heapq.heappush(heap, (-err, tie, lo, hi, val, err))
@@ -251,7 +349,7 @@ def _integrate(
             due = [(lo, hi, err)] + [
                 (l, h, e) for _, _, l, h, _, e in heap if e > limit and h - l >= width_floor and (l, h) not in halves
             ]
-            split = []  # the panels whose halves this call evaluates
+            split = []  # the panels whose halves this round evaluates
             for l, h, e in due:
                 m = 0.5 * (l + h)
                 split.append((l, h))
@@ -262,7 +360,7 @@ def _integrate(
                 m = 0.5 * (l + h)
                 los += (l, m)
                 his += (m, h)
-            flat = _panels(f, los, his)
+            flat = yield los, his
             halves.update((panel, (flat[2 * i], flat[2 * i + 1])) for i, panel in enumerate(split))
         (v1, e1), (v2, e2) = halves.pop((lo, hi))
         total += (v1 + v2) - val

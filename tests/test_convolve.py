@@ -557,3 +557,99 @@ def test_slow_tail_flow_at_a_high_exponent_matches_scipy(F):
         f = lambda y: float(F.values(y)) * float(theta_deriv_values(x - y, 1.0, 1))
         want = sum(sci.quad(f, a, b, epsabs=1e-14, epsrel=1e-12, limit=200)[0] for a, b in zip(cuts, cuts[1:]))
         assert v == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+# --- slow-tail flows in lockstep: convolve_values against the loop of convolve_point
+
+
+def _outcome(run):
+    """repr of the values ``run`` gives (so -0.0 and every bit show), or the
+    type and message of the error it raises (the message carries the value
+    and residual of a QuadratureAccuracyError)."""
+    try:
+        return repr(np.asarray(run(), dtype=float).tolist())
+    except lh.LpHeatError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_TAILS = [lh.TailLog(1.0), lh.TailLog(1.5), lh.TailLog(2.0), lh.TailLog(3.0),
+          lh.TruncatedSine(1.0), lh.TruncatedSine(1.5), lh.TruncatedSine(2.0)]
+_SMALL_BUDGETS = [lh.DEFAULT_CONFIG, lh.QuadratureConfig(max_subdivisions=2), lh.QuadratureConfig(max_subdivisions=4)]
+
+
+@st.composite
+def slow_tail_calls(draw):
+    """(F, n, t, xs, cfg): points inside the support, straddling its edge,
+    with windows that miss it, repeated, and now and then one whose window
+    x -+ kernel_width(t) rounds to x, among them in any order; budgets small
+    enough that some points fail and others do not."""
+    F = draw(st.sampled_from(_TAILS))
+    t = 10.0 ** draw(st.floats(-3.0, 1.0))
+    edge, w = F.breakpoints()[0], lh.DEFAULT_CONFIG.kernel_width(t)
+    point = st.one_of(st.floats(edge + w, edge + w + 30.0), st.floats(edge - w, edge + w),
+                      st.floats(edge - w - 10.0, edge - w))
+    xs = draw(st.lists(point, min_size=1, max_size=10))
+    xs += draw(st.lists(st.sampled_from(xs), max_size=3))
+    xs += draw(st.lists(st.sampled_from([1e17, 3e18]), max_size=1))
+    return F, draw(st.integers(0, 2)), t, draw(st.permutations(xs)), draw(st.sampled_from(_SMALL_BUDGETS))
+
+
+@given(call=slow_tail_calls())
+@settings(max_examples=60, deadline=None)
+def test_slow_tail_values_are_the_per_point_loop_bit_for_bit(call):
+    # every value, and the error of the first failing point, as the loop of
+    # convolve_point over the points' array gives them (numpy floats, so
+    # np.float64 reprs in a budget error's message)
+    F, n, t, xs, cfg = call
+    got = _outcome(lambda: convolve_values(F, n, t, xs, cfg))
+    assert got == _outcome(lambda: [lh.convolve_point(F, n, t, x, cfg) for x in np.asarray(xs)])
+
+
+@pytest.mark.parametrize("cfg", [lh.DEFAULT_CONFIG, lh.QuadratureConfig(max_subdivisions=2)],
+                         ids=["default", "budget-2"])
+def test_a_lost_window_between_good_points_raises_the_loops_error(cfg):
+    # at t = 1e-3 the window of x = 1e17 rounds to x; with a budget of 2 the
+    # point at 5 already fails its quadrature, before 1e17 is reached
+    xs = np.array([5.0, 8.0, 1e17, 6.0, 3e18])
+    with pytest.raises(lh.QuadratureAccuracyError) as exc:
+        convolve_values(lh.TailLog(2.0), 1, 1e-3, xs, cfg)
+    with pytest.raises(lh.QuadratureAccuracyError) as loop:
+        for x in xs:
+            lh.convolve_point(lh.TailLog(2.0), 1, 1e-3, x, cfg)
+    assert str(exc.value) == str(loop.value)
+    assert ("floating-point resolution at x=1e+17" in str(exc.value)) == (cfg is lh.DEFAULT_CONFIG)
+
+
+@pytest.mark.parametrize("F", [lh.TailLog(2.0), lh.TruncatedSine(1.5)], ids=["tail_log", "truncated_sine"])
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("t", [0.01, 0.1, 1.0])
+def test_a_slow_tail_call_takes_one_integrand_call_per_round(monkeypatch, F, n, t):
+    # each point's seed panels take one call each, as integrate takes them;
+    # after that all 61 bisections share one call per round, 3 to 6 rounds
+    # here (64 to 67 calls, where the loop of convolve_point took 183 to 251)
+    calls = []
+    kernel = convolve.theta_deriv_values
+    monkeypatch.setattr(convolve, "theta_deriv_values", lambda u, t, n: calls.append(np.size(u)) or kernel(u, t, n))
+    xs = np.linspace(2.0, 20.0, 61)
+    convolve_values(F, n, t, xs)
+    w, (slo, shi) = lh.DEFAULT_CONFIG.kernel_width(t), F.effective_support(lh.DEFAULT_CONFIG)
+    windows = [(max(x - w, slo), min(x + w, shi)) for x in xs.tolist()]
+    seeds = sum(1 + sum(lo < b < hi for b in F.breakpoints()) for lo, hi in windows if lo < hi)
+    assert calls[:seeds] == [15] * seeds
+    assert len(calls) <= seeds + 8
+
+
+@pytest.mark.parametrize("cfg", [lh.DEFAULT_CONFIG, lh.QuadratureConfig(max_subdivisions=2)],
+                         ids=["default", "budget-2"])
+def test_a_long_slow_tail_call_is_the_loop_across_its_chunks(cfg):
+    # the bisections run 512 at a time; points whose windows catch the
+    # support's edge converge within a budget of 2 and those further in do
+    # not, so the first failure is at 3.5 in the second chunk, with more in
+    # the third
+    edge = np.linspace(2.28, 2.5, 1100)
+    xs = np.concatenate([edge[:700], [3.5], edge[700:], np.linspace(3.0, 40.0, 300)])
+    got = _outcome(lambda: convolve_values(lh.TailLog(2.0), 1, 1e-3, xs, cfg))
+    assert got == _outcome(lambda: [lh.convolve_point(lh.TailLog(2.0), 1, 1e-3, x, cfg) for x in xs])
+    assert got.startswith("QuadratureAccuracyError") == (cfg is not lh.DEFAULT_CONFIG)
+    if cfg is not lh.DEFAULT_CONFIG:
+        assert got == _outcome(lambda: [lh.convolve_point(lh.TailLog(2.0), 1, 1e-3, xs[700], cfg)])

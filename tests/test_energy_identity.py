@@ -407,10 +407,25 @@ def _reference_energy(terms):
     return math.fsum(products.tolist()), math.fsum(np.abs(products).tolist()), scale
 
 
+def _uniform_steps(F, lo, hi, bins):
+    """The midpoint-sampled step function of F on ``bins`` uniform bins of
+    [lo, hi], step edges from np.linspace, zero steps dropped."""
+    edges = np.linspace(lo, hi, bins + 1)
+    heights = F.values(0.5 * (edges[:-1] + edges[1:]))
+    return lh.StepCombo(tuple((h, a, b) for h, a, b in zip(heights, edges[:-1], edges[1:]) if h != 0.0))
+
+
 def _approximation(values, eps):
-    """The uniform-bin step approximation of a sampled datum: step edges from np.linspace."""
-    f = lh.from_primitive(lh.sample(values, -1.0, 2.0 / (len(values) - 1)), 2.0)
-    return lh.step_approximation(f, eps).element.primitive
+    """A uniform-bin step approximation of a sampled datum, so its atoms sit
+    on one grid of lags: the first of 8, 16, 32, ... bins on [-1, 1] whose
+    L^2 distance to the datum is below eps."""
+    F = lh.sample(values, -1.0, 2.0 / (len(values) - 1))
+    bins = 8
+    steps = _uniform_steps(F, -1.0, 1.0, bins)
+    while lh.combo_lp_norm([(1.0, F), (-1.0, steps)], 2.0) >= eps:
+        bins *= 2
+        steps = _uniform_steps(F, -1.0, 1.0, bins)
+    return steps
 
 
 _wide_grids = st.builds(
@@ -590,13 +605,12 @@ def test_grid_norm_evaluates_the_kernel_once_per_lag(monkeypatch):
 
 @pytest.mark.parametrize("datum", ["sampled", "approximation"])
 def test_large_flow_norms_stay_in_bounded_memory(datum):
-    # a 2,001-node sampled flow, and the flow of a 1,024-bin step
+    # a 2,001-node sampled flow, and the flow of its 1,024-bin uniform step
     # approximation: their dense (j, k) pair matrices take 329 MB and 76 MB
     F = _wide_bump(2001)
     if datum == "approximation":
-        approx = lh.step_approximation(lh.from_primitive(F, 2.0), 3e-3)
-        assert approx.bins == 1024
-        F = approx.element.primitive
+        F = _uniform_steps(F, -3.0, 3.0, 1024)
+        assert len(F.steps) == 1024
     tracemalloc.start()
     try:
         value = lh.combo_lp_norm([(1.0, Heated(F, 0.01, 0, _CFG))], 2.0, _CFG)

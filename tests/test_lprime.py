@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from scipy import integrate as sci
 from hypothesis import strategies as st
 
@@ -136,28 +136,103 @@ def test_step_approximation_resource_cap(monkeypatch):
     assert exc.value.best_error > 1e-9
 
 
-def test_step_approximation_memory_at_the_bin_cap():
-    # 65,536 bins: composite_gk15 evaluates the integrand in blocks of at
-    # most 65,536 nodes, so the traced peak is the stored node values
-    # (15 per panel) and not a block of temporaries per node; the steps are
-    # built once, as the one tuple StepCombo makes (12.6 MB while it is
-    # built), so the peak is composite_gk15's, measured at 16.82 MB
-    f = LprimeElement(lh.TruncatedSine(1.0), 2.0)
+def _traced_peak(run):
     tracemalloc.start()
     try:
-        res = lh.step_approximation(f, 0.03)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.bins == 65536
-    assert res.achieved_error == 0.020321279468955143  # the value before blocking
-    assert peak < 18.5e6
+
+
+def test_step_approximation_memory_at_the_bin_cap():
+    # at 0.007 the round after 65,172 bins would split 4,387 more: a round
+    # measures its new bins in composite_gk15 calls of 4,096 bins (32,768
+    # panels), whose integrand blocks hold at most 65,536 nodes, so the
+    # traced peak is a few calls' node values, measured at 11.8 MB
+    f = LprimeElement(lh.TruncatedSine(1.0), 2.0)
+
+    def run():
+        with pytest.raises(ApproximationError) as exc:
+            lh.step_approximation(f, 0.007)
+        assert 0.007 < exc.value.best_error < 0.02
+
+    assert _traced_peak(run) < 18.5e6
+
+
+def test_step_approximation_memory_just_below_the_bin_cap():
+    # 63,280 bins: the steps are built once, as the one tuple StepCombo
+    # makes, on top of the last round's calls; measured at 12.0 MB
+    f = LprimeElement(lh.TruncatedSine(1.0), 2.0)
+    res = []
+    assert _traced_peak(lambda: res.append(lh.step_approximation(f, 0.0075))) < 18.5e6
+    assert res[0].bins == 63280 and res[0].achieved_error < 0.0075
 
 
 def test_step_approximation_tail_log():
     f = lh.from_primitive(TailLog(2.0), 2.0)
     res = lh.step_approximation(f, 0.2)
     assert res.achieved_error < 0.2
+
+
+def _step_error_by_scipy(F, p, eps, res):
+    """||F - g||_p of the approximation g, from scipy's quad on each step's
+    halves (|F - h| has its kink at the midpoint) and on the gaps of the
+    eps-certified window where a zero step was dropped, plus F's tail bound
+    outside that window."""
+    steps = sorted(res.element.primitive.steps, key=lambda s: s[1])
+    lo, hi = F.truncation_window(p, eps / 2.0, lh.DEFAULT_CONFIG)
+    edges = [(lo, lo, lo)] + steps + [(hi, hi, hi)]
+    pieces = [(h, a, 0.5 * (a + b)) for h, a, b in steps] + [(h, 0.5 * (a + b), b) for h, a, b in steps]
+    pieces += [(0.0, b, a) for (_, _, b), (_, a, _) in zip(edges, edges[1:]) if b < a]
+    power = 0.0
+    for h, a, b in pieces:
+        power += sci.quad(lambda x: abs(float(F.values(x)) - h) ** p, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return (power + F.tail_power_outside(p, lo, hi)) ** (1.0 / p)
+
+
+# perfbench's slow-tail settings (kind, p0, p, eps) with the bins that doubling
+# uniform bins took: 2,912 in all
+_SLOW_TAIL_STEPS = [
+    ("tail_log", 1.5, 1.5, 0.3, 8), ("tail_log", 1.5, 1.5, 0.1, 1024), ("tail_log", 1.5, 2.5, 0.3, 8),
+    ("tail_log", 1.5, 2.5, 0.1, 128), ("tail_log", 2.0, 2.0, 0.3, 8), ("tail_log", 2.0, 2.0, 0.1, 256),
+    ("tail_log", 2.0, 3.0, 0.3, 8), ("tail_log", 2.0, 3.0, 0.1, 128), ("truncated_sine", 1.0, 2.0, 0.3, 64),
+    ("truncated_sine", 1.0, 2.0, 0.1, 1024), ("truncated_sine", 1.0, 3.0, 0.1, 128),
+    ("truncated_sine", 1.5, 3.5, 0.3, 128),
+]
+
+
+def _slow_tail_approximation(kind, p0, p, eps):
+    F = TailLog(p0) if kind == "tail_log" else TruncatedSine(p0)
+    return F, lh.step_approximation(LprimeElement(F, p), eps)
+
+
+@pytest.mark.parametrize("kind, p0, p, eps, uniform", _SLOW_TAIL_STEPS, ids=lambda v: str(v))
+def test_slow_tail_step_error_is_scipys(kind, p0, p, eps, uniform):
+    F, res = _slow_tail_approximation(kind, p0, p, eps)
+    assert res.achieved_error < eps
+    assert res.achieved_error == pytest.approx(_step_error_by_scipy(F, p, eps, res), rel=1e-8)
+    assert res.bins <= uniform
+
+
+def test_error_driven_bins_take_fewer_atoms_than_uniform_ones():
+    # 456 bins over the twelve settings, against 2,912 uniform ones
+    assert sum(_slow_tail_approximation(*setting[:4])[1].bins for setting in _SLOW_TAIL_STEPS) <= 1000
+
+
+@given(values=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=9), x0=st.floats(-2.0, 2.0),
+       dx=st.floats(0.01, 1.0), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]) | st.floats(1.0, 4.0),
+       eps=st.sampled_from([0.3, 0.1, 0.03]))
+@settings(max_examples=25, deadline=None)
+@example(values=[0.0, 0.0, 1.0, -1.0, 0.0, 0.0], x0=-1.0, dx=0.5, p=1.5, eps=0.1)  # zero steps at both ends
+@example(values=[0.0, 0.0], x0=0.0, dx=1.0, p=2.0, eps=0.3)  # zero data: one zero step
+def test_sampled_step_error_is_scipys(values, x0, dx, p, eps):
+    # F is linear on every bin (its knots are bin edges), so each half bin
+    # holds |s (x - mid)|^p, which four K15 panels integrate to 1e-8
+    F = lh.sample(values, x0, dx)
+    res = lh.step_approximation(LprimeElement(F, p), eps)
+    assert res.achieved_error < eps
+    assert res.achieved_error == pytest.approx(_step_error_by_scipy(F, p, eps, res), rel=1e-8, abs=1e-300)
 
 
 def _atom_route(f, g):

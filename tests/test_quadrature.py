@@ -9,7 +9,7 @@ from scipy import integrate as sci
 
 import lpheat as lh
 from lpheat import DomainError, QuadratureAccuracyError, QuadratureConfig
-from lpheat import convolve, quadrature
+from lpheat import convolve, estimates, quadrature
 from lpheat.convolve import convolve_values
 from lpheat.convolve import Heated
 from lpheat.quadrature import (
@@ -334,16 +334,17 @@ def test_slow_tail_points_take_few_integrand_calls(monkeypatch):
 
 def test_nested_outer_integral_does_not_evaluate_ahead(monkeypatch):
     # each node of the probe's outer integral costs an adaptive integral, so
-    # the outer bisection must take exactly the inner points of the loop
-    # without quarters: 5,355 over these 27 settings
+    # the outer bisection must hand convolve_values exactly the inner points
+    # of the loop without quarters: 5,355 over these 27 settings
     inner = []
-    point = convolve.convolve_point
-    monkeypatch.setattr(convolve, "convolve_point", lambda *a: inner.append(1) or point(*a))
+    values = estimates.convolve_values
+    monkeypatch.setattr(estimates, "convolve_values", lambda F, n, t, xs, cfg: inner.append(np.size(xs)) or
+                        values(F, n, t, xs, cfg))
     for p in (1.5, 2.0, 3.0):
         for doublings in (6, 7, 8):
             for t in (0.5, 1.0, 2.0):
                 lh.nonmembership_probe(p, 1.0, t, [math.e**5, math.e**6], lh.DEFAULT_CONFIG, doublings=doublings)
-    assert len(inner) == 5355
+    assert sum(inner) == 5355
 
 
 def test_config_validation():
